@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,6 +37,10 @@ from .trajectory import NotConverged, Scenario, StepSchedule, iterate
 EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
 EXIT_REFERENCE = 3
+
+# Largest --grid a sweep accepts; a finer grid exits 2 before any cell is
+# built instead of exhausting memory.
+MAX_GRID_CELLS = 100_000
 
 _MODES = {
     "unitary": InteractionMode.FIXED_SPLITTER,
@@ -128,16 +133,21 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         _config_error(f"bad --grid {text!r}, entries must be numbers")
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        _config_error(f"bad --grid {text!r}: entries must be finite")
     if step <= 0.0 or stop < start:
         _config_error(f"bad --grid {text!r}: need STEP > 0 and STOP >= START")
+    # cells counted before any is built; the loop below stops one past it
+    cells = (stop - start) / step + 1.5
+    if not cells < MAX_GRID_CELLS + 1:
+        _config_error(f"bad --grid {text!r}: more than {MAX_GRID_CELLS} "
+                      f"cells")
     values = []
-    k = 0
-    while True:
+    for k in range(int(cells) + 1):
         v = start + k * step
         if v > stop + step / 2.0:  # both ends inclusive, half-step slack
             break
         values.append(v)
-        k += 1
     return tuple(values)
 
 

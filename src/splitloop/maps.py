@@ -32,8 +32,16 @@ matrix [[a1^2, b1^2], [b1^2, a1^2]]; the half-connected forms are absorbing
 chains. Fixed-splitter maps ignore the splitter after the initial state has
 been formed, movable-splitter maps use it on every pass.
 
-The *_kernel functions hold the raw arithmetic and accept floats or numpy
-arrays; the step_* wrappers add typed validation on scalars.
+The *_kernel functions are the one copy of each update formula. They take
+Python floats (the per-pass path: math.sqrt, math.pow) or numpy arrays
+(np.sqrt, np.float_power, np.any), with bit-identical results elementwise.
+`raw_step` wraps a kernel into the per-pass function on validated floats:
+the kernel, the Markov agreement check, and the range and norm/sum checks
+and rescaling of `states.normalize_pair`. The trajectory loop calls it
+directly; StepMap and the step_* functions are typed wrappers over it.
+States are validated once, where they enter (their constructors,
+`Scenario`); from there on no pass builds a state through its constructor
+again.
 """
 
 from __future__ import annotations
@@ -48,7 +56,8 @@ import numpy as np
 from .errors import (InvalidStepError, ModeMismatchError, NumericDomainError,
                      OutOfRangeError)
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
-                     Topology, WeightPair)
+                     Topology, WeightPair, amplitude_pair, normalize_pair,
+                     weight_pair)
 
 # Denominator guard for the half-connected unitary maps. Unreachable from a
 # normalized state (D >= 1 there), kept as a hard stop for raw kernel input.
@@ -58,18 +67,39 @@ _MIN_DENOMINATOR = 1e-30
 _MARKOV_AGREEMENT = 1e-15
 
 
+def _sqrt(x):
+    """math.sqrt on a float, np.sqrt on an array; both correctly rounded."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
+def _square(x):
+    """x ** 2 through the C library's pow, on a float or elementwise.
+
+    Not x * x: pow rounds differently from the product for some inputs,
+    and the per-pass results are pinned to pow. numpy's `**` turns into a
+    product, so arrays go through float_power, which calls pow.
+    """
+    return math.pow(x, 2.0) if isinstance(x, float) else np.float_power(x,
+                                                                        2.0)
+
+
+def _check_denominator(d, wiring: str) -> None:
+    small = d < _MIN_DENOMINATOR
+    if small if isinstance(small, bool) else np.any(small):
+        raise NumericDomainError(
+            f"{wiring} denominator underflow: |D| < 1e-30")
+
+
 def unitary_both_kernel(a, b):
     """Raw both-connected unitary update; returns (a', b')."""
-    d = np.sqrt(1.0 + 4.0 * (a * a) * (b * b))
+    d = _sqrt(1.0 + 4.0 * (a * a) * (b * b))
     return 1.0 / d, (2.0 * a) * b / d
 
 
 def unitary_right_half_kernel(a, b):
     """Raw right-half-connected unitary update; returns (a', b')."""
-    d = np.sqrt((a * a) * (a * a) + (b * b) * (1.0 + a) ** 2)
-    if np.any(d < _MIN_DENOMINATOR):
-        raise NumericDomainError(
-            "right-half denominator underflow: |D| < 1e-30")
+    d = _sqrt((a * a) * (a * a) + (b * b) * _square(1.0 + a))
+    _check_denominator(d, "right-half")
     return (a * a) / d, b * (1.0 + a) / d
 
 
@@ -79,10 +109,8 @@ def unitary_left_half_kernel(a, b):
     Written with the same expression shapes as unitary_right_half_kernel so
     that the mirror identity holds bit for bit, not merely to rounding.
     """
-    d = np.sqrt((b * b) * (b * b) + (a * a) * (1.0 + b) ** 2)
-    if np.any(d < _MIN_DENOMINATOR):
-        raise NumericDomainError(
-            "left-half denominator underflow: |D| < 1e-30")
+    d = _sqrt((b * b) * (b * b) + (a * a) * _square(1.0 + b))
+    _check_denominator(d, "left-half")
     return a * (1.0 + b) / d, (b * b) / d
 
 
@@ -102,22 +130,88 @@ def measure_left_half_kernel(w_left, w_right, a1_squared, b1_squared):
     return a1_squared * w_right + w_left, b1_squared * w_right
 
 
+def raw_step(mode: InteractionMode, topology: Topology,
+             splitter: SplitterCoefficients | None,
+             ) -> Callable[[float, float], tuple[float, float, float]]:
+    """The per-pass function of one (mode, topology) map on raw floats.
+
+    It takes the two components of a validated state, (a, b) or
+    (w_L, w_R), and returns the next state's components and the correction
+    that normalize_pair applied to them. Every check of a typed step runs:
+    the kernel's denominator guard, the Markov agreement check of the
+    both-connected measuring map, and the range and norm/sum bands. The
+    kernel is looked up when the function is built. Fixed-splitter maps
+    ignore the splitter, which may then be None.
+    """
+    if mode is InteractionMode.FIXED_SPLITTER:
+        kernel = {Topology.BOTH_CONNECTED: unitary_both_kernel,
+                  Topology.RIGHT_HALF_CONNECTED: unitary_right_half_kernel,
+                  Topology.LEFT_HALF_CONNECTED: unitary_left_half_kernel,
+                  }[topology]
+
+        def unitary(a: float, b: float) -> tuple[float, float, float]:
+            a, b = kernel(a, b)
+            return normalize_pair(a, b, True)
+        return unitary
+
+    kernel = {Topology.BOTH_CONNECTED: measure_both_kernel,
+              Topology.RIGHT_HALF_CONNECTED: measure_right_half_kernel,
+              Topology.LEFT_HALF_CONNECTED: measure_left_half_kernel,
+              }[topology]
+    a1sq = splitter.a1_squared
+    b1sq = splitter.b1_squared
+    markov = topology is Topology.BOTH_CONNECTED
+
+    def measure(w_left: float, w_right: float) -> tuple[float, float, float]:
+        wl, wr = kernel(w_left, w_right, a1sq, b1sq)
+        if markov:
+            # the direct update must agree with the transition-matrix row
+            # for the right loop
+            matrix_row_right = b1sq * w_left + a1sq * w_right
+            if abs(matrix_row_right - wr) > _MARKOV_AGREEMENT:
+                raise NumericDomainError(
+                    "direct and transition-matrix forms disagree: "
+                    f"|{matrix_row_right!r} - {wr!r}| > 1e-15")
+        return normalize_pair(wl, wr, False)
+    return measure
+
+
+State = Union[AmplitudePair, WeightPair]
+
+
+def _typed_step(mode: InteractionMode, topology: Topology,
+                splitter: SplitterCoefficients | None, state: State) -> State:
+    if mode is InteractionMode.FIXED_SPLITTER:
+        if not isinstance(state, AmplitudePair):
+            raise ModeMismatchError(
+                "fixed-splitter maps act on AmplitudePair, got "
+                f"{type(state).__name__}")
+        step = raw_step(mode, topology, splitter)
+        return amplitude_pair(*step(state.a_left, state.b_right))
+    if not isinstance(state, WeightPair):
+        raise ModeMismatchError(
+            "movable-splitter maps act on WeightPair, got "
+            f"{type(state).__name__}")
+    step = raw_step(mode, topology, splitter)
+    return weight_pair(*step(state.w_left, state.w_right))
+
+
 def step_unitary_both(state: AmplitudePair) -> AmplitudePair:
     """One fixed-splitter pass with both loops connected."""
-    a_next, b_next = unitary_both_kernel(state.a_left, state.b_right)
-    return AmplitudePair(float(a_next), float(b_next))
+    return _typed_step(InteractionMode.FIXED_SPLITTER,
+                       Topology.BOTH_CONNECTED, None, state)
 
 
 def step_unitary_right_half(state: AmplitudePair) -> AmplitudePair:
     """One fixed-splitter pass with the right loop cut open."""
-    a_next, b_next = unitary_right_half_kernel(state.a_left, state.b_right)
-    return AmplitudePair(float(a_next), float(b_next))
+    return _typed_step(InteractionMode.FIXED_SPLITTER,
+                       Topology.RIGHT_HALF_CONNECTED, None, state)
 
 
 def step_unitary_left_half(state: AmplitudePair) -> AmplitudePair:
     """One fixed-splitter pass with the left loop cut open."""
-    a_next, b_next = unitary_left_half_kernel(state.a_left, state.b_right)
-    return AmplitudePair(float(a_next), float(b_next))
+    return _typed_step(InteractionMode.FIXED_SPLITTER,
+                       Topology.LEFT_HALF_CONNECTED, None, state)
 
 
 def step_measure_both(weights: WeightPair,
@@ -127,36 +221,22 @@ def step_measure_both(weights: WeightPair,
     The update is evaluated both directly and through the transition-matrix
     row for the right loop; the two must agree to 1e-15 or the step aborts.
     """
-    a1sq = splitter.a1_squared
-    b1sq = splitter.b1_squared
-    wl, wr = measure_both_kernel(weights.w_left, weights.w_right, a1sq, b1sq)
-    matrix_row_right = b1sq * weights.w_left + a1sq * weights.w_right
-    if abs(matrix_row_right - wr) > _MARKOV_AGREEMENT:
-        raise NumericDomainError(
-            "direct and transition-matrix forms disagree: "
-            f"|{matrix_row_right!r} - {wr!r}| > 1e-15")
-    return WeightPair(float(wl), float(wr))
+    return _typed_step(InteractionMode.MOVABLE_SPLITTER,
+                       Topology.BOTH_CONNECTED, splitter, weights)
 
 
 def step_measure_right_half(weights: WeightPair,
                             splitter: SplitterCoefficients) -> WeightPair:
     """One movable-splitter pass with the right loop absorbing."""
-    wl, wr = measure_right_half_kernel(weights.w_left, weights.w_right,
-                                       splitter.a1_squared,
-                                       splitter.b1_squared)
-    return WeightPair(float(wl), float(wr))
+    return _typed_step(InteractionMode.MOVABLE_SPLITTER,
+                       Topology.RIGHT_HALF_CONNECTED, splitter, weights)
 
 
 def step_measure_left_half(weights: WeightPair,
                            splitter: SplitterCoefficients) -> WeightPair:
     """One movable-splitter pass with the left loop absorbing."""
-    wl, wr = measure_left_half_kernel(weights.w_left, weights.w_right,
-                                      splitter.a1_squared,
-                                      splitter.b1_squared)
-    return WeightPair(float(wl), float(wr))
-
-
-State = Union[AmplitudePair, WeightPair]
+    return _typed_step(InteractionMode.MOVABLE_SPLITTER,
+                       Topology.LEFT_HALF_CONNECTED, splitter, weights)
 
 
 @dataclass(frozen=True)
@@ -172,25 +252,7 @@ class StepMap:
     splitter: SplitterCoefficients
 
     def apply(self, state: State) -> State:
-        if self.mode is InteractionMode.FIXED_SPLITTER:
-            if not isinstance(state, AmplitudePair):
-                raise ModeMismatchError(
-                    "fixed-splitter maps act on AmplitudePair, got "
-                    f"{type(state).__name__}")
-            if self.topology is Topology.BOTH_CONNECTED:
-                return step_unitary_both(state)
-            if self.topology is Topology.RIGHT_HALF_CONNECTED:
-                return step_unitary_right_half(state)
-            return step_unitary_left_half(state)
-        if not isinstance(state, WeightPair):
-            raise ModeMismatchError(
-                "movable-splitter maps act on WeightPair, got "
-                f"{type(state).__name__}")
-        if self.topology is Topology.BOTH_CONNECTED:
-            return step_measure_both(state, self.splitter)
-        if self.topology is Topology.RIGHT_HALF_CONNECTED:
-            return step_measure_right_half(state, self.splitter)
-        return step_measure_left_half(state, self.splitter)
+        return _typed_step(self.mode, self.topology, self.splitter, state)
 
 
 class Stability(Enum):

@@ -148,6 +148,9 @@ def agreement_report(estimate: EnsembleEstimate,
                      analytic: Sequence[WeightPair],
                      sigma_bound: float = 4.0) -> list[StepAgreement]:
     """Per-step z-scores of the ensemble against an analytic weight series."""
+    if not (sigma_bound > 0.0 and math.isfinite(sigma_bound)):
+        raise OutOfRangeError(
+            f"sigma_bound must be positive and finite, got {sigma_bound!r}")
     if len(analytic) != len(estimate.w_left):
         raise LengthMismatchError(
             f"analytic series has {len(analytic)} steps, estimate has "

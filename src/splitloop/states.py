@@ -11,6 +11,11 @@ rescale to an exact unit norm (or unit sum) so that downstream arithmetic
 never has to compensate for decimal rounding in hand-entered values. The
 signed correction that was applied is kept on the instance for inspection
 but does not participate in equality.
+
+`normalize_pair` is the one copy of that validate-and-rescale rule. The
+constructors call it on hand-entered values; the trajectory loop calls it
+on the raw floats of every pass and wraps the results with
+`amplitude_pair`/`weight_pair`, which skip the constructor's second run.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ WEIGHT_SUM_TOL = 1e-9
 
 # Map outputs may undershoot zero by a rounding error; tolerate and clamp.
 _RANGE_SLACK = 1e-12
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 class Topology(Enum):
@@ -70,42 +78,70 @@ class Violation:
     message: str
 
 
-def validate_amplitudes(a_left: float, b_right: float,
-                        tol: float = AMPLITUDE_NORM_TOL) -> Violation | None:
-    """Check a raw amplitude pair; return a Violation or None when fine."""
-    for name, x in (("a_left", a_left), ("b_right", b_right)):
-        if not math.isfinite(x):
+def _violation(x: float, y: float, squared: bool,
+               tol: float) -> Violation | None:
+    """The acceptance rule for a raw pair: a Violation, or None when fine.
+
+    Both components must be finite and non-negative (up to the range
+    slack); the squared norm (squared=True, amplitudes) or the sum
+    (squared=False, weights) must lie within tol of 1.
+    """
+    dev = (x * x + y * y if squared else x + y) - 1.0
+    if x >= -_RANGE_SLACK and y >= -_RANGE_SLACK and abs(dev) <= tol:
+        return None
+    names = ("a_left", "b_right") if squared else ("w_left", "w_right")
+    for name, v in zip(names, (x, y)):
+        if not math.isfinite(v):
             return Violation("range", float("nan"), f"{name} is not finite")
-        if x < -_RANGE_SLACK:
-            return Violation("range", x, f"{name} must be non-negative, got {x!r}")
-    dev = a_left * a_left + b_right * b_right - 1.0
-    if abs(dev) > tol:
+        if v < -_RANGE_SLACK:
+            return Violation("range", v, f"{name} must be non-negative, got {v!r}")
+    if not abs(dev) > tol:
+        return None
+    if squared:
         return Violation(
             "normalization", dev,
             f"squared norm {1.0 + dev!r} deviates from 1 by {dev!r}")
-    return None
+    return Violation(
+        "weight-sum", dev,
+        f"weight sum {1.0 + dev!r} deviates from 1 by {dev!r}")
+
+
+def validate_amplitudes(a_left: float, b_right: float,
+                        tol: float = AMPLITUDE_NORM_TOL) -> Violation | None:
+    """Check a raw amplitude pair; return a Violation or None when fine."""
+    return _violation(a_left, b_right, True, tol)
 
 
 def validate_weights(w_left: float, w_right: float,
                      tol: float = WEIGHT_SUM_TOL) -> Violation | None:
     """Check a raw weight pair; return a Violation or None when fine."""
-    for name, x in (("w_left", w_left), ("w_right", w_right)):
-        if not math.isfinite(x):
-            return Violation("range", float("nan"), f"{name} is not finite")
-        if x < -_RANGE_SLACK:
-            return Violation("range", x, f"{name} must be non-negative, got {x!r}")
-    dev = w_left + w_right - 1.0
-    if abs(dev) > tol:
-        return Violation(
-            "weight-sum", dev,
-            f"weight sum {1.0 + dev!r} deviates from 1 by {dev!r}")
-    return None
+    return _violation(w_left, w_right, False, tol)
 
 
 def _raise_for(violation: Violation) -> None:
     if violation.kind == "range":
         raise OutOfRangeError(violation.message)
     raise NormalizationError(violation)
+
+
+def normalize_pair(x: float, y: float,
+                   squared: bool) -> tuple[float, float, float]:
+    """Validate a raw pair and rescale it to unit norm or unit sum.
+
+    squared=True treats (x, y) as amplitudes (unit squared norm, band
+    AMPLITUDE_NORM_TOL), squared=False as weights (unit sum, band
+    WEIGHT_SUM_TOL). Returns the rescaled pair and the signed correction
+    (norm or sum minus 1). Raises OutOfRangeError or NormalizationError with
+    the messages of validate_amplitudes / validate_weights.
+    """
+    violation = _violation(x, y, squared,
+                           AMPLITUDE_NORM_TOL if squared else WEIGHT_SUM_TOL)
+    if violation is not None:
+        _raise_for(violation)
+    x = 0.0 if x < 0.0 else x
+    y = 0.0 if y < 0.0 else y
+    total = math.sqrt(x * x + y * y) if squared else x + y
+    return x / total, y / total, total - 1.0
 
 
 @dataclass(frozen=True)
@@ -123,17 +159,11 @@ class AmplitudePair:
                                    default=0.0)
 
     def __post_init__(self) -> None:
-        a = float(self.a_left)
-        b = float(self.b_right)
-        violation = validate_amplitudes(a, b)
-        if violation is not None:
-            _raise_for(violation)
-        a = 0.0 if a < 0.0 else a
-        b = 0.0 if b < 0.0 else b
-        norm = math.sqrt(a * a + b * b)
-        object.__setattr__(self, "a_left", a / norm)
-        object.__setattr__(self, "b_right", b / norm)
-        object.__setattr__(self, "norm_correction", norm - 1.0)
+        a, b, correction = normalize_pair(float(self.a_left),
+                                          float(self.b_right), True)
+        object.__setattr__(self, "a_left", a)
+        object.__setattr__(self, "b_right", b)
+        object.__setattr__(self, "norm_correction", correction)
 
 
 @dataclass(frozen=True)
@@ -146,17 +176,11 @@ class WeightPair:
                                   default=0.0)
 
     def __post_init__(self) -> None:
-        wl = float(self.w_left)
-        wr = float(self.w_right)
-        violation = validate_weights(wl, wr)
-        if violation is not None:
-            _raise_for(violation)
-        wl = 0.0 if wl < 0.0 else wl
-        wr = 0.0 if wr < 0.0 else wr
-        total = wl + wr
-        object.__setattr__(self, "w_left", wl / total)
-        object.__setattr__(self, "w_right", wr / total)
-        object.__setattr__(self, "sum_correction", total - 1.0)
+        wl, wr, correction = normalize_pair(float(self.w_left),
+                                            float(self.w_right), False)
+        object.__setattr__(self, "w_left", wl)
+        object.__setattr__(self, "w_right", wr)
+        object.__setattr__(self, "sum_correction", correction)
 
 
 @dataclass(frozen=True)
@@ -173,17 +197,11 @@ class SplitterCoefficients:
                                    default=0.0)
 
     def __post_init__(self) -> None:
-        a = float(self.a1)
-        b = float(self.b1)
-        violation = validate_amplitudes(a, b)
-        if violation is not None:
-            _raise_for(violation)
-        a = 0.0 if a < 0.0 else a
-        b = 0.0 if b < 0.0 else b
-        norm = math.sqrt(a * a + b * b)
-        object.__setattr__(self, "a1", a / norm)
-        object.__setattr__(self, "b1", b / norm)
-        object.__setattr__(self, "norm_correction", norm - 1.0)
+        a, b, correction = normalize_pair(float(self.a1), float(self.b1),
+                                          True)
+        object.__setattr__(self, "a1", a)
+        object.__setattr__(self, "b1", b)
+        object.__setattr__(self, "norm_correction", correction)
 
     @property
     def a1_squared(self) -> float:
@@ -210,7 +228,38 @@ def amplitudes_from_left_weight(w_left: float) -> AmplitudePair:
     return AmplitudePair(math.sqrt(w_left), math.sqrt(1.0 - w_left))
 
 
+def weights_from_amplitudes(a_left: float,
+                            b_right: float) -> tuple[float, float, float]:
+    """Weights (a^2, b^2) of raw amplitudes, through normalize_pair."""
+    return normalize_pair(a_left * a_left, b_right * b_right, False)
+
+
 def weights_of(state: AmplitudePair) -> WeightPair:
     """Statistical weights (a_left^2, b_right^2) of an amplitude pair."""
-    return WeightPair(state.a_left * state.a_left,
-                      state.b_right * state.b_right)
+    return weight_pair(*weights_from_amplitudes(state.a_left, state.b_right))
+
+
+def amplitude_pair(a_left: float, b_right: float,
+                   norm_correction: float) -> AmplitudePair:
+    """An AmplitudePair from values normalize_pair has already returned.
+
+    Skips __post_init__, which would validate and rescale them again.
+    """
+    pair = _new(AmplitudePair)
+    _set(pair, "a_left", a_left)
+    _set(pair, "b_right", b_right)
+    _set(pair, "norm_correction", norm_correction)
+    return pair
+
+
+def weight_pair(w_left: float, w_right: float,
+                sum_correction: float) -> WeightPair:
+    """A WeightPair from values normalize_pair has already returned.
+
+    Skips __post_init__, which would validate and rescale them again.
+    """
+    pair = _new(WeightPair)
+    _set(pair, "w_left", w_left)
+    _set(pair, "w_right", w_right)
+    _set(pair, "sum_correction", sum_correction)
+    return pair

@@ -7,10 +7,16 @@ is stamped with the physical time n * period, one loop traversal per step.
 A topology switch scheduled at step n takes effect before the map that
 produces record n, so record n is the first one computed under (and
 labeled with) the new wiring. Interaction modes never switch mid-run.
+
+The initial state is validated once, where it is built; `Scenario` checks
+that it matches the mode. From there the loop in `_records` runs on plain
+floats through `maps.raw_step`, which keeps every per-pass check, and
+wraps each pass's values into records without validating them again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -18,9 +24,13 @@ from . import maps
 from .errors import (ModeMismatchError, OutOfRangeError,
                      ScheduleConflictError)
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
-                     Topology, WeightPair, weights_of)
+                     Topology, WeightPair, amplitude_pair, weight_pair,
+                     weights_from_amplitudes, weights_of)
 
 State = Union[AmplitudePair, WeightPair]
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -45,9 +55,9 @@ class Scenario:
         if not isinstance(self.max_steps, int) or self.max_steps < 1:
             raise OutOfRangeError(
                 f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        if not self.period > 0.0:
+        if not (self.period > 0.0 and math.isfinite(self.period)):
             raise OutOfRangeError(
-                f"period must be positive, got {self.period!r}")
+                f"period must be positive and finite, got {self.period!r}")
 
 
 @dataclass(frozen=True)
@@ -133,22 +143,43 @@ def _check_schedule(schedule: StepSchedule, max_steps: int) -> None:
 def _records(scenario: Scenario,
              schedule: StepSchedule) -> Iterator[TrajectoryRecord]:
     switch_at = dict(schedule.switches)
+    mode, splitter, period = scenario.mode, scenario.splitter, scenario.period
     topology = scenario.initial_topology
-    unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
-    amplitudes = scenario.initial if unitary else None
-    weights = weights_of(amplitudes) if unitary else scenario.initial
+    step = maps.raw_step(mode, topology, splitter)
+    unitary = mode is InteractionMode.FIXED_SPLITTER
+    if unitary:
+        amplitudes = scenario.initial
+        weights = weights_of(amplitudes)
+        x, y = amplitudes.a_left, amplitudes.b_right
+    else:
+        amplitudes = None
+        weights = scenario.initial
+        x, y = weights.w_left, weights.w_right
     for n in range(1, scenario.max_steps + 1):
         if n in switch_at:
             topology = switch_at[n]
+            step = maps.raw_step(mode, topology, splitter)
         if n > 1:
-            step = maps.StepMap(scenario.mode, topology, scenario.splitter)
+            x, y, correction = step(x, y)
             if unitary:
-                amplitudes = step.apply(amplitudes)
-                weights = weights_of(amplitudes)
+                amplitudes = amplitude_pair(x, y, correction)
+                weights = weight_pair(*weights_from_amplitudes(x, y))
             else:
-                weights = step.apply(weights)
-        yield TrajectoryRecord(n, n * scenario.period, topology,
-                               amplitudes, weights)
+                weights = weight_pair(x, y, correction)
+        yield _record(n, n * period, topology, amplitudes, weights)
+
+
+def _record(n: int, time: float, topology: Topology,
+            amplitudes: AmplitudePair | None,
+            weights: WeightPair) -> TrajectoryRecord:
+    """TrajectoryRecord(n, time, ...) without the frozen-field setters."""
+    record = _new(TrajectoryRecord)
+    _set(record, "n", n)
+    _set(record, "time", time)
+    _set(record, "topology", topology)
+    _set(record, "amplitudes", amplitudes)
+    _set(record, "weights", weights)
+    return record
 
 
 def iterate(scenario: Scenario,
@@ -163,6 +194,23 @@ def iterate(scenario: Scenario,
     return Trajectory(tuple(_records(scenario, schedule)))
 
 
+def converging_record(scenario: Scenario,
+                      criterion: ConvergenceCriterion,
+                      schedule: StepSchedule | None = None,
+                      ) -> tuple[TrajectoryRecord, bool]:
+    """First record that meets the criterion, and whether one did.
+
+    Scans the run lazily and stops at the first satisfying record; when
+    max_steps runs out first, returns the final record and False.
+    """
+    schedule = schedule if schedule is not None else StepSchedule()
+    _check_schedule(schedule, scenario.max_steps)
+    for record in _records(scenario, schedule):
+        if criterion.satisfied(record.weights):
+            return record, True
+    return record, False
+
+
 def steps_to_converge(scenario: Scenario,
                       criterion: ConvergenceCriterion,
                       schedule: StepSchedule | None = None,
@@ -172,14 +220,11 @@ def steps_to_converge(scenario: Scenario,
     Scans the run lazily and stops at the first satisfying record; returns
     NotConverged carrying the final distance when max_steps runs out.
     """
-    schedule = schedule if schedule is not None else StepSchedule()
-    _check_schedule(schedule, scenario.max_steps)
-    distance = float("inf")
-    for record in _records(scenario, schedule):
-        distance = criterion.distance(record.weights)
-        if distance < criterion.epsilon:
-            return record.n
-    return NotConverged(scenario.max_steps, distance)
+    record, converged = converging_record(scenario, criterion, schedule)
+    if converged:
+        return record.n
+    return NotConverged(scenario.max_steps,
+                        criterion.distance(record.weights))
 
 
 def run_switching_experiment(phases: Sequence[tuple[Topology, int]],

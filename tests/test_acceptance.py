@@ -251,14 +251,14 @@ def test_criterion_11_cli_regression_sentinel(monkeypatch, tmp_path):
     runner = CliRunner()
     clean = runner.invoke(cli_main, ["paper"])
 
-    def corrupted(state):
+    def corrupted(a, b):
         # 4 -> 5 in both places at once: the output stays normalized, so
         # the run reaches the reference comparison instead of aborting.
-        a, b = state.a_left, state.b_right
         d = math.sqrt(1.0 + 5.0 * (a * a) * (b * b))
-        return AmplitudePair(1.0 / d, math.sqrt(5.0) * a * b / d)
+        return 1.0 / d, math.sqrt(5.0) * a * b / d
 
-    monkeypatch.setattr(splitloop.maps, "step_unitary_both", corrupted)
+    # the kernel holds the one copy of the both-connected coherent update
+    monkeypatch.setattr(splitloop.maps, "unitary_both_kernel", corrupted)
     broken = runner.invoke(cli_main, ["paper"])
     monkeypatch.undo()
 

@@ -4,9 +4,9 @@ import pytest
 
 from splitloop import (DegenerateInitialError, InteractionMode,
                        ModeMismatchError, NotConverged, OutOfRangeError,
-                       SplitterCoefficients, Topology,
+                       Scenario, SplitterCoefficients, Topology, WeightPair,
                        closed_form_measure_right_half, compare_modes,
-                       convergence_order, reference_sequences,
+                       convergence_order, iterate, maps, reference_sequences,
                        sweep_initial_conditions)
 
 
@@ -64,6 +64,15 @@ class TestCompareModes:
             0.9, 1e-3, splitter=SplitterCoefficients.from_reflectance(0.6))
         # a more balanced splitter contracts faster
         assert untied.measurement_steps < tied.measurement_steps
+
+    def test_untied_race_can_favor_measurement(self):
+        # a balanced splitter makes the measuring route contract at once,
+        # so it wins; the ratio is reported as computed
+        result = compare_modes(
+            0.9, 1e-3, splitter=SplitterCoefficients.from_reflectance(0.5))
+        assert result.unitary_steps == 5
+        assert result.measurement_steps == 2
+        assert result.ratio == 0.4
 
     @pytest.mark.parametrize("w", [0.0, 1.0])
     def test_pure_states_are_degenerate(self, w):
@@ -126,6 +135,33 @@ class TestSweep:
         for cell in result.cells:
             assert not cell.converged
             assert cell.steps is None
+
+    def test_cells_stop_at_the_converging_pass(self, monkeypatch):
+        calls = []
+        kernel = maps.unitary_both_kernel
+
+        def counted(a, b):
+            calls.append(1)
+            return kernel(a, b)
+
+        monkeypatch.setattr(maps, "unitary_both_kernel", counted)
+        result = sweep_initial_conditions(
+            InteractionMode.FIXED_SPLITTER, Topology.BOTH_CONNECTED,
+            (0.05, 0.5), 1e-3, 10_000)
+        assert [c.steps for c in result.cells] == [5, 1]
+        assert len(calls) == (5 - 1) + (1 - 1)
+
+    def test_unconverged_cell_reports_the_final_record(self):
+        splitter = SplitterCoefficients.from_reflectance(0.9)
+        result = sweep_initial_conditions(
+            InteractionMode.MOVABLE_SPLITTER, Topology.BOTH_CONNECTED,
+            (0.1,), 1e-3, 5, splitter=splitter)
+        final = iterate(Scenario(
+            InteractionMode.MOVABLE_SPLITTER, Topology.BOTH_CONNECTED,
+            splitter, WeightPair(0.1, 0.9), max_steps=5)).final
+        cell = result.cells[0]
+        assert (cell.final_w_left, cell.final_w_right) == (
+            final.weights.w_left, final.weights.w_right)
 
     @pytest.mark.parametrize("grid", [(), (0.0, 0.5), (0.5, 0.5), (0.6, 0.4)])
     def test_grid_validation(self, grid):

@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+from splitloop import cli
 from splitloop.cli import main
 
 
@@ -85,6 +89,13 @@ class TestRun:
         rows = parse_csv(result.output)
         assert [row[1] for row in rows[1:]] == ["0.5", "1.0"]
 
+    @pytest.mark.parametrize("period", ["inf", "nan", "-inf"])
+    def test_non_finite_period_rejected(self, runner, period):
+        result = runner.invoke(main, ["run", "--mode", "unitary",
+                                      "--wl1", "0.9", "--period", period])
+        assert result.exit_code == 2
+        assert "period must be positive and finite" in result.stderr
+
     def test_out_file_matches_stdout(self, runner, tmp_path):
         args = ["run", "--mode", "unitary", "--wl1", "0.37", "--steps", "9"]
         printed = runner.invoke(main, args)
@@ -145,6 +156,17 @@ class TestCompare:
         assert "measurement (movable splitter): 28 steps" in result.output
         assert "ratio measurement / unitary: 5.6" in result.output
 
+    def test_untied_race(self, runner):
+        result = runner.invoke(main, ["compare", "--wl1", "0.9",
+                                      "--a1sq", "0.5"])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "initial left weight 0.9, epsilon 0.001",
+            "unitary (fixed splitter): 5 steps",
+            "measurement (movable splitter): 2 steps",
+            "ratio measurement / unitary: 0.4",
+        ]
+
     def test_degenerate_initial(self, runner):
         result = runner.invoke(main, ["compare", "--wl1", "1.0"])
         assert result.exit_code == 2
@@ -194,6 +216,38 @@ class TestSweep:
                                       "--grid", grid])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("grid", ["0.1:0.9:1e-9", "0.1:0.9:inf",
+                                      "0.1:inf:0.1", "nan:0.9:0.1"])
+    def test_oversized_or_non_finite_grid_exits_2(self, grid):
+        # A parser without the guard builds cells until memory runs out on
+        # these grids, so the command runs in a child process whose address
+        # space is capped: there it fails fast instead of exhausting the
+        # machine.
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from splitloop.cli import main; sys.exit(main())")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "sweep", "--mode", "unitary",
+             "--grid", grid], env=env, capture_output=True, text=True,
+            timeout=120, check=False)
+        assert proc.returncode == 2, proc.stderr[-500:]
+        assert proc.stderr.startswith(f"error: bad --grid {grid!r}")
+        assert proc.stdout == ""
+
+    def test_grid_cap_boundary(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_CELLS", 8)
+        refused = runner.invoke(main, ["sweep", "--mode", "unitary",
+                                       "--grid", "0.1:0.9:0.1"])
+        assert refused.exit_code == 2
+        assert "more than 8 cells" in refused.stderr
+        accepted = runner.invoke(main, ["sweep", "--mode", "unitary",
+                                        "--grid", "0.1:0.8:0.1"])
+        assert accepted.exit_code == 0
+        assert len(parse_csv(accepted.output)) == 1 + 8
+
 
 class TestMonteCarlo:
     def test_csv_report(self, runner):
@@ -237,6 +291,13 @@ class TestMonteCarlo:
         assert payload["config"]["generator"] == "philox"
         assert payload["config"]["base_seed"] == 4
         assert payload["summary"]["all_within_sigma"] is True
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
+    def test_sigma_must_be_finite_and_positive(self, runner, sigma):
+        result = runner.invoke(main, ["mc", "--a1sq", "0.9", "--paths", "10",
+                                      "--seed", "1", "--sigma", sigma])
+        assert result.exit_code == 2
+        assert "sigma_bound must be positive and finite" in result.stderr
 
     def test_zero_paths_rejected(self, runner):
         result = runner.invoke(main, ["mc", "--a1sq", "0.9", "--paths", "0",

@@ -154,6 +154,15 @@ class TestAgreement:
                              analytic_weights(SP9, Topology.BOTH_CONNECTED,
                                               5))
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -1.0])
+    def test_sigma_bound_must_be_finite_and_positive(self, sigma):
+        estimate = ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, 3,
+                                        50, 2)
+        with pytest.raises(OutOfRangeError):
+            agreement_report(estimate,
+                             analytic_weights(SP9, Topology.BOTH_CONNECTED,
+                                              3), sigma_bound=sigma)
+
     def test_half_topology_agreement(self):
         estimate = ensemble_frequencies(SP9, Topology.RIGHT_HALF_CONNECTED,
                                         6, 20_000, 13)

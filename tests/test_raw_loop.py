@@ -1,0 +1,213 @@
+"""The float loop behind iterate against the typed step path, bit for bit.
+
+`iterate` runs on plain floats and wraps each pass's values without
+validating them again; these tests pin it to the typed chain
+StepMap.apply + weights_of, the typed steps to the state constructors,
+and each kernel's array path to its float path.
+"""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from splitloop import (AmplitudePair, InteractionMode, NormalizationError,
+                       NumericDomainError, OutOfRangeError, Scenario,
+                       SplitterCoefficients, StepMap, StepSchedule, Topology,
+                       WeightPair, amplitudes_from_left_weight, iterate,
+                       maps, weights_of)
+
+FIXED = InteractionMode.FIXED_SPLITTER
+MOVABLE = InteractionMode.MOVABLE_SPLITTER
+
+UNITARY_KERNELS = {
+    Topology.BOTH_CONNECTED: "unitary_both_kernel",
+    Topology.RIGHT_HALF_CONNECTED: "unitary_right_half_kernel",
+    Topology.LEFT_HALF_CONNECTED: "unitary_left_half_kernel",
+}
+MEASURE_KERNELS = {
+    Topology.BOTH_CONNECTED: "measure_both_kernel",
+    Topology.RIGHT_HALF_CONNECTED: "measure_right_half_kernel",
+    Topology.LEFT_HALF_CONNECTED: "measure_left_half_kernel",
+}
+
+
+def bits(*values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def state_bits(state):
+    if state is None:
+        return None
+    if isinstance(state, AmplitudePair):
+        return bits(state.a_left, state.b_right, state.norm_correction)
+    return bits(state.w_left, state.w_right, state.sum_correction)
+
+
+def initial_state(mode, w):
+    if mode is FIXED:
+        return amplitudes_from_left_weight(w)
+    return WeightPair(w, 1.0 - w)
+
+
+def typed_chain(scenario, schedule):
+    """Records as (n, time, topology, amplitudes, weights) via StepMap."""
+    switch_at = dict(schedule.switches)
+    topology = scenario.initial_topology
+    unitary = scenario.mode is FIXED
+    amplitudes = scenario.initial if unitary else None
+    weights = weights_of(amplitudes) if unitary else scenario.initial
+    out = []
+    for n in range(1, scenario.max_steps + 1):
+        topology = switch_at.get(n, topology)
+        if n > 1:
+            step = StepMap(scenario.mode, topology, scenario.splitter)
+            if unitary:
+                amplitudes = step.apply(amplitudes)
+                weights = weights_of(amplitudes)
+            else:
+                weights = step.apply(weights)
+        out.append((n, n * scenario.period, topology, amplitudes, weights))
+    return out
+
+
+@st.composite
+def runs(draw):
+    mode = draw(st.sampled_from(InteractionMode))
+    steps = draw(st.integers(1, 60))
+    picked = draw(st.lists(
+        st.tuples(st.integers(1, steps), st.sampled_from(Topology)),
+        max_size=6, unique_by=lambda s: s[0]))
+    if draw(st.booleans()):  # a switch at step 1 relabels the start
+        picked = [s for s in picked if s[0] != 1]
+        picked.append((1, draw(st.sampled_from(Topology))))
+    scenario = Scenario(
+        mode, draw(st.sampled_from(Topology)),
+        SplitterCoefficients.from_reflectance(draw(st.floats(0.0, 1.0))),
+        initial_state(mode, draw(st.floats(0.0, 1.0))), max_steps=steps,
+        period=draw(st.floats(1e-6, 1e6)))
+    return scenario, StepSchedule(tuple(sorted(picked)))
+
+
+@given(runs())
+def test_iterate_equals_the_typed_chain_bit_for_bit(run):
+    scenario, schedule = run
+    records = iterate(scenario, schedule).records
+    expected = typed_chain(scenario, schedule)
+    assert len(records) == len(expected)
+    for r, (n, time, topology, amplitudes, weights) in zip(records, expected):
+        assert (r.n, r.topology) == (n, topology)
+        assert bits(r.time) == bits(time)
+        assert state_bits(r.amplitudes) == state_bits(amplitudes)
+        assert state_bits(r.weights) == state_bits(weights)
+
+
+@given(mode=st.sampled_from(InteractionMode),
+       topology=st.sampled_from(Topology), w=st.floats(0.0, 1.0),
+       a1sq=st.floats(0.0, 1.0))
+def test_typed_step_equals_the_constructor_on_the_kernel(mode, topology, w,
+                                                         a1sq):
+    splitter = SplitterCoefficients.from_reflectance(a1sq)
+    state = initial_state(mode, w)
+    out = StepMap(mode, topology, splitter).apply(state)
+    if mode is FIXED:
+        kernel = getattr(maps, UNITARY_KERNELS[topology])
+        rebuilt = AmplitudePair(*kernel(state.a_left, state.b_right))
+    else:
+        kernel = getattr(maps, MEASURE_KERNELS[topology])
+        rebuilt = WeightPair(*kernel(state.w_left, state.w_right,
+                                     splitter.a1_squared,
+                                     splitter.b1_squared))
+    assert type(out) is type(rebuilt)
+    assert state_bits(out) == state_bits(rebuilt)
+
+
+amplitude_points = st.tuples(st.floats(0.0, math.pi / 2.0),
+                             st.floats(0.5, 2.0)).map(
+    lambda p: (p[1] * math.cos(p[0]), p[1] * math.sin(p[0])))
+
+
+@pytest.mark.parametrize("name", sorted(UNITARY_KERNELS.values()))
+@given(points=st.lists(amplitude_points, min_size=1, max_size=50))
+def test_unitary_kernel_on_an_array_equals_it_on_each_float(name, points):
+    kernel = getattr(maps, name)
+    a = np.array([p[0] for p in points])
+    b = np.array([p[1] for p in points])
+    on_array = kernel(a, b)
+    on_floats = [kernel(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert all(type(v) is float for pair in on_floats for v in pair)
+    for k in range(2):
+        assert on_array[k].tobytes() == bits(*(p[k] for p in on_floats))
+
+
+@pytest.mark.parametrize("name", sorted(UNITARY_KERNELS.values()))
+def test_unitary_kernel_on_many_random_floats(name):
+    # pow and the plain product round (1 + a)^2 differently for a small
+    # share of inputs, too rare for the examples above to meet reliably
+    kernel = getattr(maps, name)
+    rng = np.random.default_rng(2009)
+    theta = rng.uniform(0.0, math.pi / 2.0, 20_000)
+    a, b = np.cos(theta), np.sin(theta)
+    on_array = kernel(a, b)
+    on_floats = [kernel(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    for k in range(2):
+        assert on_array[k].tobytes() == bits(*(p[k] for p in on_floats))
+
+
+@pytest.mark.parametrize("name", sorted(MEASURE_KERNELS.values()))
+@given(points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=50))
+def test_measure_kernel_on_an_array_equals_it_on_each_float(name, points):
+    kernel = getattr(maps, name)
+    w = np.array([p[0] for p in points])
+    p = np.array([q[1] for q in points])
+    on_array = kernel(w, 1.0 - w, p, 1.0 - p)
+    on_floats = [kernel(x, 1.0 - x, y, 1.0 - y)
+                 for x, y in zip(w.tolist(), p.tolist())]
+    for k in range(2):
+        assert on_array[k].tobytes() == bits(*(q[k] for q in on_floats))
+
+
+def _nan_pair(*args):
+    return math.nan, math.nan
+
+
+def _negative_pair(*args):
+    return -0.25, 1.0
+
+
+def _unnormalized_pair(*args):
+    return 0.3, 0.3
+
+
+def _markov_disagreement(w_left, w_right, a1_squared, b1_squared):
+    wl = a1_squared * w_left + b1_squared * w_right
+    return wl, 1.0 - wl + 1e-12
+
+
+@pytest.mark.parametrize("mode,topology,corrupted,error", [
+    (FIXED, Topology.BOTH_CONNECTED, _nan_pair, OutOfRangeError),
+    (FIXED, Topology.RIGHT_HALF_CONNECTED, _negative_pair, OutOfRangeError),
+    (FIXED, Topology.LEFT_HALF_CONNECTED, _unnormalized_pair,
+     NormalizationError),
+    (MOVABLE, Topology.BOTH_CONNECTED, _markov_disagreement,
+     NumericDomainError),
+    (MOVABLE, Topology.RIGHT_HALF_CONNECTED, _nan_pair, OutOfRangeError),
+    (MOVABLE, Topology.LEFT_HALF_CONNECTED, _unnormalized_pair,
+     NormalizationError),
+])
+def test_a_corrupted_pass_fails_alike_in_the_loop_and_the_typed_step(
+        monkeypatch, mode, topology, corrupted, error):
+    kernels = UNITARY_KERNELS if mode is FIXED else MEASURE_KERNELS
+    monkeypatch.setattr(maps, kernels[topology], corrupted)
+    splitter = SplitterCoefficients.from_reflectance(0.7)
+    state = initial_state(mode, 0.7)
+    with pytest.raises(error) as typed:
+        StepMap(mode, topology, splitter).apply(state)
+    with pytest.raises(error) as loop:
+        iterate(Scenario(mode, topology, splitter, state, max_steps=3))
+    assert type(loop.value) is type(typed.value)
+    assert str(loop.value) == str(typed.value)

@@ -18,6 +18,13 @@ angles = st.floats(0.0, math.pi / 2.0)
 weights = st.floats(0.0, 1.0)
 
 
+@pytest.mark.parametrize("cls", [AmplitudePair, WeightPair])
+def test_rounding_undershoot_is_clamped_to_positive_zero(cls):
+    low, high = dataclasses.astuple(cls(-1e-13, 1.0))[:2]
+    assert (low, high) == (0.0, 1.0)
+    assert math.copysign(1.0, low) == 1.0
+
+
 class TestAmplitudePair:
     def test_exact_pythagorean_pair_kept(self):
         state = AmplitudePair(0.6, 0.8)

@@ -49,6 +49,11 @@ class TestScenarioValidation:
         with pytest.raises(OutOfRangeError):
             unitary_scenario(0.9, 5, period=0.0)
 
+    @pytest.mark.parametrize("period", [math.inf, math.nan])
+    def test_period_must_be_finite(self, period):
+        with pytest.raises(OutOfRangeError):
+            unitary_scenario(0.9, 5, period=period)
+
 
 class TestIterate:
     def test_record_count_and_indexing(self):
