@@ -213,12 +213,10 @@ def sweep_initial_conditions(mode: InteractionMode, topology: Topology,
     for w in grid:
         if mode is InteractionMode.FIXED_SPLITTER:
             initial = amplitudes_from_left_weight(w)
-            cell_splitter = splitter or SplitterCoefficients.from_reflectance(w)
         else:
             initial = WeightPair(w, 1.0 - w)
-            cell_splitter = splitter
         record, converged = converging_record(
-            Scenario(mode, topology, cell_splitter, initial,
+            Scenario(mode, topology, splitter, initial,
                      max_steps=max_steps), criterion)
         cells.append(SweepCell(w, converged, record.n if converged else None,
                                record.weights.w_left, record.weights.w_right))

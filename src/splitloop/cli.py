@@ -26,10 +26,9 @@ import click
 
 from .analysis import (compare_modes, reference_sequences,
                        sweep_initial_conditions)
-from .errors import (DegenerateInitialError, ModeMismatchError,
-                     NormalizationError, NumericDomainError, OutOfRangeError,
-                     ScheduleConflictError, SplitLoopError)
-from .montecarlo import GENERATOR_NAME, agreement_report, ensemble_frequencies
+from .errors import NumericDomainError, SplitLoopError
+from .montecarlo import (GENERATOR_NAME, agreement_report, check_sigma_bound,
+                         ensemble_frequencies, require_sampling_mode)
 from .states import (InteractionMode, SplitterCoefficients, Topology,
                      WeightPair, amplitudes_from_left_weight)
 from .trajectory import NotConverged, Scenario, StepSchedule, iterate
@@ -42,10 +41,7 @@ EXIT_REFERENCE = 3
 # built instead of exhausting memory.
 MAX_GRID_CELLS = 100_000
 
-_MODES = {
-    "unitary": InteractionMode.FIXED_SPLITTER,
-    "measure": InteractionMode.MOVABLE_SPLITTER,
-}
+_MODES = {m.value: m for m in InteractionMode}
 _TOPOLOGIES = {t.value: t for t in Topology}
 
 _mode_option = click.option(
@@ -64,16 +60,36 @@ def _config_error(message: str) -> None:
     sys.exit(EXIT_CONFIG)
 
 
-def _numeric_error(exc: NumericDomainError) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(EXIT_NUMERIC)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
         Path(out).write_text(text)
+
+
+def _csv_cell(value):
+    # csv writes None as an empty cell and floats as their repr
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
+
+
+def _write_table(fmt: str, out: str | None, config: dict, key: str,
+                 rows: list[dict], summary: dict | None = None) -> None:
+    """Emit rows as CSV (header from the dict keys) or as a JSON document."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow([_csv_cell(v) for v in row.values()])
+        text = buf.getvalue()
+    else:
+        payload = {"config": config, key: rows}
+        if summary is not None:
+            payload["summary"] = summary
+        text = json.dumps(payload, indent=2) + "\n"
+    _emit(text, out)
 
 
 def _resolve_setup(mode: InteractionMode, wl1: float | None,
@@ -94,14 +110,11 @@ def _resolve_setup(mode: InteractionMode, wl1: float | None,
         wl1 = a1sq
     if a1sq is None:
         a1sq = wl1
-    try:
-        splitter = SplitterCoefficients.from_reflectance(a1sq)
-        if mode is InteractionMode.FIXED_SPLITTER:
-            initial = amplitudes_from_left_weight(wl1)
-        else:
-            initial = WeightPair(wl1, 1.0 - wl1)
-    except (OutOfRangeError, NormalizationError) as exc:
-        _config_error(str(exc))
+    splitter = SplitterCoefficients.from_reflectance(a1sq)
+    if mode is InteractionMode.FIXED_SPLITTER:
+        initial = amplitudes_from_left_weight(wl1)
+    else:
+        initial = WeightPair(wl1, 1.0 - wl1)
     return initial, splitter, wl1, a1sq
 
 
@@ -119,10 +132,7 @@ def _parse_switches(switch_args: tuple[str, ...]) -> StepSchedule:
             _config_error(f"bad --switch step {step_text!r}, expected an "
                           f"integer")
         parsed.append((step, _TOPOLOGIES[topo_text]))
-    try:
-        return StepSchedule(tuple(parsed))
-    except ScheduleConflictError as exc:
-        _config_error(str(exc))
+    return StepSchedule(tuple(parsed))
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -151,7 +161,20 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-@click.group()
+class _Main(click.Group):
+    """The one place package errors become exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NumericDomainError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_NUMERIC)
+        except SplitLoopError as exc:
+            _config_error(str(exc))
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Twin-loop splitter dynamics: simulate, analyze, cross-check."""
 
@@ -177,58 +200,32 @@ def run(mode, topology, wl1, a1sq, steps, period, switches, fmt, out):
     mode_obj = _MODES[mode]
     initial, splitter, wl1_val, a1sq_val = _resolve_setup(mode_obj, wl1, a1sq)
     schedule = _parse_switches(switches)
-    try:
-        scenario = Scenario(mode_obj, _TOPOLOGIES[topology], splitter,
-                            initial, max_steps=steps, period=period)
-        trajectory = iterate(scenario, schedule)
-    except (OutOfRangeError, ModeMismatchError, ScheduleConflictError) as exc:
-        _config_error(str(exc))
-    except NumericDomainError as exc:
-        _numeric_error(exc)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "time", "topology", "a", "b",
-                         "w_left", "w_right"])
-        for r in trajectory.records:
-            a = repr(r.amplitudes.a_left) if r.amplitudes else ""
-            b = repr(r.amplitudes.b_right) if r.amplitudes else ""
-            writer.writerow([r.n, repr(r.time), r.topology.value, a, b,
-                             repr(r.weights.w_left),
-                             repr(r.weights.w_right)])
-        text = buf.getvalue()
-    else:
-        records = []
-        for r in trajectory.records:
-            records.append({
-                "n": r.n,
-                "time": r.time,
-                "topology": r.topology.value,
-                "a": r.amplitudes.a_left if r.amplitudes else None,
-                "b": r.amplitudes.b_right if r.amplitudes else None,
-                "w_left": r.weights.w_left,
-                "w_right": r.weights.w_right,
-            })
-        final = trajectory.final
-        payload = {
-            "config": {
-                "mode": mode,
-                "topology": topology,
-                "w_left_initial": wl1_val,
-                "a1_squared": a1sq_val,
-                "steps": steps,
-                "period": period,
-                "switches": [[s, t.value] for s, t in schedule.switches],
-            },
-            "records": records,
-            "summary": {
-                "final_w_left": final.weights.w_left,
-                "final_w_right": final.weights.w_right,
-                "final_topology": final.topology.value,
-            },
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, out)
+    scenario = Scenario(mode_obj, _TOPOLOGIES[topology], splitter, initial,
+                        max_steps=steps, period=period)
+    trajectory = iterate(scenario, schedule)
+    rows = [{
+        "n": r.n,
+        "time": r.time,
+        "topology": r.topology.value,
+        "a": r.amplitudes.a_left if r.amplitudes else None,
+        "b": r.amplitudes.b_right if r.amplitudes else None,
+        "w_left": r.weights.w_left,
+        "w_right": r.weights.w_right,
+    } for r in trajectory.records]
+    final = trajectory.final
+    _write_table(fmt, out, {
+        "mode": mode,
+        "topology": topology,
+        "w_left_initial": wl1_val,
+        "a1_squared": a1sq_val,
+        "steps": steps,
+        "period": period,
+        "switches": [[s, t.value] for s, t in schedule.switches],
+    }, "records", rows, {
+        "final_w_left": final.weights.w_left,
+        "final_w_right": final.weights.w_right,
+        "final_topology": final.topology.value,
+    })
 
 
 @main.command()
@@ -287,15 +284,9 @@ def paper(fmt, out):
               help="explicit splitter reflectance; default ties it to --wl1")
 def compare(wl1, eps, max_steps, a1sq):
     """Steps to balance under each interaction mode, from the same start."""
-    splitter = None
-    try:
-        if a1sq is not None:
-            splitter = SplitterCoefficients.from_reflectance(a1sq)
-        result = compare_modes(wl1, eps, max_steps, splitter)
-    except (OutOfRangeError, DegenerateInitialError) as exc:
-        _config_error(str(exc))
-    except NumericDomainError as exc:
-        _numeric_error(exc)
+    splitter = (None if a1sq is None
+                else SplitterCoefficients.from_reflectance(a1sq))
+    result = compare_modes(wl1, eps, max_steps, splitter)
 
     def describe(steps):
         if isinstance(steps, NotConverged):
@@ -332,51 +323,27 @@ def sweep(mode, topology, grid, eps, max_steps, a1sq, fmt, out):
     """Convergence census over a grid of initial left weights."""
     mode_obj = _MODES[mode]
     grid_values = _parse_grid(grid)
-    splitter = None
-    try:
-        if a1sq is not None:
-            splitter = SplitterCoefficients.from_reflectance(a1sq)
-        result = sweep_initial_conditions(mode_obj, _TOPOLOGIES[topology],
-                                          grid_values, eps, max_steps,
-                                          splitter)
-    except (OutOfRangeError, ModeMismatchError) as exc:
-        _config_error(str(exc))
-    except NumericDomainError as exc:
-        _numeric_error(exc)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["w_initial", "converged", "steps",
-                         "final_w_left", "final_w_right"])
-        for cell in result.cells:
-            writer.writerow([repr(cell.w_initial),
-                             "true" if cell.converged else "false",
-                             cell.steps if cell.steps is not None else "",
-                             repr(cell.final_w_left),
-                             repr(cell.final_w_right)])
-        text = buf.getvalue()
-    else:
-        payload = {
-            "config": {
-                "mode": mode,
-                "topology": topology,
-                "grid": list(grid_values),
-                "epsilon": eps,
-                "max_steps": max_steps,
-                "a1_squared": a1sq,
-                "target_w_left": result.target.w_left,
-                "target_w_right": result.target.w_right,
-            },
-            "cells": [{
-                "w_initial": c.w_initial,
-                "converged": c.converged,
-                "steps": c.steps,
-                "final_w_left": c.final_w_left,
-                "final_w_right": c.final_w_right,
-            } for c in result.cells],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, out)
+    splitter = (None if a1sq is None
+                else SplitterCoefficients.from_reflectance(a1sq))
+    result = sweep_initial_conditions(mode_obj, _TOPOLOGIES[topology],
+                                      grid_values, eps, max_steps, splitter)
+    rows = [{
+        "w_initial": c.w_initial,
+        "converged": c.converged,
+        "steps": c.steps,
+        "final_w_left": c.final_w_left,
+        "final_w_right": c.final_w_right,
+    } for c in result.cells]
+    _write_table(fmt, out, {
+        "mode": mode,
+        "topology": topology,
+        "grid": list(grid_values),
+        "epsilon": eps,
+        "max_steps": max_steps,
+        "a1_squared": a1sq,
+        "target_w_left": result.target.w_left,
+        "target_w_right": result.target.w_right,
+    }, "cells", rows)
 
 
 @main.command()
@@ -398,58 +365,33 @@ def sweep(mode, topology, grid, eps, max_steps, a1sq, fmt, out):
 @_out_option
 def mc(mode, topology, a1sq, steps, paths, seed, sigma, fmt, out):
     """Sample a photon ensemble and check it against the exact weights."""
-    if _MODES[mode] is InteractionMode.FIXED_SPLITTER:
-        _config_error("unsupported mode for sampling: only movable-splitter "
-                      "dynamics have per-path statistics")
+    require_sampling_mode(_MODES[mode])
+    check_sigma_bound(sigma)
     topo_obj = _TOPOLOGIES[topology]
-    try:
-        splitter = SplitterCoefficients.from_reflectance(a1sq)
-        estimate = ensemble_frequencies(splitter, topo_obj, steps, paths,
-                                        seed)
-        analytic = iterate(Scenario(InteractionMode.MOVABLE_SPLITTER,
-                                    topo_obj, splitter,
-                                    WeightPair(a1sq, 1.0 - a1sq),
-                                    max_steps=steps))
-        rows = agreement_report(estimate,
-                                [r.weights for r in analytic.records],
-                                sigma_bound=sigma)
-    except (OutOfRangeError, NormalizationError) as exc:
-        _config_error(str(exc))
-    except NumericDomainError as exc:
-        _numeric_error(exc)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["step", "empirical_w_left", "analytic_w_left",
-                         "stderr", "z", "passed"])
-        for row in rows:
-            writer.writerow([row.step, repr(row.empirical),
-                             repr(row.analytic), repr(row.stderr),
-                             repr(row.z), "true" if row.passed else "false"])
-        text = buf.getvalue()
-    else:
-        payload = {
-            "config": {
-                "topology": topology,
-                "a1_squared": a1sq,
-                "steps": steps,
-                "n_paths": paths,
-                "base_seed": seed,
-                "generator": GENERATOR_NAME,
-                "sigma_bound": sigma,
-            },
-            "steps": [{
-                "step": r.step,
-                "empirical_w_left": r.empirical,
-                "analytic_w_left": r.analytic,
-                "stderr": r.stderr,
-                "z": r.z,
-                "passed": r.passed,
-            } for r in rows],
-            "summary": {"all_within_sigma": all(r.passed for r in rows)},
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, out)
+    splitter = SplitterCoefficients.from_reflectance(a1sq)
+    estimate = ensemble_frequencies(splitter, topo_obj, steps, paths, seed)
+    analytic = iterate(Scenario(InteractionMode.MOVABLE_SPLITTER, topo_obj,
+                                splitter, WeightPair(a1sq, 1.0 - a1sq),
+                                max_steps=steps))
+    report = agreement_report(estimate, [r.weights for r in analytic.records],
+                              sigma_bound=sigma)
+    rows = [{
+        "step": r.step,
+        "empirical_w_left": r.empirical,
+        "analytic_w_left": r.analytic,
+        "stderr": r.stderr,
+        "z": r.z,
+        "passed": r.passed,
+    } for r in report]
+    _write_table(fmt, out, {
+        "topology": topology,
+        "a1_squared": a1sq,
+        "steps": steps,
+        "n_paths": paths,
+        "base_seed": seed,
+        "generator": GENERATOR_NAME,
+        "sigma_bound": sigma,
+    }, "steps", rows, {"all_within_sigma": all(r.passed for r in report)})
 
 
 if __name__ == "__main__":

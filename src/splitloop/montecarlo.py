@@ -68,11 +68,19 @@ class StepAgreement:
     passed: bool
 
 
-def _require_sampling_mode(mode: InteractionMode) -> None:
+def require_sampling_mode(mode: InteractionMode) -> None:
+    """Refuse every mode but the movable splitter, the one with paths."""
     if mode is not InteractionMode.MOVABLE_SPLITTER:
         raise UnsupportedModeError(
             "unsupported mode for sampling: only movable-splitter dynamics "
             "have per-path statistics")
+
+
+def check_sigma_bound(sigma_bound: float) -> None:
+    """Refuse an agreement bound that is not positive and finite."""
+    if not (sigma_bound > 0.0 and math.isfinite(sigma_bound)):
+        raise OutOfRangeError(
+            f"sigma_bound must be positive and finite, got {sigma_bound!r}")
 
 
 def _check_draw_args(steps: int, seed: int) -> None:
@@ -108,7 +116,7 @@ def sample_path(splitter: SplitterCoefficients, topology: Topology,
                 mode: InteractionMode = InteractionMode.MOVABLE_SPLITTER,
                 ) -> PhotonPath:
     """One photon path of the given length, fully determined by the seed."""
-    _require_sampling_mode(mode)
+    require_sampling_mode(mode)
     _check_draw_args(steps, seed)
     row = _walk(_uniforms(seed, steps).reshape(1, -1),
                 splitter.a1_squared, splitter.b1_squared, topology)[0]
@@ -125,7 +133,7 @@ def ensemble_frequencies(splitter: SplitterCoefficients, topology: Topology,
     Aggregates exactly the paths sample_path would return for the seeds
     base_seed, base_seed + 1, ..., base_seed + n_paths - 1.
     """
-    _require_sampling_mode(mode)
+    require_sampling_mode(mode)
     _check_draw_args(steps, base_seed)
     if not isinstance(n_paths, int) or n_paths < 1:
         raise OutOfRangeError(
@@ -148,9 +156,7 @@ def agreement_report(estimate: EnsembleEstimate,
                      analytic: Sequence[WeightPair],
                      sigma_bound: float = 4.0) -> list[StepAgreement]:
     """Per-step z-scores of the ensemble against an analytic weight series."""
-    if not (sigma_bound > 0.0 and math.isfinite(sigma_bound)):
-        raise OutOfRangeError(
-            f"sigma_bound must be positive and finite, got {sigma_bound!r}")
+    check_sigma_bound(sigma_bound)
     if len(analytic) != len(estimate.w_left):
         raise LengthMismatchError(
             f"analytic series has {len(analytic)} steps, estimate has "

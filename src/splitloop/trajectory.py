@@ -39,19 +39,28 @@ class Scenario:
 
     mode: InteractionMode
     initial_topology: Topology
-    splitter: SplitterCoefficients
+    splitter: SplitterCoefficients | None  # None only in fixed-splitter mode
     initial: State
     max_steps: int
     period: float = 1.0  # loop traversal time T
 
     def __post_init__(self) -> None:
+        if not isinstance(self.initial_topology, Topology):
+            raise ModeMismatchError(
+                "initial_topology must be a Topology, got "
+                f"{self.initial_topology!r}")
         if self.mode is InteractionMode.FIXED_SPLITTER:
             if not isinstance(self.initial, AmplitudePair):
                 raise ModeMismatchError(
                     "fixed-splitter scenarios start from an AmplitudePair")
-        elif not isinstance(self.initial, WeightPair):
-            raise ModeMismatchError(
-                "movable-splitter scenarios start from a WeightPair")
+        else:
+            if not isinstance(self.initial, WeightPair):
+                raise ModeMismatchError(
+                    "movable-splitter scenarios start from a WeightPair")
+            if not isinstance(self.splitter, SplitterCoefficients):
+                raise ModeMismatchError(
+                    "movable-splitter scenarios need SplitterCoefficients, "
+                    f"got {self.splitter!r}")
         if not isinstance(self.max_steps, int) or self.max_steps < 1:
             raise OutOfRangeError(
                 f"max_steps must be an integer >= 1, got {self.max_steps!r}")

@@ -151,6 +151,22 @@ class TestSweep:
         assert [c.steps for c in result.cells] == [5, 1]
         assert len(calls) == (5 - 1) + (1 - 1)
 
+    def test_unitary_cells_build_no_splitter(self, monkeypatch):
+        expected = sweep_initial_conditions(
+            InteractionMode.FIXED_SPLITTER, Topology.LEFT_HALF_CONNECTED,
+            (0.2, 0.5, 0.8), 1e-3, 3)
+
+        def refuse(_):
+            raise AssertionError("the fixed-splitter map reads no splitter")
+
+        monkeypatch.setattr(SplitterCoefficients, "from_reflectance",
+                            staticmethod(refuse))
+        result = sweep_initial_conditions(
+            InteractionMode.FIXED_SPLITTER, Topology.LEFT_HALF_CONNECTED,
+            (0.2, 0.5, 0.8), 1e-3, 3)
+        assert result == expected
+        assert result.splitter is None
+
     def test_unconverged_cell_reports_the_final_record(self):
         splitter = SplitterCoefficients.from_reflectance(0.9)
         result = sweep_initial_conditions(

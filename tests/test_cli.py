@@ -1,6 +1,7 @@
 """Command line contract: formats, flag inference, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -10,8 +11,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from splitloop import cli
+from splitloop import cli, maps
 from splitloop.cli import main
+from splitloop.errors import SplitLoopError
 
 
 @pytest.fixture
@@ -299,7 +301,116 @@ class TestMonteCarlo:
         assert result.exit_code == 2
         assert "sigma_bound must be positive and finite" in result.stderr
 
+    def test_sigma_checked_before_sampling(self, runner, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sampled before --sigma was checked")
+
+        monkeypatch.setattr(cli, "ensemble_frequencies", refuse)
+        result = runner.invoke(main, ["mc", "--a1sq", "0.5", "--paths",
+                                      "100000", "--seed", "1", "--sigma",
+                                      "nan"])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: sigma_bound must be positive and "
+                                 "finite, got nan\n")
+
     def test_zero_paths_rejected(self, runner):
         result = runner.invoke(main, ["mc", "--a1sq", "0.9", "--paths", "0",
                                       "--seed", "1"])
         assert result.exit_code == 2
+
+
+class TestExitCodes:
+    def test_numeric_failure_exits_1(self, runner, monkeypatch):
+        kernel = maps.measure_both_kernel
+
+        def corrupted(w_left, w_right, a1sq, b1sq):
+            wl, wr = kernel(w_left, w_right, a1sq, b1sq)
+            return wl - 1e-9, wr + 1e-9
+
+        monkeypatch.setattr(maps, "measure_both_kernel", corrupted)
+        result = runner.invoke(main, ["run", "--mode", "measure",
+                                      "--wl1", "0.9", "--steps", "3"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr.startswith(
+            "error: direct and transition-matrix forms disagree")
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mode", "unitary", "--wl1", "0.9"],
+        ["sweep", "--mode", "unitary", "--grid", "0.2:0.4:0.1"],
+        ["compare", "--wl1", "0.9"],
+    ], ids=lambda argv: argv[0])
+    def test_any_other_package_error_exits_2(self, runner, monkeypatch,
+                                             argv):
+        def refuse(*args):
+            raise SplitLoopError("engine refused")
+
+        monkeypatch.setattr(maps, "raw_step", refuse)
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: engine refused\n"
+        assert result.stdout == ""
+
+
+# sha256 of stdout, recorded from the per-command emitters that the shared
+# table writer replaced; a change to any byte of canonical output shows here
+CANONICAL_OUTPUT = [
+    pytest.param(
+        ["run", "--mode", "unitary", "--wl1", "0.9", "--steps", "6",
+         "--switch", "3:right-half", "--switch", "5:both"],
+        "8e3e0c6423abf30ecd70f0be8389f8d0875544751f7bba0db914ae9bf7662e3b",
+        id="run-unitary-csv-switch"),
+    pytest.param(
+        ["run", "--mode", "unitary", "--wl1", "0.3", "--a1sq", "0.6",
+         "--steps", "4", "--format", "json"],
+        "7e513264b9a3d9fc009d70e8b0a411f2bef1c23b628baf4821c50a562a8c661e",
+        id="run-unitary-json"),
+    pytest.param(
+        ["run", "--mode", "measure", "--a1sq", "0.9", "--steps", "5"],
+        "fba714344a1ae58c985afa77b0447f9301085b791e86af35d25d6dfa729bc28c",
+        id="run-measure-csv"),
+    pytest.param(
+        ["run", "--mode", "measure", "--wl1", "0.7", "--steps", "5",
+         "--period", "0.5", "--switch", "2:left-half", "--format", "json"],
+        "d9934abdaa42c612c4f2a4e2a1d2a34753f163c83caa90c69d5bbd85042353d1",
+        id="run-measure-json-switch"),
+    pytest.param(
+        ["sweep", "--mode", "unitary", "--topology", "left-half",
+         "--grid", "0.2:0.8:0.3", "--max-steps", "3"],
+        "1ae416fc057c3082764a25f564adf659248d65f93b767324960e7df4b6e37e03",
+        id="sweep-csv"),
+    pytest.param(
+        ["sweep", "--mode", "measure", "--a1sq", "0.7", "--grid",
+         "0.2:0.4:0.1", "--format", "json"],
+        "2c14913fd9838c79974e6e4735c47752253b83527d9eaddd3145dd9622e34815",
+        id="sweep-json"),
+    pytest.param(
+        ["mc", "--a1sq", "0.9", "--steps", "5", "--paths", "400",
+         "--seed", "11"],
+        "112df0e8a91004294fa0a86980bf2bdcc329092b389bdfba0d924441da4cbfaf",
+        id="mc-csv"),
+    pytest.param(
+        ["mc", "--a1sq", "0.6", "--topology", "right-half", "--steps", "4",
+         "--paths", "300", "--seed", "7", "--sigma", "2.5",
+         "--format", "json"],
+        "f37e6504601afcd98a629f14858a27697d309cae4b10a0f0d8f6d19c1f682177",
+        id="mc-json"),
+    pytest.param(
+        ["paper"],
+        "51ef9ee15ce8130c1f755a79d9f172339237cd19613a2d47eb26376a90994d5b",
+        id="paper-text"),
+    pytest.param(
+        ["paper", "--format", "json"],
+        "e4716fa9718218f37ae19ada553f84e409ac84ca1533a889f0ed35c447cfaeee",
+        id="paper-json"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CANONICAL_OUTPUT)
+def test_canonical_output_bytes(runner, argv, digest):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest

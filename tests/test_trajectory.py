@@ -40,6 +40,27 @@ class TestScenarioValidation:
                      Topology.BOTH_CONNECTED, SP9,
                      amplitudes_from_left_weight(0.5), max_steps=3)
 
+    @pytest.mark.parametrize("mode", list(InteractionMode))
+    def test_topology_must_be_a_topology(self, mode):
+        state = (amplitudes_from_left_weight(0.9)
+                 if mode is InteractionMode.FIXED_SPLITTER
+                 else WeightPair(0.9, 0.1))
+        with pytest.raises(ModeMismatchError, match="'both'"):
+            Scenario(mode, "both", SP9, state, max_steps=3)
+
+    @pytest.mark.parametrize("splitter", [None, 0.9])
+    def test_movable_mode_needs_splitter_coefficients(self, splitter):
+        with pytest.raises(ModeMismatchError, match=repr(splitter)):
+            Scenario(InteractionMode.MOVABLE_SPLITTER,
+                     Topology.BOTH_CONNECTED, splitter,
+                     WeightPair(0.9, 0.1), max_steps=3)
+
+    def test_fixed_mode_accepts_no_splitter(self):
+        scenario = Scenario(InteractionMode.FIXED_SPLITTER,
+                            Topology.BOTH_CONNECTED, None,
+                            amplitudes_from_left_weight(0.9), max_steps=4)
+        assert iterate(scenario) == iterate(unitary_scenario(0.9, 4))
+
     @pytest.mark.parametrize("steps", [0, -1, 2.5])
     def test_max_steps_validation(self, steps):
         with pytest.raises(OutOfRangeError):
