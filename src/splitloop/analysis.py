@@ -9,7 +9,6 @@ beyond the per-entry tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 

@@ -313,6 +313,20 @@ class TestMonteCarlo:
         assert result.stderr == ("error: sigma_bound must be positive and "
                                  "finite, got nan\n")
 
+    def test_seeds_past_the_key_range_exit_2(self, runner):
+        top = str(2 ** 128 - 1)  # the largest Philox key: one path fits
+        ok = runner.invoke(main, ["mc", "--a1sq", "0.5", "--paths", "1",
+                                  "--seed", top, "--steps", "3"])
+        assert ok.exit_code == 0
+        result = runner.invoke(main, ["mc", "--a1sq", "0.5", "--paths", "2",
+                                      "--seed", top])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr == (
+            f"error: seeds {top}..{2 ** 128} exceed the Philox key range "
+            "0..2**128 - 1\n")
+        assert result.stdout == ""
+
     def test_zero_paths_rejected(self, runner):
         result = runner.invoke(main, ["mc", "--a1sq", "0.9", "--paths", "0",
                                       "--seed", "1"])
