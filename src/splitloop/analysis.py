@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateInitialError, ModeMismatchError, OutOfRangeError
 from .maps import induced_weight_map, stable_fixed_point
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
-                     Topology, WeightPair, amplitudes_from_left_weight,
+                     Topology, WeightPair, _state_from_left_weight,
                      weights_of)
 from .trajectory import (ConvergenceCriterion, NotConverged, Scenario,
                          converging_record, iterate, steps_to_converge)
@@ -77,13 +77,9 @@ class ReferenceReport:
 
 def _canonical_w_left_series(mode: InteractionMode, p: float,
                              n_steps: int) -> list[float]:
-    splitter = SplitterCoefficients.from_reflectance(p)
-    if mode is InteractionMode.FIXED_SPLITTER:
-        initial = amplitudes_from_left_weight(p)
-    else:
-        initial = WeightPair(p, 1.0 - p)
-    scenario = Scenario(mode, Topology.BOTH_CONNECTED, splitter, initial,
-                        max_steps=n_steps)
+    scenario = Scenario(mode, Topology.BOTH_CONNECTED,
+                        SplitterCoefficients.from_reflectance(p),
+                        _state_from_left_weight(mode, p), max_steps=n_steps)
     return iterate(scenario).w_left_series()
 
 
@@ -138,16 +134,12 @@ def compare_modes(w_left_initial: float, epsilon: float,
     if splitter is None:
         splitter = SplitterCoefficients.from_reflectance(w_left_initial)
     criterion = ConvergenceCriterion(_BALANCED, epsilon)
-    unitary = steps_to_converge(
-        Scenario(InteractionMode.FIXED_SPLITTER, Topology.BOTH_CONNECTED,
-                 splitter, amplitudes_from_left_weight(w_left_initial),
-                 max_steps=max_steps),
-        criterion)
-    measurement = steps_to_converge(
-        Scenario(InteractionMode.MOVABLE_SPLITTER, Topology.BOTH_CONNECTED,
-                 splitter, WeightPair(w_left_initial, 1.0 - w_left_initial),
-                 max_steps=max_steps),
-        criterion)
+    unitary, measurement = (steps_to_converge(
+        Scenario(mode, Topology.BOTH_CONNECTED, splitter,
+                 _state_from_left_weight(mode, w_left_initial),
+                 max_steps=max_steps), criterion)
+        for mode in (InteractionMode.FIXED_SPLITTER,
+                     InteractionMode.MOVABLE_SPLITTER))
     ratio = None
     if isinstance(unitary, int) and isinstance(measurement, int):
         ratio = measurement / unitary
@@ -210,13 +202,10 @@ def sweep_initial_conditions(mode: InteractionMode, topology: Topology,
     criterion = ConvergenceCriterion(target, epsilon)
     cells = []
     for w in grid:
-        if mode is InteractionMode.FIXED_SPLITTER:
-            initial = amplitudes_from_left_weight(w)
-        else:
-            initial = WeightPair(w, 1.0 - w)
         record, converged = converging_record(
-            Scenario(mode, topology, splitter, initial,
-                     max_steps=max_steps), criterion)
+            Scenario(mode, topology, splitter,
+                     _state_from_left_weight(mode, w), max_steps=max_steps),
+            criterion)
         cells.append(SweepCell(w, converged, record.n if converged else None,
                                record.weights.w_left, record.weights.w_right))
     return SweepResult(tuple(cells), mode, topology, splitter, epsilon,

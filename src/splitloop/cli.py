@@ -30,7 +30,7 @@ from .errors import NumericDomainError, SplitLoopError
 from .montecarlo import (GENERATOR_NAME, agreement_report, check_sigma_bound,
                          ensemble_frequencies, require_sampling_mode)
 from .states import (InteractionMode, SplitterCoefficients, Topology,
-                     WeightPair, amplitudes_from_left_weight)
+                     WeightPair, _state_from_left_weight)
 from .trajectory import NotConverged, Scenario, StepSchedule, iterate
 
 EXIT_NUMERIC = 1
@@ -111,11 +111,7 @@ def _resolve_setup(mode: InteractionMode, wl1: float | None,
     if a1sq is None:
         a1sq = wl1
     splitter = SplitterCoefficients.from_reflectance(a1sq)
-    if mode is InteractionMode.FIXED_SPLITTER:
-        initial = amplitudes_from_left_weight(wl1)
-    else:
-        initial = WeightPair(wl1, 1.0 - wl1)
-    return initial, splitter, wl1, a1sq
+    return _state_from_left_weight(mode, wl1), splitter, wl1, a1sq
 
 
 def _parse_switches(switch_args: tuple[str, ...]) -> StepSchedule:

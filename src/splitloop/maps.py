@@ -35,13 +35,13 @@ been formed, movable-splitter maps use it on every pass.
 The *_kernel functions are the one copy of each update formula. They take
 Python floats (the per-pass path: math.sqrt, math.pow) or numpy arrays
 (np.sqrt, np.float_power, np.any), with bit-identical results elementwise.
-`raw_step` wraps a kernel into the per-pass function on validated floats:
-the kernel, the Markov agreement check, and the range and norm/sum checks
-and rescaling of `states.normalize_pair`. The trajectory loop calls it
-directly; StepMap and the step_* functions are typed wrappers over it.
-States are validated once, where they enter (their constructors,
-`Scenario`); from there on no pass builds a state through its constructor
-again.
+What differs between the six maps is in one table, `_SPECS[(mode,
+topology)]`: the kernel's name, the fixed points and, for the fixed
+splitter, the induced weight map; `_MODES[mode]` holds the state type and
+its constructors. The functions that dispatch read these tables and do not
+branch on the topology. `raw_step` is the per-pass function on validated
+floats (kernel, Markov agreement check, `states.normalize_pair`); `StepMap`
+and the step_* one-liners are typed wrappers over it.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Union
 
 import numpy as np
@@ -130,129 +131,7 @@ def measure_left_half_kernel(w_left, w_right, a1_squared, b1_squared):
     return a1_squared * w_right + w_left, b1_squared * w_right
 
 
-def raw_step(mode: InteractionMode, topology: Topology,
-             splitter: SplitterCoefficients | None,
-             ) -> Callable[[float, float], tuple[float, float, float]]:
-    """The per-pass function of one (mode, topology) map on raw floats.
-
-    It takes the two components of a validated state, (a, b) or
-    (w_L, w_R), and returns the next state's components and the correction
-    that normalize_pair applied to them. Every check of a typed step runs:
-    the kernel's denominator guard, the Markov agreement check of the
-    both-connected measuring map, and the range and norm/sum bands. The
-    kernel is looked up when the function is built. Fixed-splitter maps
-    ignore the splitter, which may then be None.
-    """
-    if mode is InteractionMode.FIXED_SPLITTER:
-        kernel = {Topology.BOTH_CONNECTED: unitary_both_kernel,
-                  Topology.RIGHT_HALF_CONNECTED: unitary_right_half_kernel,
-                  Topology.LEFT_HALF_CONNECTED: unitary_left_half_kernel,
-                  }[topology]
-
-        def unitary(a: float, b: float) -> tuple[float, float, float]:
-            a, b = kernel(a, b)
-            return normalize_pair(a, b, True)
-        return unitary
-
-    kernel = {Topology.BOTH_CONNECTED: measure_both_kernel,
-              Topology.RIGHT_HALF_CONNECTED: measure_right_half_kernel,
-              Topology.LEFT_HALF_CONNECTED: measure_left_half_kernel,
-              }[topology]
-    a1sq = splitter.a1_squared
-    b1sq = splitter.b1_squared
-    markov = topology is Topology.BOTH_CONNECTED
-
-    def measure(w_left: float, w_right: float) -> tuple[float, float, float]:
-        wl, wr = kernel(w_left, w_right, a1sq, b1sq)
-        if markov:
-            # the direct update must agree with the transition-matrix row
-            # for the right loop
-            matrix_row_right = b1sq * w_left + a1sq * w_right
-            if abs(matrix_row_right - wr) > _MARKOV_AGREEMENT:
-                raise NumericDomainError(
-                    "direct and transition-matrix forms disagree: "
-                    f"|{matrix_row_right!r} - {wr!r}| > 1e-15")
-        return normalize_pair(wl, wr, False)
-    return measure
-
-
 State = Union[AmplitudePair, WeightPair]
-
-
-def _typed_step(mode: InteractionMode, topology: Topology,
-                splitter: SplitterCoefficients | None, state: State) -> State:
-    if mode is InteractionMode.FIXED_SPLITTER:
-        if not isinstance(state, AmplitudePair):
-            raise ModeMismatchError(
-                "fixed-splitter maps act on AmplitudePair, got "
-                f"{type(state).__name__}")
-        step = raw_step(mode, topology, splitter)
-        return amplitude_pair(*step(state.a_left, state.b_right))
-    if not isinstance(state, WeightPair):
-        raise ModeMismatchError(
-            "movable-splitter maps act on WeightPair, got "
-            f"{type(state).__name__}")
-    step = raw_step(mode, topology, splitter)
-    return weight_pair(*step(state.w_left, state.w_right))
-
-
-def step_unitary_both(state: AmplitudePair) -> AmplitudePair:
-    """One fixed-splitter pass with both loops connected."""
-    return _typed_step(InteractionMode.FIXED_SPLITTER,
-                       Topology.BOTH_CONNECTED, None, state)
-
-
-def step_unitary_right_half(state: AmplitudePair) -> AmplitudePair:
-    """One fixed-splitter pass with the right loop cut open."""
-    return _typed_step(InteractionMode.FIXED_SPLITTER,
-                       Topology.RIGHT_HALF_CONNECTED, None, state)
-
-
-def step_unitary_left_half(state: AmplitudePair) -> AmplitudePair:
-    """One fixed-splitter pass with the left loop cut open."""
-    return _typed_step(InteractionMode.FIXED_SPLITTER,
-                       Topology.LEFT_HALF_CONNECTED, None, state)
-
-
-def step_measure_both(weights: WeightPair,
-                      splitter: SplitterCoefficients) -> WeightPair:
-    """One movable-splitter pass with both loops connected.
-
-    The update is evaluated both directly and through the transition-matrix
-    row for the right loop; the two must agree to 1e-15 or the step aborts.
-    """
-    return _typed_step(InteractionMode.MOVABLE_SPLITTER,
-                       Topology.BOTH_CONNECTED, splitter, weights)
-
-
-def step_measure_right_half(weights: WeightPair,
-                            splitter: SplitterCoefficients) -> WeightPair:
-    """One movable-splitter pass with the right loop absorbing."""
-    return _typed_step(InteractionMode.MOVABLE_SPLITTER,
-                       Topology.RIGHT_HALF_CONNECTED, splitter, weights)
-
-
-def step_measure_left_half(weights: WeightPair,
-                           splitter: SplitterCoefficients) -> WeightPair:
-    """One movable-splitter pass with the left loop absorbing."""
-    return _typed_step(InteractionMode.MOVABLE_SPLITTER,
-                       Topology.LEFT_HALF_CONNECTED, splitter, weights)
-
-
-@dataclass(frozen=True)
-class StepMap:
-    """Uniform handle on one (mode, topology) update rule.
-
-    The splitter is carried for every mode so call sites stay uniform;
-    fixed-splitter maps simply never read it.
-    """
-
-    mode: InteractionMode
-    topology: Topology
-    splitter: SplitterCoefficients
-
-    def apply(self, state: State) -> State:
-        return _typed_step(self.mode, self.topology, self.splitter, state)
 
 
 class Stability(Enum):
@@ -270,12 +149,154 @@ class FixedPoint:
     absorbing: bool = False
 
 
-_SQRT_HALF = math.sqrt(0.5)
+def _unitary_right_half_weight(w: float) -> float:
+    s = math.sqrt(w)  # raises ValueError left of 0
+    return w * w / (w * w + (1.0 - w) * (1.0 + s) ** 2)
+
+
+def _unitary_left_half_weight(w: float) -> float:
+    s = math.sqrt(1.0 - w)  # raises ValueError right of 1
+    return w * (1.0 + s) ** 2 / ((1.0 - w) ** 2 + w * (1.0 + s) ** 2)
+
+
+_FIXED = InteractionMode.FIXED_SPLITTER
+_MOVABLE = InteractionMode.MOVABLE_SPLITTER
+
+# Per mode: the state type, its two components, the constructor for values
+# normalize_pair has already returned, and the name used in error messages.
+_MODES = {_FIXED: (AmplitudePair, attrgetter("a_left", "b_right"),
+                   amplitude_pair, "fixed-splitter"),
+          _MOVABLE: (WeightPair, attrgetter("w_left", "w_right"),
+                     weight_pair, "movable-splitter")}
+
+# Per (mode, topology): the kernel's name, the fixed points (stable point
+# first) and, for the fixed splitter, the induced weight map. Kernels are
+# named, not held, so one replaced on this module at run time is the one used.
+_SPECS = {
+    (_FIXED, Topology.BOTH_CONNECTED): ("unitary_both_kernel", (
+        FixedPoint(AmplitudePair(math.sqrt(0.5), math.sqrt(0.5)),
+                   Stability.SUPERATTRACTING),
+        FixedPoint(AmplitudePair(1.0, 0.0), Stability.UNSTABLE),
+    ), lambda w: 1.0 / (1.0 + 4.0 * w * (1.0 - w))),
+    (_FIXED, Topology.RIGHT_HALF_CONNECTED): ("unitary_right_half_kernel", (
+        FixedPoint(AmplitudePair(0.0, 1.0), Stability.STABLE),
+        FixedPoint(AmplitudePair(1.0, 0.0), Stability.UNSTABLE),
+    ), _unitary_right_half_weight),
+    (_FIXED, Topology.LEFT_HALF_CONNECTED): ("unitary_left_half_kernel", (
+        FixedPoint(AmplitudePair(1.0, 0.0), Stability.STABLE),
+        FixedPoint(AmplitudePair(0.0, 1.0), Stability.UNSTABLE),
+    ), _unitary_left_half_weight),
+    (_MOVABLE, Topology.BOTH_CONNECTED): ("measure_both_kernel", (
+        FixedPoint(WeightPair(0.5, 0.5), Stability.STABLE),
+    ), None),
+    (_MOVABLE, Topology.RIGHT_HALF_CONNECTED): ("measure_right_half_kernel", (
+        FixedPoint(WeightPair(0.0, 1.0), Stability.STABLE, absorbing=True),
+    ), None),
+    (_MOVABLE, Topology.LEFT_HALF_CONNECTED): ("measure_left_half_kernel", (
+        FixedPoint(WeightPair(1.0, 0.0), Stability.STABLE, absorbing=True),
+    ), None),
+}
+
+
+def raw_step(mode: InteractionMode, topology: Topology,
+             splitter: SplitterCoefficients | None,
+             ) -> Callable[[float, float], tuple[float, float, float]]:
+    """The per-pass function of one (mode, topology) map on raw floats.
+
+    It takes the two components of a validated state, (a, b) or
+    (w_L, w_R), and returns the next state's components and the correction
+    that normalize_pair applied to them. Every check of a typed step runs:
+    the kernel's denominator guard, the Markov agreement check of the
+    both-connected measuring map, and the range and norm/sum bands. The
+    kernel is looked up by name each time raw_step runs. Fixed-splitter maps
+    ignore the splitter, which may then be None.
+    """
+    kernel = globals()[_SPECS[mode, topology][0]]
+    if mode is _FIXED:
+        def unitary(a: float, b: float) -> tuple[float, float, float]:
+            a, b = kernel(a, b)
+            return normalize_pair(a, b, True)
+        return unitary
+    a1sq, b1sq = splitter.a1_squared, splitter.b1_squared
+    markov = topology is Topology.BOTH_CONNECTED
+
+    def measure(w_left: float, w_right: float) -> tuple[float, float, float]:
+        wl, wr = kernel(w_left, w_right, a1sq, b1sq)
+        if markov:
+            # the direct update must agree with the right loop's matrix row
+            matrix_row_right = b1sq * w_left + a1sq * w_right
+            if abs(matrix_row_right - wr) > _MARKOV_AGREEMENT:
+                raise NumericDomainError(
+                    "direct and transition-matrix forms disagree: "
+                    f"|{matrix_row_right!r} - {wr!r}| > 1e-15")
+        return normalize_pair(wl, wr, False)
+    return measure
+
+
+@dataclass(frozen=True)
+class StepMap:
+    """Uniform handle on one (mode, topology) update rule.
+
+    The splitter is carried for every mode so call sites stay uniform;
+    fixed-splitter maps simply never read it.
+    """
+
+    mode: InteractionMode
+    topology: Topology
+    splitter: SplitterCoefficients | None
+
+    def apply(self, state: State) -> State:
+        state_type, components, make, label = _MODES[self.mode]
+        if not isinstance(state, state_type):
+            raise ModeMismatchError(
+                f"{label} maps act on {state_type.__name__}, got "
+                f"{type(state).__name__}")
+        step = raw_step(self.mode, self.topology, self.splitter)
+        return make(*step(*components(state)))
+
+
+def step_unitary_both(state: AmplitudePair) -> AmplitudePair:
+    """One fixed-splitter pass with both loops connected."""
+    return StepMap(_FIXED, Topology.BOTH_CONNECTED, None).apply(state)
+
+
+def step_unitary_right_half(state: AmplitudePair) -> AmplitudePair:
+    """One fixed-splitter pass with the right loop cut open."""
+    return StepMap(_FIXED, Topology.RIGHT_HALF_CONNECTED, None).apply(state)
+
+
+def step_unitary_left_half(state: AmplitudePair) -> AmplitudePair:
+    """One fixed-splitter pass with the left loop cut open."""
+    return StepMap(_FIXED, Topology.LEFT_HALF_CONNECTED, None).apply(state)
+
+
+def step_measure_both(weights: WeightPair,
+                      splitter: SplitterCoefficients) -> WeightPair:
+    """One movable-splitter pass with both loops connected.
+
+    The update is evaluated both directly and through the transition-matrix
+    row for the right loop; the two must agree to 1e-15 or the step aborts.
+    """
+    return StepMap(_MOVABLE, Topology.BOTH_CONNECTED, splitter).apply(weights)
+
+
+def step_measure_right_half(weights: WeightPair,
+                            splitter: SplitterCoefficients) -> WeightPair:
+    """One movable-splitter pass with the right loop absorbing."""
+    return StepMap(_MOVABLE, Topology.RIGHT_HALF_CONNECTED,
+                   splitter).apply(weights)
+
+
+def step_measure_left_half(weights: WeightPair,
+                           splitter: SplitterCoefficients) -> WeightPair:
+    """One movable-splitter pass with the left loop absorbing."""
+    return StepMap(_MOVABLE, Topology.LEFT_HALF_CONNECTED,
+                   splitter).apply(weights)
 
 
 def fixed_points(mode: InteractionMode,
                  topology: Topology) -> tuple[FixedPoint, ...]:
-    """Analytically known fixed points of the chosen map.
+    """Analytically known fixed points of the chosen map, stable one first.
 
     Movable-splitter entries hold for any non-degenerate splitter (both
     coefficients nonzero), which is why no splitter argument appears here.
@@ -287,37 +308,12 @@ def fixed_points(mode: InteractionMode,
     b = 1 the recombination puts the full recombined amplitude on the
     reflected side.
     """
-    if mode is InteractionMode.FIXED_SPLITTER:
-        if topology is Topology.BOTH_CONNECTED:
-            return (
-                FixedPoint(AmplitudePair(_SQRT_HALF, _SQRT_HALF),
-                           Stability.SUPERATTRACTING),
-                FixedPoint(AmplitudePair(1.0, 0.0), Stability.UNSTABLE),
-            )
-        if topology is Topology.RIGHT_HALF_CONNECTED:
-            return (
-                FixedPoint(AmplitudePair(0.0, 1.0), Stability.STABLE),
-                FixedPoint(AmplitudePair(1.0, 0.0), Stability.UNSTABLE),
-            )
-        return (
-            FixedPoint(AmplitudePair(1.0, 0.0), Stability.STABLE),
-            FixedPoint(AmplitudePair(0.0, 1.0), Stability.UNSTABLE),
-        )
-    if topology is Topology.BOTH_CONNECTED:
-        return (FixedPoint(WeightPair(0.5, 0.5), Stability.STABLE),)
-    if topology is Topology.RIGHT_HALF_CONNECTED:
-        return (FixedPoint(WeightPair(0.0, 1.0), Stability.STABLE,
-                           absorbing=True),)
-    return (FixedPoint(WeightPair(1.0, 0.0), Stability.STABLE,
-                       absorbing=True),)
+    return _SPECS[mode, topology][1]
 
 
 def stable_fixed_point(mode: InteractionMode, topology: Topology) -> State:
     """The unique attracting state of the chosen map."""
-    for fp in fixed_points(mode, topology):
-        if fp.stability is not Stability.UNSTABLE:
-            return fp.point
-    raise NumericDomainError("no stable fixed point listed")  # unreachable
+    return _SPECS[mode, topology][1][0].point
 
 
 def closed_form_measure_both(w_left_initial: float,
@@ -362,35 +358,20 @@ def induced_weight_map(mode: InteractionMode, topology: Topology,
     """The one-dimensional map w_L -> w_L' induced on the left weight.
 
     For fixed-splitter dynamics this is the weight image of the amplitude
-    update; the closures evaluate the algebraic form directly so they can
+    update; the maps evaluate the algebraic form directly so they can
     be probed slightly outside [0, 1] where the expression still makes
     sense (finite-difference derivatives at the ends of the interval).
     Movable-splitter maps require the splitter argument.
     """
-    if mode is InteractionMode.FIXED_SPLITTER:
-        if topology is Topology.BOTH_CONNECTED:
-            return lambda w: 1.0 / (1.0 + 4.0 * w * (1.0 - w))
-        if topology is Topology.RIGHT_HALF_CONNECTED:
-            def right(w: float) -> float:
-                s = math.sqrt(w)  # raises ValueError left of 0
-                return w * w / (w * w + (1.0 - w) * (1.0 + s) ** 2)
-            return right
-
-        def left(w: float) -> float:
-            s = math.sqrt(1.0 - w)  # raises ValueError right of 1
-            return w * (1.0 + s) ** 2 / ((1.0 - w) ** 2
-                                         + w * (1.0 + s) ** 2)
-        return left
+    name, _, weight_map = _SPECS[mode, topology]
+    if weight_map is not None:
+        return weight_map
     if splitter is None:
         raise ModeMismatchError(
             "movable-splitter weight maps need the splitter coefficients")
-    a1sq = splitter.a1_squared
-    b1sq = splitter.b1_squared
-    if topology is Topology.BOTH_CONNECTED:
-        return lambda w: a1sq * w + b1sq * (1.0 - w)
-    if topology is Topology.RIGHT_HALF_CONNECTED:
-        return lambda w: a1sq * w
-    return lambda w: w + a1sq * (1.0 - w)
+    kernel = globals()[name]
+    a1sq, b1sq = splitter.a1_squared, splitter.b1_squared
+    return lambda w: kernel(w, 1.0 - w, a1sq, b1sq)[0]
 
 
 def map_derivative(f: Callable[[float], float], w: float,

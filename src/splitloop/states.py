@@ -144,6 +144,16 @@ def normalize_pair(x: float, y: float,
     return x / total, y / total, total - 1.0
 
 
+def _normalize_fields(pair, x: str, y: str, correction: str,
+                      squared: bool) -> None:
+    """The constructors' rule: rescale fields x and y of a new frozen pair in
+    place through normalize_pair and store the correction in `correction`."""
+    values = normalize_pair(float(getattr(pair, x)), float(getattr(pair, y)),
+                            squared)
+    for name, value in zip((x, y, correction), values):
+        _set(pair, name, value)
+
+
 @dataclass(frozen=True)
 class AmplitudePair:
     """Superposition coefficients (reflected, passing) of the photon state.
@@ -159,11 +169,7 @@ class AmplitudePair:
                                    default=0.0)
 
     def __post_init__(self) -> None:
-        a, b, correction = normalize_pair(float(self.a_left),
-                                          float(self.b_right), True)
-        object.__setattr__(self, "a_left", a)
-        object.__setattr__(self, "b_right", b)
-        object.__setattr__(self, "norm_correction", correction)
+        _normalize_fields(self, "a_left", "b_right", "norm_correction", True)
 
 
 @dataclass(frozen=True)
@@ -176,11 +182,7 @@ class WeightPair:
                                   default=0.0)
 
     def __post_init__(self) -> None:
-        wl, wr, correction = normalize_pair(float(self.w_left),
-                                            float(self.w_right), False)
-        object.__setattr__(self, "w_left", wl)
-        object.__setattr__(self, "w_right", wr)
-        object.__setattr__(self, "sum_correction", correction)
+        _normalize_fields(self, "w_left", "w_right", "sum_correction", False)
 
 
 @dataclass(frozen=True)
@@ -197,11 +199,7 @@ class SplitterCoefficients:
                                    default=0.0)
 
     def __post_init__(self) -> None:
-        a, b, correction = normalize_pair(float(self.a1), float(self.b1),
-                                          True)
-        object.__setattr__(self, "a1", a)
-        object.__setattr__(self, "b1", b)
-        object.__setattr__(self, "norm_correction", correction)
+        _normalize_fields(self, "a1", "b1", "norm_correction", True)
 
     @property
     def a1_squared(self) -> float:
@@ -226,6 +224,14 @@ def amplitudes_from_left_weight(w_left: float) -> AmplitudePair:
         raise OutOfRangeError(
             f"w_left out of range: {w_left!r} not in [0, 1]")
     return AmplitudePair(math.sqrt(w_left), math.sqrt(1.0 - w_left))
+
+
+def _state_from_left_weight(mode: InteractionMode,
+                            w_left: float) -> AmplitudePair | WeightPair:
+    """The state of the given mode that carries weight w_left on the left."""
+    if mode is InteractionMode.FIXED_SPLITTER:
+        return amplitudes_from_left_weight(w_left)
+    return WeightPair(w_left, 1.0 - w_left)
 
 
 def weights_from_amplitudes(a_left: float,

@@ -18,19 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from . import maps
 from .errors import (ModeMismatchError, OutOfRangeError,
                      ScheduleConflictError)
+from .maps import State
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
-                     Topology, WeightPair, amplitude_pair, weight_pair,
-                     weights_from_amplitudes, weights_of)
-
-State = Union[AmplitudePair, WeightPair]
-
-_new = object.__new__
-_set = object.__setattr__
+                     Topology, WeightPair, _new, _set, amplitude_pair,
+                     weight_pair, weights_from_amplitudes, weights_of)
 
 
 @dataclass(frozen=True)
@@ -49,18 +45,19 @@ class Scenario:
             raise ModeMismatchError(
                 "initial_topology must be a Topology, got "
                 f"{self.initial_topology!r}")
-        if self.mode is InteractionMode.FIXED_SPLITTER:
-            if not isinstance(self.initial, AmplitudePair):
-                raise ModeMismatchError(
-                    "fixed-splitter scenarios start from an AmplitudePair")
-        else:
-            if not isinstance(self.initial, WeightPair):
-                raise ModeMismatchError(
-                    "movable-splitter scenarios start from a WeightPair")
-            if not isinstance(self.splitter, SplitterCoefficients):
-                raise ModeMismatchError(
-                    "movable-splitter scenarios need SplitterCoefficients, "
-                    f"got {self.splitter!r}")
+        if not isinstance(self.mode, InteractionMode):
+            raise ModeMismatchError(
+                f"mode must be an InteractionMode, got {self.mode!r}")
+        state_type, _, _, label = maps._MODES[self.mode]
+        if not isinstance(self.initial, state_type):
+            article = "an" if state_type is AmplitudePair else "a"
+            raise ModeMismatchError(f"{label} scenarios start from {article} "
+                                    f"{state_type.__name__}")
+        if (self.mode is InteractionMode.MOVABLE_SPLITTER
+                and not isinstance(self.splitter, SplitterCoefficients)):
+            raise ModeMismatchError(
+                "movable-splitter scenarios need SplitterCoefficients, "
+                f"got {self.splitter!r}")
         if not isinstance(self.max_steps, int) or self.max_steps < 1:
             raise OutOfRangeError(
                 f"max_steps must be an integer >= 1, got {self.max_steps!r}")
@@ -156,14 +153,9 @@ def _records(scenario: Scenario,
     topology = scenario.initial_topology
     step = maps.raw_step(mode, topology, splitter)
     unitary = mode is InteractionMode.FIXED_SPLITTER
-    if unitary:
-        amplitudes = scenario.initial
-        weights = weights_of(amplitudes)
-        x, y = amplitudes.a_left, amplitudes.b_right
-    else:
-        amplitudes = None
-        weights = scenario.initial
-        x, y = weights.w_left, weights.w_right
+    x, y = maps._MODES[mode][1](scenario.initial)  # its two components
+    amplitudes = scenario.initial if unitary else None
+    weights = weights_of(amplitudes) if unitary else scenario.initial
     for n in range(1, scenario.max_steps + 1):
         if n in switch_at:
             topology = switch_at[n]

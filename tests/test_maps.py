@@ -200,6 +200,19 @@ class TestStepMapDispatch:
         with pytest.raises(ModeMismatchError):
             measure.apply(BALANCED)
 
+    @pytest.mark.parametrize("mode,state,message", [
+        (InteractionMode.FIXED_SPLITTER, WeightPair(0.5, 0.5),
+         "fixed-splitter maps act on AmplitudePair, got WeightPair"),
+        (InteractionMode.MOVABLE_SPLITTER, BALANCED,
+         "movable-splitter maps act on WeightPair, got AmplitudePair"),
+    ], ids=["fixed", "movable"])
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_wrong_state_type_message(self, mode, state, message, topology):
+        splitter = SplitterCoefficients.from_reflectance(0.5)
+        with pytest.raises(ModeMismatchError) as info:
+            StepMap(mode, topology, splitter).apply(state)
+        assert str(info.value) == message
+
 
 class TestFixedPoints:
     def test_unitary_both_catalog(self):
@@ -225,6 +238,28 @@ class TestFixedPoints:
                         before = (fp.point.w_left, fp.point.w_right)
                         after = (out.w_left, out.w_right)
                     assert after == pytest.approx(before, abs=1e-12)
+
+    @pytest.mark.parametrize("mode,topology,expected", [
+        (InteractionMode.FIXED_SPLITTER, Topology.BOTH_CONNECTED,
+         AmplitudePair(math.sqrt(0.5), math.sqrt(0.5))),
+        (InteractionMode.FIXED_SPLITTER, Topology.RIGHT_HALF_CONNECTED,
+         AmplitudePair(0.0, 1.0)),
+        (InteractionMode.FIXED_SPLITTER, Topology.LEFT_HALF_CONNECTED,
+         AmplitudePair(1.0, 0.0)),
+        (InteractionMode.MOVABLE_SPLITTER, Topology.BOTH_CONNECTED,
+         WeightPair(0.5, 0.5)),
+        (InteractionMode.MOVABLE_SPLITTER, Topology.RIGHT_HALF_CONNECTED,
+         WeightPair(0.0, 1.0)),
+        (InteractionMode.MOVABLE_SPLITTER, Topology.LEFT_HALF_CONNECTED,
+         WeightPair(1.0, 0.0)),
+    ])
+    def test_stable_fixed_point_of_every_map(self, mode, topology, expected):
+        point = stable_fixed_point(mode, topology)
+        assert type(point) is type(expected)
+        assert point == expected
+        first = fixed_points(mode, topology)[0]
+        assert first.point == expected
+        assert first.stability is not Stability.UNSTABLE
 
     def test_half_connected_absorbing_flags(self):
         right = fixed_points(InteractionMode.MOVABLE_SPLITTER,
@@ -286,6 +321,22 @@ class TestInducedWeightMaps:
                                Topology.BOTH_CONNECTED, splitter)
         stepped = step_measure_both(WeightPair(0.3, 0.7), splitter)
         assert g(0.3) == pytest.approx(stepped.w_left, abs=1e-15)
+
+    @pytest.mark.parametrize("topology,formula", [
+        (Topology.BOTH_CONNECTED,
+         lambda w, a1sq, b1sq: a1sq * w + b1sq * (1.0 - w)),
+        (Topology.RIGHT_HALF_CONNECTED, lambda w, a1sq, b1sq: a1sq * w),
+        (Topology.LEFT_HALF_CONNECTED,
+         lambda w, a1sq, b1sq: w + a1sq * (1.0 - w)),
+    ], ids=["both", "right-half", "left-half"])
+    @given(w=st.floats(-0.5, 1.5), a1sq=st.floats(0.0, 1.0))
+    def test_measure_form_is_the_formula_bit_for_bit(self, topology, formula,
+                                                     w, a1sq):
+        splitter = SplitterCoefficients.from_reflectance(a1sq)
+        g = induced_weight_map(InteractionMode.MOVABLE_SPLITTER, topology,
+                               splitter)
+        expected = formula(w, splitter.a1_squared, splitter.b1_squared)
+        assert g(w).hex() == expected.hex()
 
     def test_right_half_form_agrees_with_amplitude_route(self):
         g = induced_weight_map(InteractionMode.FIXED_SPLITTER,

@@ -171,6 +171,28 @@ def test_measure_kernel_on_an_array_equals_it_on_each_float(name, points):
         assert on_array[k].tobytes() == bits(*(q[k] for q in on_floats))
 
 
+@pytest.mark.parametrize("mode,topology",
+                         [(FIXED, t) for t in UNITARY_KERNELS]
+                         + [(MOVABLE, t) for t in MEASURE_KERNELS])
+def test_iterate_calls_the_kernel_found_on_the_module(monkeypatch, mode,
+                                                      topology):
+    kernels = UNITARY_KERNELS if mode is FIXED else MEASURE_KERNELS
+    kernel = getattr(maps, kernels[topology])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    scenario = Scenario(mode, topology,
+                        SplitterCoefficients.from_reflectance(0.7),
+                        initial_state(mode, 0.7), max_steps=5)
+    expected = iterate(scenario)
+    monkeypatch.setattr(maps, kernels[topology], counted)
+    assert iterate(scenario) == expected
+    assert len(calls) == 4
+
+
 def _nan_pair(*args):
     return math.nan, math.nan
 

@@ -48,6 +48,22 @@ class TestScenarioValidation:
         with pytest.raises(ModeMismatchError, match="'both'"):
             Scenario(mode, "both", SP9, state, max_steps=3)
 
+    @pytest.mark.parametrize("mode,state,message", [
+        (InteractionMode.FIXED_SPLITTER, WeightPair(0.9, 0.1),
+         "fixed-splitter scenarios start from an AmplitudePair"),
+        (InteractionMode.MOVABLE_SPLITTER, amplitudes_from_left_weight(0.9),
+         "movable-splitter scenarios start from a WeightPair"),
+    ], ids=["fixed", "movable"])
+    def test_mode_mismatch_message(self, mode, state, message):
+        with pytest.raises(ModeMismatchError) as info:
+            Scenario(mode, Topology.BOTH_CONNECTED, SP9, state, max_steps=3)
+        assert str(info.value) == message
+
+    def test_mode_must_be_an_interaction_mode(self):
+        with pytest.raises(ModeMismatchError, match="'measure'"):
+            Scenario("measure", Topology.BOTH_CONNECTED, SP9,
+                     WeightPair(0.9, 0.1), max_steps=3)
+
     @pytest.mark.parametrize("splitter", [None, 0.9])
     def test_movable_mode_needs_splitter_coefficients(self, splitter):
         with pytest.raises(ModeMismatchError, match=repr(splitter)):
