@@ -5,7 +5,12 @@ six step maps (two interaction modes at the splitter, three topologies of
 the fibers behind it). The package simulates trajectories bit for bit,
 classifies fixed points, measures convergence, and cross-checks the
 movable-splitter dynamics against a seeded stochastic ensemble.
+
+The Monte Carlo names load `montecarlo`, and numpy with it, on first
+access, so a process that never samples never imports numpy.
 """
+
+import importlib
 
 from .analysis import (ReferenceReport, SequenceComparison, SpeedComparison,
                        SweepCell, SweepResult, compare_modes,
@@ -22,9 +27,6 @@ from .maps import (FixedPoint, Stability, StepMap, closed_form_measure_both,
                    step_measure_both, step_measure_left_half,
                    step_measure_right_half, step_unitary_both,
                    step_unitary_left_half, step_unitary_right_half)
-from .montecarlo import (GENERATOR_NAME, EnsembleEstimate, PhotonPath, Side,
-                         StepAgreement, agreement_report,
-                         ensemble_frequencies, sample_path)
 from .states import (AMPLITUDE_NORM_TOL, WEIGHT_SUM_TOL, AmplitudePair,
                      InteractionMode, SplitterCoefficients, Topology,
                      Violation, WeightPair, amplitudes_from_left_weight,
@@ -35,6 +37,24 @@ from .trajectory import (ConvergenceCriterion, NotConverged, Scenario,
                          steps_to_converge)
 
 __version__ = "0.1.0"
+
+# Names served by `montecarlo`, which loads on first access (PEP 562).
+_LAZY = frozenset({"GENERATOR_NAME", "EnsembleEstimate", "PhotonPath", "Side",
+                   "StepAgreement", "agreement_report", "ensemble_frequencies",
+                   "sample_path"})
+
+
+def __getattr__(name: str):
+    if name != "montecarlo" and name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not `from . import montecarlo`: that looks the submodule up on this
+    # package first, which would come back here
+    montecarlo = importlib.import_module(f"{__name__}.montecarlo")
+    return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY | {"montecarlo"})
 
 __all__ = [
     "AMPLITUDE_NORM_TOL",

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DegenerateInitialError, ModeMismatchError, OutOfRangeError
 from .maps import induced_weight_map, stable_fixed_point
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
@@ -240,6 +238,8 @@ def convergence_order(w_initial: float = 0.6, floor: float = 1e-13,
     if len(distances) < 3:
         raise OutOfRangeError(
             "not enough usable iterates above the noise floor to fit a slope")
+    import numpy as np  # np.polyfit's rounding is the pinned result
+
     logs = np.log(np.asarray(distances))
     slope, _ = np.polyfit(logs[:-1], logs[1:], 1)
     return float(slope)

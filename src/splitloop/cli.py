@@ -27,8 +27,6 @@ import click
 from .analysis import (compare_modes, reference_sequences,
                        sweep_initial_conditions)
 from .errors import NumericDomainError, SplitLoopError
-from .montecarlo import (GENERATOR_NAME, agreement_report, check_sigma_bound,
-                         ensemble_frequencies, require_sampling_mode)
 from .states import (InteractionMode, SplitterCoefficients, Topology,
                      WeightPair, _state_from_left_weight)
 from .trajectory import NotConverged, Scenario, StepSchedule, iterate
@@ -63,8 +61,12 @@ def _config_error(message: str) -> None:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        _config_error(f"cannot write --out {out!r}: "
+                      f"{exc.strerror or exc}")
 
 
 def _csv_cell(value):
@@ -361,16 +363,19 @@ def sweep(mode, topology, grid, eps, max_steps, a1sq, fmt, out):
 @_out_option
 def mc(mode, topology, a1sq, steps, paths, seed, sigma, fmt, out):
     """Sample a photon ensemble and check it against the exact weights."""
-    require_sampling_mode(_MODES[mode])
-    check_sigma_bound(sigma)
+    from . import montecarlo  # numpy loads only for this command
+
+    montecarlo.require_sampling_mode(_MODES[mode])
+    montecarlo.check_sigma_bound(sigma)
     topo_obj = _TOPOLOGIES[topology]
     splitter = SplitterCoefficients.from_reflectance(a1sq)
-    estimate = ensemble_frequencies(splitter, topo_obj, steps, paths, seed)
+    estimate = montecarlo.ensemble_frequencies(splitter, topo_obj, steps,
+                                               paths, seed)
     analytic = iterate(Scenario(InteractionMode.MOVABLE_SPLITTER, topo_obj,
                                 splitter, WeightPair(a1sq, 1.0 - a1sq),
                                 max_steps=steps))
-    report = agreement_report(estimate, [r.weights for r in analytic.records],
-                              sigma_bound=sigma)
+    report = montecarlo.agreement_report(
+        estimate, [r.weights for r in analytic.records], sigma_bound=sigma)
     rows = [{
         "step": r.step,
         "empirical_w_left": r.empirical,
@@ -385,7 +390,7 @@ def mc(mode, topology, a1sq, steps, paths, seed, sigma, fmt, out):
         "steps": steps,
         "n_paths": paths,
         "base_seed": seed,
-        "generator": GENERATOR_NAME,
+        "generator": montecarlo.GENERATOR_NAME,
         "sigma_bound": sigma,
     }, "steps", rows, {"all_within_sigma": all(r.passed for r in report)})
 

@@ -35,6 +35,8 @@ been formed, movable-splitter maps use it on every pass.
 The *_kernel functions are the one copy of each update formula. They take
 Python floats (the per-pass path: math.sqrt, math.pow) or numpy arrays
 (np.sqrt, np.float_power, np.any), with bit-identical results elementwise.
+The array path imports numpy on first use, so float-only callers never
+load it.
 What differs between the six maps is in one table, `_SPECS[(mode,
 topology)]`: the kernel's name, the fixed points and, for the fixed
 splitter, the induced weight map; `_MODES[mode]` holds the state type and
@@ -52,8 +54,6 @@ from enum import Enum
 from operator import attrgetter
 from typing import Callable, Union
 
-import numpy as np
-
 from .errors import (InvalidStepError, ModeMismatchError, NumericDomainError,
                      OutOfRangeError)
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
@@ -70,7 +70,10 @@ _MARKOV_AGREEMENT = 1e-15
 
 def _sqrt(x):
     """math.sqrt on a float, np.sqrt on an array; both correctly rounded."""
-    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+    if isinstance(x, float):
+        return math.sqrt(x)
+    import numpy as np
+    return np.sqrt(x)
 
 
 def _square(x):
@@ -80,13 +83,18 @@ def _square(x):
     and the per-pass results are pinned to pow. numpy's `**` turns into a
     product, so arrays go through float_power, which calls pow.
     """
-    return math.pow(x, 2.0) if isinstance(x, float) else np.float_power(x,
-                                                                        2.0)
+    if isinstance(x, float):
+        return math.pow(x, 2.0)
+    import numpy as np
+    return np.float_power(x, 2.0)
 
 
 def _check_denominator(d, wiring: str) -> None:
     small = d < _MIN_DENOMINATOR
-    if small if isinstance(small, bool) else np.any(small):
+    if not isinstance(small, bool):
+        import numpy as np
+        small = np.any(small)
+    if small:
         raise NumericDomainError(
             f"{wiring} denominator underflow: |D| < 1e-30")
 
@@ -198,6 +206,18 @@ _SPECS = {
 }
 
 
+def _spec(mode: InteractionMode, topology: Topology):
+    """The `_SPECS` entry of one map; ModeMismatchError names a bad key."""
+    try:
+        return _SPECS[mode, topology]
+    except (KeyError, TypeError):  # TypeError: an unhashable argument
+        if not isinstance(mode, InteractionMode):
+            raise ModeMismatchError(
+                f"mode must be an InteractionMode, got {mode!r}") from None
+        raise ModeMismatchError(
+            f"topology must be a Topology, got {topology!r}") from None
+
+
 def raw_step(mode: InteractionMode, topology: Topology,
              splitter: SplitterCoefficients | None,
              ) -> Callable[[float, float], tuple[float, float, float]]:
@@ -211,7 +231,11 @@ def raw_step(mode: InteractionMode, topology: Topology,
     kernel is looked up by name each time raw_step runs. Fixed-splitter maps
     ignore the splitter, which may then be None.
     """
-    kernel = globals()[_SPECS[mode, topology][0]]
+    try:
+        kernel = globals()[_SPECS[mode, topology][0]]
+    except (KeyError, TypeError):
+        _spec(mode, topology)  # raises ModeMismatchError on a bad key
+        raise  # the key is valid; the kernel is missing from the module
     if mode is _FIXED:
         def unitary(a: float, b: float) -> tuple[float, float, float]:
             a, b = kernel(a, b)
@@ -246,6 +270,7 @@ class StepMap:
     splitter: SplitterCoefficients | None
 
     def apply(self, state: State) -> State:
+        _spec(self.mode, self.topology)  # a bad mode or topology is named
         state_type, components, make, label = _MODES[self.mode]
         if not isinstance(state, state_type):
             raise ModeMismatchError(
@@ -308,12 +333,12 @@ def fixed_points(mode: InteractionMode,
     b = 1 the recombination puts the full recombined amplitude on the
     reflected side.
     """
-    return _SPECS[mode, topology][1]
+    return _spec(mode, topology)[1]
 
 
 def stable_fixed_point(mode: InteractionMode, topology: Topology) -> State:
     """The unique attracting state of the chosen map."""
-    return _SPECS[mode, topology][1][0].point
+    return _spec(mode, topology)[1][0].point
 
 
 def closed_form_measure_both(w_left_initial: float,
@@ -363,7 +388,7 @@ def induced_weight_map(mode: InteractionMode, topology: Topology,
     sense (finite-difference derivatives at the ends of the interval).
     Movable-splitter maps require the splitter argument.
     """
-    name, _, weight_map = _SPECS[mode, topology]
+    name, _, weight_map = _spec(mode, topology)
     if weight_map is not None:
         return weight_map
     if splitter is None:

@@ -127,6 +127,13 @@ class TestSweep:
                 InteractionMode.MOVABLE_SPLITTER, Topology.BOTH_CONNECTED,
                 (0.2, 0.4), 1e-3, 100)
 
+    def test_string_mode_is_named(self):
+        with pytest.raises(ModeMismatchError) as info:
+            sweep_initial_conditions("unitary", Topology.BOTH_CONNECTED,
+                                     (0.2, 0.4), 1e-3, 100)
+        assert str(info.value) == ("mode must be an InteractionMode, got "
+                                   "'unitary'")
+
     def test_unconverged_cells_reported(self):
         splitter = SplitterCoefficients.from_reflectance(0.9)
         result = sweep_initial_conditions(

@@ -11,7 +11,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from splitloop import cli, maps
+from splitloop import cli, maps, montecarlo
 from splitloop.cli import main
 from splitloop.errors import SplitLoopError
 
@@ -305,7 +305,7 @@ class TestMonteCarlo:
         def refuse(*args):
             raise AssertionError("sampled before --sigma was checked")
 
-        monkeypatch.setattr(cli, "ensemble_frequencies", refuse)
+        monkeypatch.setattr(montecarlo, "ensemble_frequencies", refuse)
         result = runner.invoke(main, ["mc", "--a1sq", "0.5", "--paths",
                                       "100000", "--seed", "1", "--sigma",
                                       "nan"])
@@ -367,6 +367,23 @@ class TestExitCodes:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr == "error: engine refused\n"
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mode", "unitary", "--wl1", "0.9", "--steps", "3"],
+        ["sweep", "--mode", "unitary", "--grid", "0.2:0.4:0.1"],
+        ["mc", "--a1sq", "0.5", "--paths", "10", "--seed", "1",
+         "--steps", "3"],
+        ["paper"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_exits_2(self, runner, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        result = runner.invoke(main, argv + ["--out", str(target)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr == (f"error: cannot write --out {str(target)!r}:"
+                                 " No such file or directory\n")
+        assert result.stdout == ""
+        assert not target.parent.exists()
 
 
 # sha256 of stdout, recorded from the per-command emitters that the shared

@@ -19,11 +19,11 @@ from splitloop import (AmplitudePair, FixedPoint, InteractionMode,
                        WeightPair, amplitudes_from_left_weight,
                        closed_form_measure_both,
                        closed_form_measure_right_half, fixed_points,
-                       induced_weight_map, map_derivative, stable_fixed_point,
-                       step_measure_both, step_measure_left_half,
-                       step_measure_right_half, step_unitary_both,
-                       step_unitary_left_half, step_unitary_right_half,
-                       weights_of)
+                       induced_weight_map, map_derivative, maps,
+                       stable_fixed_point, step_measure_both,
+                       step_measure_left_half, step_measure_right_half,
+                       step_unitary_both, step_unitary_left_half,
+                       step_unitary_right_half, weights_of)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BALANCED = AmplitudePair(INV_SQRT2, INV_SQRT2)
@@ -211,6 +211,28 @@ class TestStepMapDispatch:
         splitter = SplitterCoefficients.from_reflectance(0.5)
         with pytest.raises(ModeMismatchError) as info:
             StepMap(mode, topology, splitter).apply(state)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("lookup,message", [
+        (lambda: fixed_points(InteractionMode.FIXED_SPLITTER, "both"),
+         "topology must be a Topology, got 'both'"),
+        (lambda: fixed_points(InteractionMode.FIXED_SPLITTER, ["both"]),
+         "topology must be a Topology, got ['both']"),
+        (lambda: stable_fixed_point("x", Topology.BOTH_CONNECTED),
+         "mode must be an InteractionMode, got 'x'"),
+        (lambda: induced_weight_map("unitary", Topology.BOTH_CONNECTED),
+         "mode must be an InteractionMode, got 'unitary'"),
+        (lambda: maps.raw_step(InteractionMode.MOVABLE_SPLITTER, None,
+                               SplitterCoefficients.from_reflectance(0.5)),
+         "topology must be a Topology, got None"),
+        (lambda: StepMap("unitary", Topology.BOTH_CONNECTED,
+                         None).apply(BALANCED),
+         "mode must be an InteractionMode, got 'unitary'"),
+    ], ids=["fixed_points", "fixed_points-unhashable", "stable_fixed_point",
+            "induced_weight_map", "raw_step", "apply"])
+    def test_bad_mode_or_topology_is_named(self, lookup, message):
+        with pytest.raises(ModeMismatchError) as info:
+            lookup()
         assert str(info.value) == message
 
 

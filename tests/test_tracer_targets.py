@@ -1,8 +1,12 @@
-"""The perfbench tracer's targets in `maps` exist where it looks for them.
+"""The perfbench tracer's targets in `maps` and `montecarlo` exist where it
+looks for them.
 
 `perfbench/tracing.py` wraps module and class attributes by name and skips
 an absent one without failing, so a refactor that removed or moved one
-would leave the matching `--trace 1` counters at zero.
+would leave the matching `--trace 1` counters at zero. `cli` imports
+`montecarlo` only inside `mc` and reads its attributes at call time, so the
+MC spans come from the `montecarlo` targets, and the tracer's
+`cli.ensemble_frequencies` and `cli.agreement_report` targets are absent.
 """
 
 import importlib.util
@@ -17,6 +21,8 @@ EXPECTED = {"StepMap.apply"} | {
     for mode in ("unitary", "measure")
     for wiring in ("both", "right_half", "left_half")
     for prefix, suffix in (("step_", ""), ("", "_kernel"))}
+MC_EXPECTED = {f"montecarlo.{name}" for name in (
+    "ensemble_frequencies", "agreement_report", "_uniforms", "_walk")}
 
 
 def tracer_boundaries():
@@ -29,10 +35,28 @@ def tracer_boundaries():
     return tracing._boundaries(mods)
 
 
+def targets_in(*owners):
+    """Tracer target name -> the object it wraps (None when absent)."""
+    return {f"{owner.__name__.rpartition('.')[2]}.{attr}":
+            owner.__dict__.get(attr)
+            for owner, attr, _, _ in tracer_boundaries() if owner in owners}
+
+
 def test_every_maps_target_of_the_tracer_exists():
-    targets = {f"{owner.__name__.rpartition('.')[2]}.{attr}":
-               owner.__dict__.get(attr)
-               for owner, attr, _, _ in tracer_boundaries()
-               if owner in (maps, maps.StepMap)}
+    targets = targets_in(maps, maps.StepMap)
     assert EXPECTED <= targets.keys()
     assert [name for name, found in targets.items() if found is None] == []
+
+
+def test_every_montecarlo_target_of_the_tracer_exists():
+    targets = targets_in(montecarlo)
+    assert MC_EXPECTED <= targets.keys()
+    assert [name for name, found in targets.items() if found is None] == []
+
+
+def test_only_the_cli_copies_of_the_mc_stages_are_absent():
+    absent = [name for name, found in targets_in(
+        cli, analysis, trajectory, maps, maps.StepMap, states,
+        montecarlo).items() if found is None]
+    assert sorted(absent) == ["cli.agreement_report",
+                              "cli.ensemble_frequencies"]
