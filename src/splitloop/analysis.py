@@ -15,8 +15,8 @@ from typing import Sequence
 from .errors import DegenerateInitialError, ModeMismatchError, OutOfRangeError
 from .maps import induced_weight_map, stable_fixed_point
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
-                     Topology, WeightPair, _state_from_left_weight,
-                     weights_of)
+                     Topology, WeightPair, _check_unit,
+                     _state_from_left_weight, weights_of)
 from .trajectory import (ConvergenceCriterion, NotConverged, Scenario,
                          converging_record, iterate, steps_to_converge)
 
@@ -122,9 +122,7 @@ def compare_modes(w_left_initial: float, epsilon: float,
     run from it. Tied, the coherent route is never the slower one; untied,
     the measuring route can win (ratio below 1).
     """
-    if not 0.0 <= w_left_initial <= 1.0:
-        raise OutOfRangeError(
-            f"w_left_initial out of range: {w_left_initial!r} not in [0, 1]")
+    _check_unit("w_left_initial", w_left_initial)
     if w_left_initial in (0.0, 1.0):
         raise DegenerateInitialError(
             "pure initial states never relax; w_left_initial must be "

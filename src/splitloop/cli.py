@@ -28,7 +28,8 @@ from .analysis import (compare_modes, reference_sequences,
                        sweep_initial_conditions)
 from .errors import NumericDomainError, SplitLoopError
 from .states import (InteractionMode, SplitterCoefficients, Topology,
-                     WeightPair, _state_from_left_weight)
+                     _check_positive_finite, _state_from_left_weight,
+                     require_sampling_mode)
 from .trajectory import NotConverged, Scenario, StepSchedule, iterate
 
 EXIT_NUMERIC = 1
@@ -363,16 +364,17 @@ def sweep(mode, topology, grid, eps, max_steps, a1sq, fmt, out):
 @_out_option
 def mc(mode, topology, a1sq, steps, paths, seed, sigma, fmt, out):
     """Sample a photon ensemble and check it against the exact weights."""
-    from . import montecarlo  # numpy loads only for this command
-
-    montecarlo.require_sampling_mode(_MODES[mode])
-    montecarlo.check_sigma_bound(sigma)
-    topo_obj = _TOPOLOGIES[topology]
+    mode_obj = _MODES[mode]
+    require_sampling_mode(mode_obj)
+    _check_positive_finite("sigma_bound", sigma)
     splitter = SplitterCoefficients.from_reflectance(a1sq)
+    from . import montecarlo  # numpy loads here, after the checks above
+
+    topo_obj = _TOPOLOGIES[topology]
     estimate = montecarlo.ensemble_frequencies(splitter, topo_obj, steps,
                                                paths, seed)
-    analytic = iterate(Scenario(InteractionMode.MOVABLE_SPLITTER, topo_obj,
-                                splitter, WeightPair(a1sq, 1.0 - a1sq),
+    analytic = iterate(Scenario(mode_obj, topo_obj, splitter,
+                                _state_from_left_weight(mode_obj, a1sq),
                                 max_steps=steps))
     report = montecarlo.agreement_report(
         estimate, [r.weights for r in analytic.records], sigma_bound=sigma)

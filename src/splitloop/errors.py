@@ -26,7 +26,7 @@ class ScheduleConflictError(SplitLoopError, ValueError):
 
 
 class InvalidStepError(SplitLoopError, ValueError):
-    """A step index below 1 was passed to a closed-form evaluation."""
+    """A closed form got a step index that is not an integer >= 1."""
 
 
 class NumericDomainError(SplitLoopError, ArithmeticError):

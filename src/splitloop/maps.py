@@ -54,11 +54,10 @@ from enum import Enum
 from operator import attrgetter
 from typing import Callable, Union
 
-from .errors import (InvalidStepError, ModeMismatchError, NumericDomainError,
-                     OutOfRangeError)
+from .errors import InvalidStepError, ModeMismatchError, NumericDomainError
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
-                     Topology, WeightPair, amplitude_pair, normalize_pair,
-                     weight_pair)
+                     Topology, WeightPair, _check_count, _check_unit,
+                     amplitude_pair, normalize_pair, weight_pair)
 
 # Denominator guard for the half-connected unitary maps. Unreachable from a
 # normalized state (D >= 1 there), kept as a hard stop for raw kernel input.
@@ -231,11 +230,7 @@ def raw_step(mode: InteractionMode, topology: Topology,
     kernel is looked up by name each time raw_step runs. Fixed-splitter maps
     ignore the splitter, which may then be None.
     """
-    try:
-        kernel = globals()[_SPECS[mode, topology][0]]
-    except (KeyError, TypeError):
-        _spec(mode, topology)  # raises ModeMismatchError on a bad key
-        raise  # the key is valid; the kernel is missing from the module
+    kernel = globals()[_spec(mode, topology)[0]]
     if mode is _FIXED:
         def unitary(a: float, b: float) -> tuple[float, float, float]:
             a, b = kernel(a, b)
@@ -353,11 +348,8 @@ def closed_form_measure_both(w_left_initial: float,
     Step 1 is the initial weight itself. Serves as an independent check on
     the iterated map; the two agree to high accuracy for n up to hundreds.
     """
-    if n < 1:
-        raise InvalidStepError(f"step index must be >= 1, got {n!r}")
-    if not 0.0 <= w_left_initial <= 1.0:
-        raise OutOfRangeError(
-            f"w_left_initial out of range: {w_left_initial!r} not in [0, 1]")
+    _check_count("step index", n, InvalidStepError)
+    _check_unit("w_left_initial", w_left_initial)
     ratio = splitter.a1_squared - splitter.b1_squared
     return 0.5 + (w_left_initial - 0.5) * ratio ** (n - 1)
 
@@ -369,11 +361,8 @@ def closed_form_measure_right_half(w_left_initial: float,
 
     Pure geometric decay: w_L(n) = w_L(1) * (a1^2)^(n - 1).
     """
-    if n < 1:
-        raise InvalidStepError(f"step index must be >= 1, got {n!r}")
-    if not 0.0 <= w_left_initial <= 1.0:
-        raise OutOfRangeError(
-            f"w_left_initial out of range: {w_left_initial!r} not in [0, 1]")
+    _check_count("step index", n, InvalidStepError)
+    _check_unit("w_left_initial", w_left_initial)
     return w_left_initial * splitter.a1_squared ** (n - 1)
 
 

@@ -25,10 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (LengthMismatchError, OutOfRangeError,
-                     UnsupportedModeError)
+from .errors import LengthMismatchError, OutOfRangeError
 from .states import (InteractionMode, SplitterCoefficients, Topology,
-                     WeightPair)
+                     WeightPair, _check_count, _check_positive_finite,
+                     require_sampling_mode)
 
 GENERATOR_NAME = "philox"
 
@@ -70,21 +70,6 @@ class StepAgreement:
     passed: bool
 
 
-def require_sampling_mode(mode: InteractionMode) -> None:
-    """Refuse every mode but the movable splitter, the one with paths."""
-    if mode is not InteractionMode.MOVABLE_SPLITTER:
-        raise UnsupportedModeError(
-            "unsupported mode for sampling: only movable-splitter dynamics "
-            "have per-path statistics")
-
-
-def check_sigma_bound(sigma_bound: float) -> None:
-    """Refuse an agreement bound that is not positive and finite."""
-    if not (sigma_bound > 0.0 and math.isfinite(sigma_bound)):
-        raise OutOfRangeError(
-            f"sigma_bound must be positive and finite, got {sigma_bound!r}")
-
-
 # Philox4x64-10 (Salmon et al., SC'11) exactly as numpy's Philox computes
 # it: the key k is the words (k mod 2**64, k >> 64), the counter starts at 1
 # and counts blocks, each block gives four uint64 words, and a double is
@@ -115,13 +100,10 @@ CHUNK_MIN_PATHS = 512
 
 
 def _check_draw_args(steps: int, seed: int, n_paths: int = 1) -> None:
-    if not isinstance(steps, int) or steps < 1:
-        raise OutOfRangeError(f"steps must be an integer >= 1, got {steps!r}")
+    _check_count("steps", steps)
     if not isinstance(seed, int) or seed < 0:
         raise OutOfRangeError(f"seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(n_paths, int) or n_paths < 1:
-        raise OutOfRangeError(
-            f"n_paths must be an integer >= 1, got {n_paths!r}")
+    _check_count("n_paths", n_paths)
     if seed + n_paths > _KEY_SPACE:
         raise OutOfRangeError(
             f"seeds {seed}..{seed + n_paths - 1} exceed the Philox key "
@@ -287,7 +269,7 @@ def agreement_report(estimate: EnsembleEstimate,
                      analytic: Sequence[WeightPair],
                      sigma_bound: float = 4.0) -> list[StepAgreement]:
     """Per-step z-scores of the ensemble against an analytic weight series."""
-    check_sigma_bound(sigma_bound)
+    _check_positive_finite("sigma_bound", sigma_bound)
     if len(analytic) != len(estimate.w_left):
         raise LengthMismatchError(
             f"analytic series has {len(analytic)} steps, estimate has "

@@ -16,6 +16,9 @@ but does not participate in equality.
 constructors call it on hand-entered values; the trajectory loop calls it
 on the raw floats of every pass and wraps the results with
 `amplitude_pair`/`weight_pair`, which skip the constructor's second run.
+
+The argument rules that every module shares are written here once: the
+`_check_*` functions and `require_sampling_mode`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import NormalizationError, OutOfRangeError
+from .errors import NormalizationError, OutOfRangeError, UnsupportedModeError
 
 # Hand-entered amplitude pairs are often quoted to three decimals, which can
 # leave the squared norm off by a few 1e-4. Pairs within this tolerance are
@@ -40,6 +43,25 @@ _RANGE_SLACK = 1e-12
 
 _new = object.__new__
 _set = object.__setattr__
+
+
+def _check_unit(name: str, value: float) -> None:
+    """Refuse a value outside [0, 1], NaN included."""
+    if not 0.0 <= value <= 1.0:
+        raise OutOfRangeError(f"{name} out of range: {value!r} not in [0, 1]")
+
+
+def _check_count(name: str, value: int, error: type = OutOfRangeError) -> None:
+    """Refuse a count that is not an integer >= 1, raising `error`."""
+    if not isinstance(value, int) or value < 1:
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_positive_finite(name: str, value: float) -> None:
+    """Refuse a bound that is not positive and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise OutOfRangeError(
+            f"{name} must be positive and finite, got {value!r}")
 
 
 class Topology(Enum):
@@ -67,6 +89,14 @@ class InteractionMode(Enum):
 
     FIXED_SPLITTER = "unitary"
     MOVABLE_SPLITTER = "measure"
+
+
+def require_sampling_mode(mode: InteractionMode) -> None:
+    """Refuse every mode but the movable splitter, the one with paths."""
+    if mode is not InteractionMode.MOVABLE_SPLITTER:
+        raise UnsupportedModeError(
+            "unsupported mode for sampling: only movable-splitter dynamics "
+            "have per-path statistics")
 
 
 @dataclass(frozen=True)
@@ -212,17 +242,13 @@ class SplitterCoefficients:
     @classmethod
     def from_reflectance(cls, a1_squared: float) -> "SplitterCoefficients":
         """Build from the reflection probability a1^2 in [0, 1]."""
-        if not 0.0 <= a1_squared <= 1.0:
-            raise OutOfRangeError(
-                f"a1_squared out of range: {a1_squared!r} not in [0, 1]")
+        _check_unit("a1_squared", a1_squared)
         return cls(math.sqrt(a1_squared), math.sqrt(1.0 - a1_squared))
 
 
 def amplitudes_from_left_weight(w_left: float) -> AmplitudePair:
     """Amplitude pair (sqrt(w), sqrt(1 - w)) carrying weight w on the left."""
-    if not 0.0 <= w_left <= 1.0:
-        raise OutOfRangeError(
-            f"w_left out of range: {w_left!r} not in [0, 1]")
+    _check_unit("w_left", w_left)
     return AmplitudePair(math.sqrt(w_left), math.sqrt(1.0 - w_left))
 
 

@@ -25,7 +25,8 @@ from .errors import (ModeMismatchError, OutOfRangeError,
                      ScheduleConflictError)
 from .maps import State
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
-                     Topology, WeightPair, _new, _set, amplitude_pair,
+                     Topology, WeightPair, _check_count,
+                     _check_positive_finite, _new, _set, amplitude_pair,
                      weight_pair, weights_from_amplitudes, weights_of)
 
 
@@ -41,13 +42,7 @@ class Scenario:
     period: float = 1.0  # loop traversal time T
 
     def __post_init__(self) -> None:
-        if not isinstance(self.initial_topology, Topology):
-            raise ModeMismatchError(
-                "initial_topology must be a Topology, got "
-                f"{self.initial_topology!r}")
-        if not isinstance(self.mode, InteractionMode):
-            raise ModeMismatchError(
-                f"mode must be an InteractionMode, got {self.mode!r}")
+        maps._spec(self.mode, self.initial_topology)  # names a bad key
         state_type, _, _, label = maps._MODES[self.mode]
         if not isinstance(self.initial, state_type):
             article = "an" if state_type is AmplitudePair else "a"
@@ -58,12 +53,16 @@ class Scenario:
             raise ModeMismatchError(
                 "movable-splitter scenarios need SplitterCoefficients, "
                 f"got {self.splitter!r}")
-        if not isinstance(self.max_steps, int) or self.max_steps < 1:
+        _check_count("max_steps", self.max_steps)
+        _check_positive_finite("period", self.period)
+        try:  # the last record's time
+            horizon = self.max_steps * self.period
+        except OverflowError:  # max_steps is beyond the float range
+            horizon = math.inf
+        if not math.isfinite(horizon):
             raise OutOfRangeError(
-                f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        if not (self.period > 0.0 and math.isfinite(self.period)):
-            raise OutOfRangeError(
-                f"period must be positive and finite, got {self.period!r}")
+                f"max_steps * period overflows: {self.max_steps!r} * "
+                f"{self.period!r}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,7 @@ class StepSchedule:
     def __post_init__(self) -> None:
         last = 0
         for step, topology in self.switches:
-            if not isinstance(step, int) or step < 1:
-                raise ScheduleConflictError(
-                    f"switch step must be an integer >= 1, got {step!r}")
+            _check_count("switch step", step, ScheduleConflictError)
             if step <= last:
                 raise ScheduleConflictError(
                     f"switch steps must be strictly increasing, got {step} "
@@ -242,9 +239,7 @@ def run_switching_experiment(phases: Sequence[tuple[Topology, int]],
     if not phases:
         raise ScheduleConflictError("at least one phase is required")
     for topology, count in phases:
-        if not isinstance(count, int) or count < 1:
-            raise ScheduleConflictError(
-                f"phase length must be an integer >= 1, got {count!r}")
+        _check_count("phase length", count, ScheduleConflictError)
     total = sum(count for _, count in phases)
     switches = []
     elapsed = phases[0][1]

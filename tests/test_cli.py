@@ -98,6 +98,16 @@ class TestRun:
         assert result.exit_code == 2
         assert "period must be positive and finite" in result.stderr
 
+    def test_period_whose_last_time_overflows_rejected(self, runner):
+        # the last record's time was inf, printed as JSON's invalid Infinity
+        result = runner.invoke(main, ["run", "--mode", "measure",
+                                      "--wl1", "0.5", "--period", "1e308",
+                                      "--steps", "3", "--format", "json"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: max_steps * period overflows: "
+                                 "3 * 1e+308\n")
+
     def test_out_file_matches_stdout(self, runner, tmp_path):
         args = ["run", "--mode", "unitary", "--wl1", "0.37", "--steps", "9"]
         printed = runner.invoke(main, args)

@@ -1,10 +1,11 @@
-"""numpy loads only where arrays are used.
+"""Imports: numpy loads only where arrays are used, and none is unused.
 
 Every CLI command but `mc` works on floats, and `import numpy` used to be
 most of a cold start. These checks run in fresh interpreters, because the
 test session itself has long since imported numpy.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -71,6 +72,20 @@ def test_non_mc_commands_leave_numpy_unloaded(argv, code):
     exit_code, stdout, stderr, numpy_loaded = run_cli(argv)
     assert exit_code == code, stderr[-500:]
     assert "Traceback" not in stderr
+    assert not numpy_loaded
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "unitary", "--a1sq", "0.9"],
+    ["--a1sq", "0.9", "--sigma", "nan"],
+    ["--a1sq", "1.5"],
+], ids=["mode", "sigma", "a1sq"])
+def test_mc_config_errors_leave_numpy_unloaded(flags):
+    exit_code, stdout, stderr, numpy_loaded = run_cli(
+        ["mc", *flags, "--paths", "10", "--seed", "1"])
+    assert exit_code == 2
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
     assert not numpy_loaded
 
 
@@ -163,3 +178,46 @@ else:
     raise AssertionError("array denominator guard did not fire")
 """)
     assert proc.returncode == 0, proc.stderr[-500:]
+
+
+def _unused_imports(path):
+    """Names an import binds in the file at path that nothing there reads.
+
+    A name listed in `__all__` counts as read: it is a re-export.
+    """
+    with open(path) as source:
+        tree = ast.parse(source.read())
+    bound = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__"
+                      for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted(f"{os.path.basename(path)}:{line}: {name}"
+                  for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    package = os.path.dirname(splitloop.__file__)
+    found = [hit for name in sorted(os.listdir(package))
+             if name.endswith(".py")
+             for hit in _unused_imports(os.path.join(package, name))]
+    assert found == []
+
+
+def test_unused_import_check_sees_an_unused_name(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("import math\nimport os as system\n"
+                      "from typing import Any, List\n"
+                      "__all__ = ['Any']\nsystem.getcwd()\n")
+    assert _unused_imports(str(source)) == ["sample.py:1: math",
+                                            "sample.py:3: List"]

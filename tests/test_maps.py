@@ -318,8 +318,9 @@ class TestClosedForms:
                                              closed_form_measure_right_half])
     def test_validation(self, closed_form):
         splitter = SplitterCoefficients.from_reflectance(0.9)
-        with pytest.raises(InvalidStepError):
-            closed_form(0.9, splitter, 0)
+        for n in (0, 2.5):  # 2.5 once returned a complex number
+            with pytest.raises(InvalidStepError):
+                closed_form(0.9, splitter, n)
         with pytest.raises(OutOfRangeError):
             closed_form(1.2, splitter, 3)
 

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitloop import (AMPLITUDE_NORM_TOL, AmplitudePair, NormalizationError,
-                       OutOfRangeError, SplitterCoefficients, Violation,
-                       WeightPair, amplitudes_from_left_weight,
-                       validate_amplitudes, validate_weights, weights_of)
+from splitloop import (AMPLITUDE_NORM_TOL, AmplitudePair, InteractionMode,
+                       InvalidStepError, ModeMismatchError, NormalizationError,
+                       OutOfRangeError, Scenario, ScheduleConflictError,
+                       SplitLoopError, SplitterCoefficients, StepSchedule,
+                       Topology, UnsupportedModeError, Violation, WeightPair,
+                       agreement_report, amplitudes_from_left_weight,
+                       closed_form_measure_both,
+                       closed_form_measure_right_half, compare_modes,
+                       ensemble_frequencies, run_switching_experiment,
+                       sample_path, validate_amplitudes, validate_weights,
+                       weights_of)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -172,3 +179,64 @@ class TestConversions:
     def test_weight_round_trip(self, w):
         back = weights_of(amplitudes_from_left_weight(w))
         assert abs(back.w_left - w) < 1e-12
+
+
+SP9 = SplitterCoefficients.from_reflectance(0.9)
+BOTH = Topology.BOTH_CONNECTED
+MEASURE = InteractionMode.MOVABLE_SPLITTER
+WP9 = WeightPair(0.9, 0.1)
+
+
+def _ensemble():
+    return ensemble_frequencies(SP9, BOTH, 2, 10, 0)
+
+
+# Every call site of the three shared argument rules and of the sampling
+# mode rule, with the class and message each raised before the rules were
+# shared. Only the step index (which gained "an integer") and Scenario's
+# topology (now maps._spec's message) read differently.
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: SplitterCoefficients.from_reflectance(1.5), OutOfRangeError,
+     "a1_squared out of range: 1.5 not in [0, 1]"),
+    (lambda: amplitudes_from_left_weight(math.nan), OutOfRangeError,
+     "w_left out of range: nan not in [0, 1]"),
+    (lambda: closed_form_measure_both(1.2, SP9, 3), OutOfRangeError,
+     "w_left_initial out of range: 1.2 not in [0, 1]"),
+    (lambda: closed_form_measure_right_half(-0.1, SP9, 3), OutOfRangeError,
+     "w_left_initial out of range: -0.1 not in [0, 1]"),
+    (lambda: compare_modes(-0.5, 1e-3), OutOfRangeError,
+     "w_left_initial out of range: -0.5 not in [0, 1]"),
+    (lambda: closed_form_measure_both(0.9, SP9, 0), InvalidStepError,
+     "step index must be an integer >= 1, got 0"),
+    (lambda: closed_form_measure_right_half(0.9, SP9, 2.5), InvalidStepError,
+     "step index must be an integer >= 1, got 2.5"),
+    (lambda: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=2.0),
+     OutOfRangeError, "max_steps must be an integer >= 1, got 2.0"),
+    (lambda: StepSchedule(((0, BOTH),)), ScheduleConflictError,
+     "switch step must be an integer >= 1, got 0"),
+    (lambda: run_switching_experiment([(BOTH, 0)], MEASURE, SP9, WP9),
+     ScheduleConflictError, "phase length must be an integer >= 1, got 0"),
+    (lambda: sample_path(SP9, BOTH, 1.5, 0), OutOfRangeError,
+     "steps must be an integer >= 1, got 1.5"),
+    (lambda: ensemble_frequencies(SP9, BOTH, 3, 0, 0), OutOfRangeError,
+     "n_paths must be an integer >= 1, got 0"),
+    (lambda: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=3, period=0.0),
+     OutOfRangeError, "period must be positive and finite, got 0.0"),
+    (lambda: agreement_report(_ensemble(), [WP9, WP9], sigma_bound=math.nan),
+     OutOfRangeError, "sigma_bound must be positive and finite, got nan"),
+    (lambda: Scenario(MEASURE, "both", SP9, WP9, max_steps=3),
+     ModeMismatchError, "topology must be a Topology, got 'both'"),
+    (lambda: Scenario("measure", BOTH, SP9, WP9, max_steps=3),
+     ModeMismatchError, "mode must be an InteractionMode, got 'measure'"),
+    (lambda: sample_path(SP9, BOTH, 3, 0, InteractionMode.FIXED_SPLITTER),
+     UnsupportedModeError, "unsupported mode for sampling: only "
+     "movable-splitter dynamics have per-path statistics"),
+], ids=["reflectance", "left-weight", "closed-both-w", "closed-right-w",
+        "compare-w", "step-index-0", "step-index-2.5", "max-steps",
+        "switch-step", "phase-length", "mc-steps", "mc-paths", "period",
+        "sigma", "scenario-topology", "scenario-mode", "sampling-mode"])
+def test_argument_rule_class_and_message(call, error, message):
+    with pytest.raises(SplitLoopError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -91,6 +91,13 @@ class TestScenarioValidation:
         with pytest.raises(OutOfRangeError):
             unitary_scenario(0.9, 5, period=period)
 
+    @pytest.mark.parametrize("steps,period", [(3, 1e308), (10 ** 400, 1.0)],
+                             ids=["period", "max-steps"])
+    def test_last_record_time_must_be_finite(self, steps, period):
+        with pytest.raises(OutOfRangeError, match="max_steps \\* period "
+                                                  "overflows"):
+            unitary_scenario(0.9, steps, period=period)
+
 
 class TestIterate:
     def test_record_count_and_indexing(self):
