@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegenerateInitialError, ModeMismatchError, OutOfRangeError
+from .errors import DegenerateInitialError, OutOfRangeError
 from .maps import induced_weight_map, stable_fixed_point
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
                      Topology, WeightPair, _check_unit,
@@ -189,9 +189,6 @@ def sweep_initial_conditions(mode: InteractionMode, topology: Topology,
                 f"grid must be strictly increasing, got {w!r} after "
                 f"{previous!r}")
         previous = w
-    if mode is InteractionMode.MOVABLE_SPLITTER and splitter is None:
-        raise ModeMismatchError(
-            "movable-splitter sweeps need explicit splitter coefficients")
     target_state = stable_fixed_point(mode, topology)
     target = (weights_of(target_state)
               if isinstance(target_state, AmplitudePair) else target_state)

@@ -28,8 +28,8 @@ from .analysis import (compare_modes, reference_sequences,
                        sweep_initial_conditions)
 from .errors import NumericDomainError, SplitLoopError
 from .states import (InteractionMode, SplitterCoefficients, Topology,
-                     _check_positive_finite, _state_from_left_weight,
-                     require_sampling_mode)
+                     _check_positive_finite, _check_sampling,
+                     _state_from_left_weight)
 from .trajectory import NotConverged, Scenario, StepSchedule, iterate
 
 EXIT_NUMERIC = 1
@@ -365,7 +365,7 @@ def sweep(mode, topology, grid, eps, max_steps, a1sq, fmt, out):
 def mc(mode, topology, a1sq, steps, paths, seed, sigma, fmt, out):
     """Sample a photon ensemble and check it against the exact weights."""
     mode_obj = _MODES[mode]
-    require_sampling_mode(mode_obj)
+    _check_sampling(mode_obj, steps, seed, paths)
     _check_positive_finite("sigma_bound", sigma)
     splitter = SplitterCoefficients.from_reflectance(a1sq)
     from . import montecarlo  # numpy loads here, after the checks above

@@ -56,8 +56,8 @@ from typing import Callable, Union
 
 from .errors import InvalidStepError, ModeMismatchError, NumericDomainError
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
-                     Topology, WeightPair, _check_count, _check_unit,
-                     amplitude_pair, normalize_pair, weight_pair)
+                     Topology, WeightPair, _check_count, _check_splitter,
+                     _check_unit, amplitude_pair, normalize_pair, weight_pair)
 
 # Denominator guard for the half-connected unitary maps. Unreachable from a
 # normalized state (D >= 1 there), kept as a hard stop for raw kernel input.
@@ -228,7 +228,8 @@ def raw_step(mode: InteractionMode, topology: Topology,
     the kernel's denominator guard, the Markov agreement check of the
     both-connected measuring map, and the range and norm/sum bands. The
     kernel is looked up by name each time raw_step runs. Fixed-splitter maps
-    ignore the splitter, which may then be None.
+    ignore the splitter, which may then be None; movable-splitter maps
+    refuse anything but SplitterCoefficients.
     """
     kernel = globals()[_spec(mode, topology)[0]]
     if mode is _FIXED:
@@ -236,6 +237,7 @@ def raw_step(mode: InteractionMode, topology: Topology,
             a, b = kernel(a, b)
             return normalize_pair(a, b, True)
         return unitary
+    _check_splitter(splitter)
     a1sq, b1sq = splitter.a1_squared, splitter.b1_squared
     markov = topology is Topology.BOTH_CONNECTED
 
@@ -265,13 +267,12 @@ class StepMap:
     splitter: SplitterCoefficients | None
 
     def apply(self, state: State) -> State:
-        _spec(self.mode, self.topology)  # a bad mode or topology is named
+        step = raw_step(self.mode, self.topology, self.splitter)
         state_type, components, make, label = _MODES[self.mode]
         if not isinstance(state, state_type):
             raise ModeMismatchError(
                 f"{label} maps act on {state_type.__name__}, got "
                 f"{type(state).__name__}")
-        step = raw_step(self.mode, self.topology, self.splitter)
         return make(*step(*components(state)))
 
 
@@ -350,6 +351,7 @@ def closed_form_measure_both(w_left_initial: float,
     """
     _check_count("step index", n, InvalidStepError)
     _check_unit("w_left_initial", w_left_initial)
+    _check_splitter(splitter)
     ratio = splitter.a1_squared - splitter.b1_squared
     return 0.5 + (w_left_initial - 0.5) * ratio ** (n - 1)
 
@@ -363,6 +365,7 @@ def closed_form_measure_right_half(w_left_initial: float,
     """
     _check_count("step index", n, InvalidStepError)
     _check_unit("w_left_initial", w_left_initial)
+    _check_splitter(splitter)
     return w_left_initial * splitter.a1_squared ** (n - 1)
 
 
@@ -380,9 +383,7 @@ def induced_weight_map(mode: InteractionMode, topology: Topology,
     name, _, weight_map = _spec(mode, topology)
     if weight_map is not None:
         return weight_map
-    if splitter is None:
-        raise ModeMismatchError(
-            "movable-splitter weight maps need the splitter coefficients")
+    _check_splitter(splitter)
     kernel = globals()[name]
     a1sq, b1sq = splitter.a1_squared, splitter.b1_squared
     return lambda w: kernel(w, 1.0 - w, a1sq, b1sq)[0]

@@ -6,7 +6,7 @@ probabilities. Ensemble frequencies across many paths estimate the same
 per-step weights the deterministic weight maps compute, which makes this an
 independent check on them. Fixed-splitter dynamics have no per-path story
 (the state is a coherent superposition, not a position), so that mode is
-refused.
+refused by `states._check_sampling`, which the CLI runs before numpy loads.
 
 Randomness comes from counter-based Philox streams: path i of an ensemble
 draws from the stream keyed base_seed + i, and a path is fully determined
@@ -25,10 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatchError, OutOfRangeError
+from .errors import LengthMismatchError
+from .maps import _spec
 from .states import (InteractionMode, SplitterCoefficients, Topology,
-                     WeightPair, _check_count, _check_positive_finite,
-                     require_sampling_mode)
+                     WeightPair, _check_positive_finite, _check_sampling,
+                     _check_splitter)
 
 GENERATOR_NAME = "philox"
 
@@ -74,7 +75,6 @@ class StepAgreement:
 # it: the key k is the words (k mod 2**64, k >> 64), the counter starts at 1
 # and counts blocks, each block gives four uint64 words, and a double is
 # (word >> 11) * 2**-53.
-_KEY_SPACE = 2 ** 128
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -97,17 +97,6 @@ VECTOR_MAX_STEPS = 128
 #: up to 1.6x slower.
 CHUNK_PATH_STEPS = 2 ** 16
 CHUNK_MIN_PATHS = 512
-
-
-def _check_draw_args(steps: int, seed: int, n_paths: int = 1) -> None:
-    _check_count("steps", steps)
-    if not isinstance(seed, int) or seed < 0:
-        raise OutOfRangeError(f"seed must be a non-negative integer, got {seed!r}")
-    _check_count("n_paths", n_paths)
-    if seed + n_paths > _KEY_SPACE:
-        raise OutOfRangeError(
-            f"seeds {seed}..{seed + n_paths - 1} exceed the Philox key "
-            f"range 0..2**128 - 1")
 
 
 def _chunk_paths(steps: int) -> int:
@@ -185,8 +174,8 @@ def _rekeyed_uniforms(base_seed: int, n_paths: int, steps: int) -> np.ndarray:
 def _uniforms(base_seed: int, n_paths: int, steps: int) -> np.ndarray:
     """Row i: the first `steps` doubles of the Philox stream keyed base_seed + i.
 
-    Bit for bit what np.random.Generator(np.random.Philox(key=base_seed + i))
-    .random(steps) returns.
+    Bit for bit what a numpy Generator on a Philox keyed base_seed + i
+    returns from .random(steps).
     """
     if steps <= VECTOR_MAX_STEPS:
         return _philox_uniforms(base_seed, n_paths, steps)
@@ -227,12 +216,11 @@ def sample_path(splitter: SplitterCoefficients, topology: Topology,
                 mode: InteractionMode = InteractionMode.MOVABLE_SPLITTER,
                 ) -> PhotonPath:
     """One photon path of the given length, fully determined by the seed."""
-    require_sampling_mode(mode)
-    _check_draw_args(steps, seed)
-    # a single row: one generator beats a vectorized call's fixed cost
-    row = np.random.Generator(np.random.Philox(key=seed)).random((1, steps))
-    column = _walk(row, splitter.a1_squared, splitter.b1_squared,
-                   topology)[:, 0]
+    _check_sampling(mode, steps, seed)
+    _spec(mode, topology)  # a bad topology is named before any draw
+    _check_splitter(splitter)
+    column = _walk(_rekeyed_uniforms(seed, 1, steps), splitter.a1_squared,
+                   splitter.b1_squared, topology)[:, 0]
     sides = tuple(Side.LEFT if hit else Side.RIGHT for hit in column)
     return PhotonPath(sides, seed)
 
@@ -247,8 +235,9 @@ def ensemble_frequencies(splitter: SplitterCoefficients, topology: Topology,
     base_seed, base_seed + 1, ..., base_seed + n_paths - 1, a chunk of paths
     at a time.
     """
-    require_sampling_mode(mode)
-    _check_draw_args(steps, base_seed, n_paths)
+    _check_sampling(mode, steps, base_seed, n_paths)
+    _spec(mode, topology)  # a bad topology is named before any draw
+    _check_splitter(splitter)
     chunk = _chunk_paths(steps)
     counts = np.zeros(steps, dtype=np.int64)
     for start in range(0, n_paths, chunk):

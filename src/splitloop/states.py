@@ -17,8 +17,8 @@ constructors call it on hand-entered values; the trajectory loop calls it
 on the raw floats of every pass and wraps the results with
 `amplitude_pair`/`weight_pair`, which skip the constructor's second run.
 
-The argument rules that every module shares are written here once: the
-`_check_*` functions and `require_sampling_mode`.
+The argument rules that every module shares are written here once, as the
+`_check_*` functions.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import NormalizationError, OutOfRangeError, UnsupportedModeError
+from .errors import (ModeMismatchError, NormalizationError, OutOfRangeError,
+                     UnsupportedModeError)
 
 # Hand-entered amplitude pairs are often quoted to three decimals, which can
 # leave the squared norm off by a few 1e-4. Pairs within this tolerance are
@@ -91,12 +92,29 @@ class InteractionMode(Enum):
     MOVABLE_SPLITTER = "measure"
 
 
-def require_sampling_mode(mode: InteractionMode) -> None:
-    """Refuse every mode but the movable splitter, the one with paths."""
+def _check_splitter(splitter: SplitterCoefficients) -> None:
+    """Refuse a splitter a movable-splitter map cannot read."""
+    if not isinstance(splitter, SplitterCoefficients):
+        raise ModeMismatchError(
+            "movable-splitter maps need SplitterCoefficients, got "
+            f"{splitter!r}")
+
+
+def _check_sampling(mode: InteractionMode, steps: int, seed: int,
+                    n_paths: int = 1) -> None:
+    """Refuse a draw the sampler cannot make: a mode without paths, a bad
+    count, or seeds seed .. seed + n_paths - 1 outside the 128-bit keys."""
     if mode is not InteractionMode.MOVABLE_SPLITTER:
         raise UnsupportedModeError(
             "unsupported mode for sampling: only movable-splitter dynamics "
             "have per-path statistics")
+    _check_count("steps", steps)
+    if not isinstance(seed, int) or seed < 0:
+        raise OutOfRangeError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_count("n_paths", n_paths)
+    if seed + n_paths > 2 ** 128:
+        raise OutOfRangeError(f"seeds {seed}..{seed + n_paths - 1} exceed "
+                              "the Philox key range 0..2**128 - 1")
 
 
 @dataclass(frozen=True)

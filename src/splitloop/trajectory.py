@@ -26,8 +26,9 @@ from .errors import (ModeMismatchError, OutOfRangeError,
 from .maps import State
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
                      Topology, WeightPair, _check_count,
-                     _check_positive_finite, _new, _set, amplitude_pair,
-                     weight_pair, weights_from_amplitudes, weights_of)
+                     _check_positive_finite, _check_splitter, _new, _set,
+                     amplitude_pair, weight_pair, weights_from_amplitudes,
+                     weights_of)
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,8 @@ class Scenario:
             article = "an" if state_type is AmplitudePair else "a"
             raise ModeMismatchError(f"{label} scenarios start from {article} "
                                     f"{state_type.__name__}")
-        if (self.mode is InteractionMode.MOVABLE_SPLITTER
-                and not isinstance(self.splitter, SplitterCoefficients)):
-            raise ModeMismatchError(
-                "movable-splitter scenarios need SplitterCoefficients, "
-                f"got {self.splitter!r}")
+        if self.mode is InteractionMode.MOVABLE_SPLITTER:
+            _check_splitter(self.splitter)
         _check_count("max_steps", self.max_steps)
         _check_positive_finite("period", self.period)
         try:  # the last record's time
@@ -116,9 +114,7 @@ class ConvergenceCriterion:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise OutOfRangeError(
-                f"epsilon must be positive, got {self.epsilon!r}")
+        _check_positive_finite("epsilon", self.epsilon)
 
     def distance(self, weights: WeightPair) -> float:
         return max(abs(weights.w_left - self.target.w_left),
@@ -136,16 +132,14 @@ class NotConverged:
     final_distance: float
 
 
-def _check_schedule(schedule: StepSchedule, max_steps: int) -> None:
-    if schedule.switches and schedule.switches[-1][0] > max_steps:
-        raise ScheduleConflictError(
-            f"switch at step {schedule.switches[-1][0]} exceeds max_steps "
-            f"{max_steps}")
-
-
 def _records(scenario: Scenario,
-             schedule: StepSchedule) -> Iterator[TrajectoryRecord]:
-    switch_at = dict(schedule.switches)
+             schedule: StepSchedule | None) -> Iterator[TrajectoryRecord]:
+    switches = schedule.switches if schedule is not None else ()
+    if switches and switches[-1][0] > scenario.max_steps:
+        raise ScheduleConflictError(
+            f"switch at step {switches[-1][0]} exceeds max_steps "
+            f"{scenario.max_steps}")
+    switch_at = dict(switches)
     mode, splitter, period = scenario.mode, scenario.splitter, scenario.period
     topology = scenario.initial_topology
     step = maps.raw_step(mode, topology, splitter)
@@ -187,8 +181,6 @@ def iterate(scenario: Scenario,
     Pure and deterministic: the same arguments give bit-identical
     trajectories, and any prefix of a longer run matches the shorter run.
     """
-    schedule = schedule if schedule is not None else StepSchedule()
-    _check_schedule(schedule, scenario.max_steps)
     return Trajectory(tuple(_records(scenario, schedule)))
 
 
@@ -201,8 +193,6 @@ def converging_record(scenario: Scenario,
     Scans the run lazily and stops at the first satisfying record; when
     max_steps runs out first, returns the final record and False.
     """
-    schedule = schedule if schedule is not None else StepSchedule()
-    _check_schedule(schedule, scenario.max_steps)
     for record in _records(scenario, schedule):
         if criterion.satisfied(record.weights):
             return record, True

@@ -189,6 +189,13 @@ class TestCompare:
         assert result.exit_code == 0
         assert "no convergence in 4 steps" in result.output
 
+    def test_infinite_epsilon_rejected(self, runner):
+        result = runner.invoke(main, ["compare", "--wl1", "0.9",
+                                      "--eps", "inf"])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: epsilon must be positive and "
+                                 "finite, got inf\n")
+
 
 class TestSweep:
     def test_default_grid_has_nineteen_cells(self, runner):
@@ -211,6 +218,12 @@ class TestSweep:
         result = runner.invoke(main, ["sweep", "--mode", "measure",
                                       "--a1sq", "0.7"])
         assert result.exit_code == 0
+
+    def test_infinite_epsilon_rejected(self, runner):
+        result = runner.invoke(main, ["sweep", "--mode", "unitary",
+                                      "--eps", "inf"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
 
     def test_json_carries_the_target(self, runner):
         result = runner.invoke(main, ["sweep", "--mode", "measure",
@@ -336,6 +349,13 @@ class TestMonteCarlo:
             f"error: seeds {top}..{2 ** 128} exceed the Philox key range "
             "0..2**128 - 1\n")
         assert result.stdout == ""
+
+    def test_draw_arguments_are_checked_before_sigma(self, runner):
+        result = runner.invoke(main, ["mc", "--a1sq", "0.9", "--paths", "0",
+                                      "--seed", "1", "--sigma", "nan"])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: n_paths must be an integer >= 1, "
+                                 "got 0\n")
 
     def test_zero_paths_rejected(self, runner):
         result = runner.invoke(main, ["mc", "--a1sq", "0.9", "--paths", "0",

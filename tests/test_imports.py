@@ -75,14 +75,19 @@ def test_non_mc_commands_leave_numpy_unloaded(argv, code):
     assert not numpy_loaded
 
 
+# The flags come last, so that they override the default --paths and --seed.
 @pytest.mark.parametrize("flags", [
     ["--mode", "unitary", "--a1sq", "0.9"],
     ["--a1sq", "0.9", "--sigma", "nan"],
     ["--a1sq", "1.5"],
-], ids=["mode", "sigma", "a1sq"])
+    ["--a1sq", "0.9", "--steps", "0"],
+    ["--a1sq", "0.9", "--paths", "0"],
+    ["--a1sq", "0.9", "--seed", "-1"],
+    ["--a1sq", "0.9", "--seed", str(2 ** 128 - 1), "--paths", "2"],
+], ids=["mode", "sigma", "a1sq", "steps", "paths", "seed", "key-range"])
 def test_mc_config_errors_leave_numpy_unloaded(flags):
     exit_code, stdout, stderr, numpy_loaded = run_cli(
-        ["mc", *flags, "--paths", "10", "--seed", "1"])
+        ["mc", "--paths", "10", "--seed", "1", *flags])
     assert exit_code == 2
     assert stdout == ""
     assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from splitloop import montecarlo
 from splitloop import (GENERATOR_NAME, InteractionMode, LengthMismatchError,
-                       OutOfRangeError, Scenario, Side, SplitterCoefficients,
+                       ModeMismatchError, OutOfRangeError, Scenario, Side, SplitterCoefficients,
                        Topology, UnsupportedModeError, WeightPair,
                        agreement_report, ensemble_frequencies, iterate,
                        sample_path)
@@ -246,6 +246,21 @@ class TestEnsemble:
         with pytest.raises(UnsupportedModeError):
             ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, 4, 10, 1,
                                  mode=InteractionMode.FIXED_SPLITTER)
+
+    @pytest.mark.parametrize("splitter,topology", [
+        (SP9, "both"), (None, Topology.BOTH_CONNECTED)],
+        ids=["topology", "splitter"])
+    def test_bad_topology_or_splitter_fails_before_any_draw(
+            self, monkeypatch, splitter, topology):
+        def refuse(*args):
+            raise AssertionError("drew before the arguments were checked")
+
+        monkeypatch.setattr(montecarlo, "_uniforms", refuse)
+        monkeypatch.setattr(montecarlo, "_rekeyed_uniforms", refuse)
+        with pytest.raises(ModeMismatchError):
+            ensemble_frequencies(splitter, topology, 4, 10, 1)
+        with pytest.raises(ModeMismatchError):
+            sample_path(splitter, topology, 4, 1)
 
 
 class TestAgreement:

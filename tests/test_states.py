@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitloop import (AMPLITUDE_NORM_TOL, AmplitudePair, InteractionMode,
+from splitloop import (AMPLITUDE_NORM_TOL, AmplitudePair,
+                       ConvergenceCriterion, InteractionMode,
                        InvalidStepError, ModeMismatchError, NormalizationError,
                        OutOfRangeError, Scenario, ScheduleConflictError,
-                       SplitLoopError, SplitterCoefficients, StepSchedule,
-                       Topology, UnsupportedModeError, Violation, WeightPair,
-                       agreement_report, amplitudes_from_left_weight,
-                       closed_form_measure_both,
+                       SplitLoopError, SplitterCoefficients, StepMap,
+                       StepSchedule, Topology, UnsupportedModeError,
+                       Violation, WeightPair, agreement_report,
+                       amplitudes_from_left_weight, closed_form_measure_both,
                        closed_form_measure_right_half, compare_modes,
-                       ensemble_frequencies, run_switching_experiment,
-                       sample_path, validate_amplitudes, validate_weights,
-                       weights_of)
+                       ensemble_frequencies, induced_weight_map,
+                       run_switching_experiment, sample_path,
+                       step_measure_right_half, sweep_initial_conditions,
+                       validate_amplitudes, validate_weights, weights_of)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -191,10 +193,11 @@ def _ensemble():
     return ensemble_frequencies(SP9, BOTH, 2, 10, 0)
 
 
-# Every call site of the three shared argument rules and of the sampling
-# mode rule, with the class and message each raised before the rules were
-# shared. Only the step index (which gained "an integer") and Scenario's
-# topology (now maps._spec's message) read differently.
+# Every call site of the shared argument rules in `states`, with the class
+# and exact message each raises.
+NO_SPLITTER = "movable-splitter maps need SplitterCoefficients, got "
+
+
 @pytest.mark.parametrize("call,error,message", [
     (lambda: SplitterCoefficients.from_reflectance(1.5), OutOfRangeError,
      "a1_squared out of range: 1.5 not in [0, 1]"),
@@ -231,10 +234,38 @@ def _ensemble():
     (lambda: sample_path(SP9, BOTH, 3, 0, InteractionMode.FIXED_SPLITTER),
      UnsupportedModeError, "unsupported mode for sampling: only "
      "movable-splitter dynamics have per-path statistics"),
+    (lambda: Scenario(MEASURE, BOTH, None, WP9, max_steps=3),
+     ModeMismatchError, NO_SPLITTER + "None"),
+    (lambda: sweep_initial_conditions(MEASURE, BOTH, (0.2, 0.4), 1e-3),
+     ModeMismatchError, NO_SPLITTER + "None"),
+    (lambda: StepMap(MEASURE, BOTH, None).apply(WP9),
+     ModeMismatchError, NO_SPLITTER + "None"),
+    (lambda: step_measure_right_half(WP9, 0.9),
+     ModeMismatchError, NO_SPLITTER + "0.9"),
+    (lambda: induced_weight_map(MEASURE, BOTH),
+     ModeMismatchError, NO_SPLITTER + "None"),
+    (lambda: closed_form_measure_both(0.9, None, 3),
+     ModeMismatchError, NO_SPLITTER + "None"),
+    (lambda: closed_form_measure_right_half(0.9, 0.9, 3),
+     ModeMismatchError, NO_SPLITTER + "0.9"),
+    (lambda: ensemble_frequencies(None, BOTH, 3, 10, 0),
+     ModeMismatchError, NO_SPLITTER + "None"),
+    (lambda: sample_path(0.9, BOTH, 3, 0),
+     ModeMismatchError, NO_SPLITTER + "0.9"),
+    (lambda: ensemble_frequencies(SP9, "both", 3, 10, 0),
+     ModeMismatchError, "topology must be a Topology, got 'both'"),
+    (lambda: sample_path(SP9, "both", 3, 0),
+     ModeMismatchError, "topology must be a Topology, got 'both'"),
+    (lambda: ConvergenceCriterion(WP9, math.inf), OutOfRangeError,
+     "epsilon must be positive and finite, got inf"),
 ], ids=["reflectance", "left-weight", "closed-both-w", "closed-right-w",
         "compare-w", "step-index-0", "step-index-2.5", "max-steps",
         "switch-step", "phase-length", "mc-steps", "mc-paths", "period",
-        "sigma", "scenario-topology", "scenario-mode", "sampling-mode"])
+        "sigma", "scenario-topology", "scenario-mode", "sampling-mode",
+        "scenario-splitter", "sweep-splitter", "apply-splitter",
+        "step-splitter", "weight-map-splitter", "closed-both-splitter",
+        "closed-right-splitter", "ensemble-splitter", "path-splitter",
+        "ensemble-topology", "path-topology", "epsilon-inf"])
 def test_argument_rule_class_and_message(call, error, message):
     with pytest.raises(SplitLoopError) as info:
         call()
