@@ -28,7 +28,7 @@ from .analysis import (compare_modes, reference_sequences,
                        sweep_initial_conditions)
 from .errors import NumericDomainError, SplitLoopError
 from .states import (InteractionMode, SplitterCoefficients, Topology,
-                     _check_positive_finite, _check_sampling,
+                     _check_positive_finite, _check_sampling, _check_unit,
                      _state_from_left_weight)
 from .trajectory import NotConverged, Scenario, StepSchedule, iterate
 
@@ -106,9 +106,8 @@ def _resolve_setup(mode: InteractionMode, wl1: float | None,
         _config_error("need --wl1 or --a1sq to fix the initial condition")
     for flag, field, value in (("--wl1", "w_left_initial", wl1),
                                ("--a1sq", "a1_squared", a1sq)):
-        if value is not None and not 0.0 <= value <= 1.0:
-            _config_error(f"{flag}: {field} out of range, "
-                          f"{value!r} not in [0, 1]")
+        if value is not None:
+            _check_unit(f"{flag}: {field}", value)
     if wl1 is None:
         wl1 = a1sq
     if a1sq is None:
@@ -322,6 +321,8 @@ def sweep(mode, topology, grid, eps, max_steps, a1sq, fmt, out):
     """Convergence census over a grid of initial left weights."""
     mode_obj = _MODES[mode]
     grid_values = _parse_grid(grid)
+    if mode_obj is InteractionMode.MOVABLE_SPLITTER and a1sq is None:
+        _config_error("need --a1sq for measure mode")
     splitter = (None if a1sq is None
                 else SplitterCoefficients.from_reflectance(a1sq))
     result = sweep_initial_conditions(mode_obj, _TOPOLOGIES[topology],

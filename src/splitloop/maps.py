@@ -43,7 +43,9 @@ splitter, the induced weight map; `_MODES[mode]` holds the state type and
 its constructors. The functions that dispatch read these tables and do not
 branch on the topology. `raw_step` is the per-pass function on validated
 floats (kernel, Markov agreement check, `states.normalize_pair`); `StepMap`
-and the step_* one-liners are typed wrappers over it.
+and the step_* one-liners are typed wrappers over it. Building it is the
+one check of a map's arguments; `Scenario` and the sampler run it too.
+`_check_state` is the one rule for the type of a map's state.
 """
 
 from __future__ import annotations
@@ -217,6 +219,14 @@ def _spec(mode: InteractionMode, topology: Topology):
             f"topology must be a Topology, got {topology!r}") from None
 
 
+def _check_state(mode: InteractionMode, state: State) -> None:
+    """Refuse a state that is not of its mode's type."""
+    state_type, _, _, label = _MODES[mode]
+    if not isinstance(state, state_type):
+        raise ModeMismatchError(f"{label} maps act on {state_type.__name__}, "
+                                f"got {type(state).__name__}")
+
+
 def raw_step(mode: InteractionMode, topology: Topology,
              splitter: SplitterCoefficients | None,
              ) -> Callable[[float, float], tuple[float, float, float]]:
@@ -268,11 +278,8 @@ class StepMap:
 
     def apply(self, state: State) -> State:
         step = raw_step(self.mode, self.topology, self.splitter)
-        state_type, components, make, label = _MODES[self.mode]
-        if not isinstance(state, state_type):
-            raise ModeMismatchError(
-                f"{label} maps act on {state_type.__name__}, got "
-                f"{type(state).__name__}")
+        _check_state(self.mode, state)
+        _, components, make, _ = _MODES[self.mode]
         return make(*step(*components(state)))
 
 

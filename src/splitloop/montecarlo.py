@@ -26,10 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LengthMismatchError
-from .maps import _spec
+from .maps import raw_step
 from .states import (InteractionMode, SplitterCoefficients, Topology,
-                     WeightPair, _check_positive_finite, _check_sampling,
-                     _check_splitter)
+                     WeightPair, _check_positive_finite, _check_sampling)
 
 GENERATOR_NAME = "philox"
 
@@ -217,8 +216,7 @@ def sample_path(splitter: SplitterCoefficients, topology: Topology,
                 ) -> PhotonPath:
     """One photon path of the given length, fully determined by the seed."""
     _check_sampling(mode, steps, seed)
-    _spec(mode, topology)  # a bad topology is named before any draw
-    _check_splitter(splitter)
+    raw_step(mode, topology, splitter)  # names a bad argument before any draw
     column = _walk(_rekeyed_uniforms(seed, 1, steps), splitter.a1_squared,
                    splitter.b1_squared, topology)[:, 0]
     sides = tuple(Side.LEFT if hit else Side.RIGHT for hit in column)
@@ -236,8 +234,7 @@ def ensemble_frequencies(splitter: SplitterCoefficients, topology: Topology,
     at a time.
     """
     _check_sampling(mode, steps, base_seed, n_paths)
-    _spec(mode, topology)  # a bad topology is named before any draw
-    _check_splitter(splitter)
+    raw_step(mode, topology, splitter)  # names a bad argument before any draw
     chunk = _chunk_paths(steps)
     counts = np.zeros(steps, dtype=np.int64)
     for start in range(0, n_paths, chunk):

@@ -8,10 +8,11 @@ A topology switch scheduled at step n takes effect before the map that
 produces record n, so record n is the first one computed under (and
 labeled with) the new wiring. Interaction modes never switch mid-run.
 
-The initial state is validated once, where it is built; `Scenario` checks
-that it matches the mode. From there the loop in `_records` runs on plain
-floats through `maps.raw_step`, which keeps every per-pass check, and
-wraps each pass's values into records without validating them again.
+The initial state is validated once, where it is built. `Scenario` builds
+`maps.raw_step`, the one check of mode, topology and splitter, and calls
+`maps._check_state`, the state-type rule. From there the loop in `_records`
+runs on plain floats through `maps.raw_step`, which keeps every per-pass
+check, and wraps each pass into a record without validating it again.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import maps
-from .errors import (ModeMismatchError, OutOfRangeError,
-                     ScheduleConflictError)
+from .errors import OutOfRangeError, ScheduleConflictError
 from .maps import State
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
                      Topology, WeightPair, _check_count,
-                     _check_positive_finite, _check_splitter, _new, _set,
-                     amplitude_pair, weight_pair, weights_from_amplitudes,
-                     weights_of)
+                     _check_positive_finite, _new, _set, amplitude_pair,
+                     weight_pair, weights_from_amplitudes, weights_of)
 
 
 @dataclass(frozen=True)
@@ -43,14 +42,8 @@ class Scenario:
     period: float = 1.0  # loop traversal time T
 
     def __post_init__(self) -> None:
-        maps._spec(self.mode, self.initial_topology)  # names a bad key
-        state_type, _, _, label = maps._MODES[self.mode]
-        if not isinstance(self.initial, state_type):
-            article = "an" if state_type is AmplitudePair else "a"
-            raise ModeMismatchError(f"{label} scenarios start from {article} "
-                                    f"{state_type.__name__}")
-        if self.mode is InteractionMode.MOVABLE_SPLITTER:
-            _check_splitter(self.splitter)
+        maps.raw_step(self.mode, self.initial_topology, self.splitter)
+        maps._check_state(self.mode, self.initial)
         _check_count("max_steps", self.max_steps)
         _check_positive_finite("period", self.period)
         try:  # the last record's time

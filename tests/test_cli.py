@@ -119,13 +119,26 @@ class TestRun:
     def test_missing_initial_condition(self, runner):
         result = runner.invoke(main, ["run", "--mode", "unitary"])
         assert result.exit_code == 2
-        assert "need --wl1 or --a1sq" in result.stderr
+        assert result.stderr == ("error: need --wl1 or --a1sq to fix the "
+                                 "initial condition\n")
 
     def test_out_of_range_flag_named_in_error(self, runner):
         result = runner.invoke(main, ["run", "--mode", "unitary",
                                       "--wl1", "1.5"])
         assert result.exit_code == 2
         assert "--wl1" in result.stderr
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--mode", "unitary", "--wl1", "nan"],
+         "--wl1: w_left_initial out of range: nan not in [0, 1]"),
+        (["--mode", "measure", "--a1sq", "1.5"],
+         "--a1sq: a1_squared out of range: 1.5 not in [0, 1]"),
+    ], ids=["wl1-nan", "a1sq-1.5"])
+    def test_out_of_range_flag_message(self, runner, flags, message):
+        result = runner.invoke(main, ["run", *flags])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("switch", ["5", "x:both", "5:diagonal"])
     def test_malformed_switch(self, runner, switch):
@@ -215,6 +228,8 @@ class TestSweep:
     def test_measure_sweep_requires_a1sq(self, runner):
         result = runner.invoke(main, ["sweep", "--mode", "measure"])
         assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: need --a1sq for measure mode\n"
         result = runner.invoke(main, ["sweep", "--mode", "measure",
                                       "--a1sq", "0.7"])
         assert result.exit_code == 0

@@ -67,7 +67,10 @@ def test_import_leaves_numpy_unloaded(statement):
     (["compare", "--wl1", "0.9"], 0),
     (["sweep", "--mode", "unitary", "--grid", "0.2:0.8:0.2"], 0),
     (["run", "--mode", "unitary"], 2),
-], ids=["run-csv", "run-json", "paper", "compare", "sweep", "config-error"])
+    (["sweep", "--mode", "measure"], 2),
+    (["run", "--mode", "unitary", "--wl1", "nan"], 2),
+], ids=["run-csv", "run-json", "paper", "compare", "sweep", "config-error",
+        "sweep-no-a1sq", "run-flag-range"])
 def test_non_mc_commands_leave_numpy_unloaded(argv, code):
     exit_code, stdout, stderr, numpy_loaded = run_cli(argv)
     assert exit_code == code, stderr[-500:]

@@ -367,6 +367,26 @@ class TestInducedWeightMaps:
         out = step_unitary_right_half(amplitudes_from_left_weight(0.5))
         assert g(0.5) == pytest.approx(weights_of(out).w_left, abs=1e-13)
 
+    @pytest.mark.parametrize("topology,step", [
+        (Topology.RIGHT_HALF_CONNECTED, step_unitary_right_half),
+        (Topology.LEFT_HALF_CONNECTED, step_unitary_left_half),
+    ], ids=["right-half", "left-half"])
+    def test_half_forms_agree_with_amplitude_route(self, topology, step):
+        g = induced_weight_map(InteractionMode.FIXED_SPLITTER, topology)
+        for k in range(101):
+            w = k / 100.0
+            out = step(amplitudes_from_left_weight(w))
+            assert abs(g(w) - weights_of(out).w_left) <= 1e-15, w
+
+    @pytest.mark.parametrize("topology,w", [
+        (Topology.RIGHT_HALF_CONNECTED, -1e-6),  # sqrt(w)
+        (Topology.LEFT_HALF_CONNECTED, 1.0 + 1e-6),  # sqrt(1 - w)
+    ], ids=["right-half", "left-half"])
+    def test_half_forms_fail_past_their_square_root(self, topology, w):
+        g = induced_weight_map(InteractionMode.FIXED_SPLITTER, topology)
+        with pytest.raises(ValueError):
+            g(w)
+
     def test_domain_errors_propagate(self):
         # the right-half form contains sqrt(w), undefined left of zero;
         # the both-connected form is rational and stays evaluable there
@@ -386,6 +406,16 @@ class TestDerivatives:
         f = induced_weight_map(InteractionMode.FIXED_SPLITTER,
                                Topology.BOTH_CONNECTED)
         assert map_derivative(f, 1.0) == pytest.approx(4.0, abs=1e-5)
+
+    @pytest.mark.parametrize("topology,w", [
+        (Topology.RIGHT_HALF_CONNECTED, 1.0),
+        (Topology.LEFT_HALF_CONNECTED, 0.0),
+    ], ids=["right-half", "left-half"])
+    def test_half_forms_repel_at_four(self, topology, w):
+        # the algebraic forms stay real just past this end, so the probe is
+        # centered; a one-sided one would read 3.99999
+        g = induced_weight_map(InteractionMode.FIXED_SPLITTER, topology)
+        assert map_derivative(g, w) == pytest.approx(4.0, abs=1e-8)
 
     def test_right_half_attracting_at_zero(self):
         # sqrt(w) kills the centered probe below zero, so the one-sided

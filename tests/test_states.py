@@ -187,6 +187,7 @@ SP9 = SplitterCoefficients.from_reflectance(0.9)
 BOTH = Topology.BOTH_CONNECTED
 MEASURE = InteractionMode.MOVABLE_SPLITTER
 WP9 = WeightPair(0.9, 0.1)
+AP9 = amplitudes_from_left_weight(0.9)
 
 
 def _ensemble():
@@ -196,6 +197,7 @@ def _ensemble():
 # Every call site of the shared argument rules in `states`, with the class
 # and exact message each raises.
 NO_SPLITTER = "movable-splitter maps need SplitterCoefficients, got "
+WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -258,6 +260,13 @@ NO_SPLITTER = "movable-splitter maps need SplitterCoefficients, got "
      ModeMismatchError, "topology must be a Topology, got 'both'"),
     (lambda: ConvergenceCriterion(WP9, math.inf), OutOfRangeError,
      "epsilon must be positive and finite, got inf"),
+    (lambda: Scenario(MEASURE, BOTH, SP9, AP9, max_steps=3),
+     ModeMismatchError, WRONG_STATE),
+    (lambda: StepMap(MEASURE, BOTH, SP9).apply(AP9),
+     ModeMismatchError, WRONG_STATE),
+    # the splitter is checked before the state
+    (lambda: Scenario(MEASURE, BOTH, None, AP9, max_steps=3),
+     ModeMismatchError, NO_SPLITTER + "None"),
 ], ids=["reflectance", "left-weight", "closed-both-w", "closed-right-w",
         "compare-w", "step-index-0", "step-index-2.5", "max-steps",
         "switch-step", "phase-length", "mc-steps", "mc-paths", "period",
@@ -265,7 +274,8 @@ NO_SPLITTER = "movable-splitter maps need SplitterCoefficients, got "
         "scenario-splitter", "sweep-splitter", "apply-splitter",
         "step-splitter", "weight-map-splitter", "closed-both-splitter",
         "closed-right-splitter", "ensemble-splitter", "path-splitter",
-        "ensemble-topology", "path-topology", "epsilon-inf"])
+        "ensemble-topology", "path-topology", "epsilon-inf",
+        "scenario-state", "apply-state", "scenario-splitter-before-state"])
 def test_argument_rule_class_and_message(call, error, message):
     with pytest.raises(SplitLoopError) as info:
         call()

@@ -50,9 +50,9 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("mode,state,message", [
         (InteractionMode.FIXED_SPLITTER, WeightPair(0.9, 0.1),
-         "fixed-splitter scenarios start from an AmplitudePair"),
+         "fixed-splitter maps act on AmplitudePair, got WeightPair"),
         (InteractionMode.MOVABLE_SPLITTER, amplitudes_from_left_weight(0.9),
-         "movable-splitter scenarios start from a WeightPair"),
+         "movable-splitter maps act on WeightPair, got AmplitudePair"),
     ], ids=["fixed", "movable"])
     def test_mode_mismatch_message(self, mode, state, message):
         with pytest.raises(ModeMismatchError) as info:
