@@ -16,6 +16,7 @@ byte for byte given the same flags (mc included, its seeding is explicit).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -26,7 +27,8 @@ import click
 
 from .analysis import (compare_modes, reference_sequences,
                        sweep_initial_conditions)
-from .errors import NumericDomainError, SplitLoopError
+from .errors import (NumericDomainError, OutOfRangeError,
+                     ScheduleConflictError, SplitLoopError)
 from .states import (InteractionMode, SplitterCoefficients, Topology,
                      _check_positive_finite, _check_sampling, _check_unit,
                      _state_from_left_weight)
@@ -50,24 +52,21 @@ _topology_option = click.option(
     "--topology", type=click.Choice(list(_TOPOLOGIES)), default="both",
     show_default=True, help="fiber topology")
 _out_option = click.option(
-    "--out", type=click.Path(dir_okay=False, writable=True), default=None,
+    "--out", type=click.Path(), default=None,
     help="write output to this file instead of stdout")
 
 
-def _config_error(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_CONFIG)
-
-
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        click.echo(text, nl=False)
-        return
+    """The one place output is written, to --out or else to stdout."""
     try:
-        Path(out).write_text(text)
+        if out is None:
+            click.echo(text, nl=False)
+        else:
+            Path(out).write_text(text)
     except OSError as exc:
-        _config_error(f"cannot write --out {out!r}: "
-                      f"{exc.strerror or exc}")
+        target = "stdout" if out is None else f"--out {out!r}"
+        raise SplitLoopError(f"cannot write {target}: "
+                             f"{exc.strerror or exc}") from None
 
 
 def _csv_cell(value):
@@ -95,6 +94,14 @@ def _write_table(fmt: str, out: str | None, config: dict, key: str,
     _emit(text, out)
 
 
+def _splitter(a1sq: float | None) -> SplitterCoefficients | None:
+    """The splitter of an --a1sq flag, None when it is absent."""
+    if a1sq is None:
+        return None
+    _check_unit("--a1sq: a1_squared", a1sq)
+    return SplitterCoefficients.from_reflectance(a1sq)
+
+
 def _resolve_setup(mode: InteractionMode, wl1: float | None,
                    a1sq: float | None):
     """Initial state and splitter from the two overlapping flags.
@@ -103,16 +110,15 @@ def _resolve_setup(mode: InteractionMode, wl1: float | None,
     unties them.
     """
     if wl1 is None and a1sq is None:
-        _config_error("need --wl1 or --a1sq to fix the initial condition")
-    for flag, field, value in (("--wl1", "w_left_initial", wl1),
-                               ("--a1sq", "a1_squared", a1sq)):
-        if value is not None:
-            _check_unit(f"{flag}: {field}", value)
-    if wl1 is None:
-        wl1 = a1sq
+        raise SplitLoopError("need --wl1 or --a1sq to fix the initial "
+                             "condition")
+    if wl1 is not None:
+        _check_unit("--wl1: w_left_initial", wl1)
     if a1sq is None:
         a1sq = wl1
-    splitter = SplitterCoefficients.from_reflectance(a1sq)
+    splitter = _splitter(a1sq)
+    if wl1 is None:
+        wl1 = a1sq
     return _state_from_left_weight(mode, wl1), splitter, wl1, a1sq
 
 
@@ -121,14 +127,15 @@ def _parse_switches(switch_args: tuple[str, ...]) -> StepSchedule:
     for text in switch_args:
         step_text, sep, topo_text = text.partition(":")
         if not sep or topo_text not in _TOPOLOGIES:
-            _config_error(
+            raise ScheduleConflictError(
                 f"bad --switch {text!r}, expected STEP:TOPOLOGY with "
                 f"topology one of {', '.join(_TOPOLOGIES)}")
         try:
             step = int(step_text)
         except ValueError:
-            _config_error(f"bad --switch step {step_text!r}, expected an "
-                          f"integer")
+            raise ScheduleConflictError(
+                f"bad --switch step {step_text!r}, expected an integer"
+            ) from None
         parsed.append((step, _TOPOLOGIES[topo_text]))
     return StepSchedule(tuple(parsed))
 
@@ -136,20 +143,22 @@ def _parse_switches(switch_args: tuple[str, ...]) -> StepSchedule:
 def _parse_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
-        _config_error(f"bad --grid {text!r}, expected START:STOP:STEP")
+        raise OutOfRangeError(f"bad --grid {text!r}, expected START:STOP:STEP")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
-        _config_error(f"bad --grid {text!r}, entries must be numbers")
+        raise OutOfRangeError(
+            f"bad --grid {text!r}, entries must be numbers") from None
     if not all(math.isfinite(x) for x in (start, stop, step)):
-        _config_error(f"bad --grid {text!r}: entries must be finite")
+        raise OutOfRangeError(f"bad --grid {text!r}: entries must be finite")
     if step <= 0.0 or stop < start:
-        _config_error(f"bad --grid {text!r}: need STEP > 0 and STOP >= START")
+        raise OutOfRangeError(
+            f"bad --grid {text!r}: need STEP > 0 and STOP >= START")
     # cells counted before any is built; the loop below stops one past it
     cells = (stop - start) / step + 1.5
     if not cells < MAX_GRID_CELLS + 1:
-        _config_error(f"bad --grid {text!r}: more than {MAX_GRID_CELLS} "
-                      f"cells")
+        raise OutOfRangeError(
+            f"bad --grid {text!r}: more than {MAX_GRID_CELLS} cells")
     values = []
     for k in range(int(cells) + 1):
         v = start + k * step
@@ -165,11 +174,10 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except NumericDomainError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_NUMERIC)
         except SplitLoopError as exc:
-            _config_error(str(exc))
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_NUMERIC if isinstance(exc, NumericDomainError)
+                     else EXIT_CONFIG)
 
 
 @click.group(cls=_Main)
@@ -282,9 +290,8 @@ def paper(fmt, out):
               help="explicit splitter reflectance; default ties it to --wl1")
 def compare(wl1, eps, max_steps, a1sq):
     """Steps to balance under each interaction mode, from the same start."""
-    splitter = (None if a1sq is None
-                else SplitterCoefficients.from_reflectance(a1sq))
-    result = compare_modes(wl1, eps, max_steps, splitter)
+    _check_unit("--wl1: w_left_initial", wl1)
+    result = compare_modes(wl1, eps, max_steps, _splitter(a1sq))
 
     def describe(steps):
         if isinstance(steps, NotConverged):
@@ -301,7 +308,7 @@ def compare(wl1, eps, max_steps, a1sq):
     ]
     if result.ratio is not None:
         lines.append(f"ratio measurement / unitary: {result.ratio:.3g}")
-    click.echo("\n".join(lines))
+    _emit("\n".join(lines) + "\n", None)
 
 
 @main.command()
@@ -322,18 +329,11 @@ def sweep(mode, topology, grid, eps, max_steps, a1sq, fmt, out):
     mode_obj = _MODES[mode]
     grid_values = _parse_grid(grid)
     if mode_obj is InteractionMode.MOVABLE_SPLITTER and a1sq is None:
-        _config_error("need --a1sq for measure mode")
-    splitter = (None if a1sq is None
-                else SplitterCoefficients.from_reflectance(a1sq))
+        raise SplitLoopError("need --a1sq for measure mode")
     result = sweep_initial_conditions(mode_obj, _TOPOLOGIES[topology],
-                                      grid_values, eps, max_steps, splitter)
-    rows = [{
-        "w_initial": c.w_initial,
-        "converged": c.converged,
-        "steps": c.steps,
-        "final_w_left": c.final_w_left,
-        "final_w_right": c.final_w_right,
-    } for c in result.cells]
+                                      grid_values, eps, max_steps,
+                                      _splitter(a1sq))
+    rows = [dataclasses.asdict(c) for c in result.cells]
     _write_table(fmt, out, {
         "mode": mode,
         "topology": topology,
@@ -368,7 +368,7 @@ def mc(mode, topology, a1sq, steps, paths, seed, sigma, fmt, out):
     mode_obj = _MODES[mode]
     _check_sampling(mode_obj, steps, seed, paths)
     _check_positive_finite("sigma_bound", sigma)
-    splitter = SplitterCoefficients.from_reflectance(a1sq)
+    splitter = _splitter(a1sq)
     from . import montecarlo  # numpy loads here, after the checks above
 
     topo_obj = _TOPOLOGIES[topology]

@@ -1,5 +1,6 @@
 """Command line contract: formats, flag inference, exit codes, determinism."""
 
+import ast
 import csv
 import hashlib
 import io
@@ -128,14 +129,29 @@ class TestRun:
         assert result.exit_code == 2
         assert "--wl1" in result.stderr
 
-    @pytest.mark.parametrize("flags,message", [
-        (["--mode", "unitary", "--wl1", "nan"],
+    # every command that takes --wl1 or --a1sq names the flag the same way
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--mode", "unitary", "--wl1", "nan"],
          "--wl1: w_left_initial out of range: nan not in [0, 1]"),
-        (["--mode", "measure", "--a1sq", "1.5"],
+        (["run", "--mode", "measure", "--a1sq", "1.5"],
          "--a1sq: a1_squared out of range: 1.5 not in [0, 1]"),
-    ], ids=["wl1-nan", "a1sq-1.5"])
-    def test_out_of_range_flag_message(self, runner, flags, message):
-        result = runner.invoke(main, ["run", *flags])
+        (["run", "--mode", "unitary", "--wl1", "0.5", "--a1sq", "7"],
+         "--a1sq: a1_squared out of range: 7.0 not in [0, 1]"),
+        (["compare", "--wl1", "1.5"],
+         "--wl1: w_left_initial out of range: 1.5 not in [0, 1]"),
+        (["compare", "--wl1", "0.5", "--a1sq", "7"],
+         "--a1sq: a1_squared out of range: 7.0 not in [0, 1]"),
+        (["sweep", "--mode", "unitary", "--a1sq", "7"],
+         "--a1sq: a1_squared out of range: 7.0 not in [0, 1]"),
+        (["sweep", "--mode", "measure", "--a1sq", "-0.5"],
+         "--a1sq: a1_squared out of range: -0.5 not in [0, 1]"),
+        (["mc", "--a1sq", "1.5", "--paths", "10", "--seed", "1"],
+         "--a1sq: a1_squared out of range: 1.5 not in [0, 1]"),
+    ], ids=["wl1-nan", "a1sq-1.5", "run-a1sq-7", "compare-wl1-1.5",
+            "compare-a1sq-7", "sweep-unitary-a1sq-7",
+            "sweep-measure-a1sq-neg", "mc-a1sq-1.5"])
+    def test_out_of_range_flag_message(self, runner, argv, message):
+        result = runner.invoke(main, argv)
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == f"error: {message}\n"
@@ -421,14 +437,71 @@ class TestExitCodes:
         ["paper"],
     ], ids=lambda argv: argv[0])
     def test_unwritable_out_exits_2(self, runner, tmp_path, argv):
-        target = tmp_path / "missing" / "out.txt"
-        result = runner.invoke(main, argv + ["--out", str(target)])
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)  # no traceback
-        assert result.stderr == (f"error: cannot write --out {str(target)!r}:"
-                                 " No such file or directory\n")
-        assert result.stdout == ""
-        assert not target.parent.exists()
+        missing = tmp_path / "missing" / "out.txt"
+        for target, reason in ((missing, "No such file or directory"),
+                               (tmp_path, "Is a directory")):
+            result = runner.invoke(main, argv + ["--out", str(target)])
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)  # no traceback
+            assert result.stderr == (
+                f"error: cannot write --out {str(target)!r}: {reason}\n")
+            assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full, whose writes always fail")
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mode", "unitary", "--wl1", "0.5", "--steps", "3"],
+        ["compare", "--wl1", "0.9"],
+        ["paper"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_stdout_exits_2(self, argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "splitloop.cli", *argv], env=env,
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+                check=False)
+        assert proc.returncode == 2, proc.stderr[-500:]
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+
+
+# Exact stderr of the benchmark's configuration-error commands
+# (CLI_ERROR_CASES in perfbench/workloads.py), each exiting 2 with no stdout.
+CONFIG_ERRORS = [
+    (["run", "--mode", "unitary"],
+     "error: need --wl1 or --a1sq to fix the initial condition\n"),
+    (["run", "--mode", "unitary", "--wl1", "1.5"],
+     "error: --wl1: w_left_initial out of range: 1.5 not in [0, 1]\n"),
+    (["sweep", "--mode", "measure"],
+     "error: need --a1sq for measure mode\n"),
+    (["run", "--mode", "unitary", "--wl1", "0.5", "--switch", "3:bogus"],
+     "error: bad --switch '3:bogus', expected STEP:TOPOLOGY with topology "
+     "one of both, right-half, left-half\n"),
+    (["mc", "--mode", "unitary", "--a1sq", "0.5", "--paths", "10",
+      "--seed", "1"],
+     "error: unsupported mode for sampling: only movable-splitter dynamics "
+     "have per-path statistics\n"),
+    (["run", "--mode", "measure", "--wl1", "0.5", "--steps", "5",
+      "--switch", "9:both"],
+     "error: switch at step 9 exceeds max_steps 5\n"),
+    (["compare", "--wl1", "0"],
+     "error: pure initial states never relax; w_left_initial must be "
+     "strictly inside (0, 1)\n"),
+    (["sweep", "--mode", "unitary", "--grid", "0.9:0.1:0.1"],
+     "error: bad --grid '0.9:0.1:0.1': need STEP > 0 and STOP >= START\n"),
+]
+
+
+@pytest.mark.parametrize("argv,stderr", CONFIG_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in CONFIG_ERRORS])
+def test_benchmark_config_error_messages(runner, argv, stderr):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == stderr
 
 
 # sha256 of stdout, recorded from the per-command emitters that the shared
@@ -490,3 +563,50 @@ def test_canonical_output_bytes(runner, argv, digest):
     result = runner.invoke(main, argv)
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+# Where cli.py may print an error or end the process: every other check
+# raises a package error, which `_Main.invoke` alone turns into an exit code.
+ONE_PATH = {"sys.exit": {"_Main.invoke", "paper"},
+            "click.echo": {"_emit", "_Main.invoke"}}
+
+
+def _misplaced_calls(path):
+    """Calls of a ONE_PATH name outside the functions allowed to make them."""
+    with open(path) as source:
+        tree = ast.parse(source.read())
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            func = getattr(child, "func", None)
+            if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)):
+                name = f"{func.value.id}.{func.attr}"
+                where = ".".join(scope) or "<module>"
+                if name in ONE_PATH and where not in ONE_PATH[name]:
+                    found.append(f"{os.path.basename(path)}:{child.lineno}: "
+                                 f"{name} in {where}")
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_errors_and_exits_have_one_path():
+    assert _misplaced_calls(cli.__file__) == []
+
+
+def test_one_path_check_sees_a_misplaced_call(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("import sys, click\n"
+                      "def _emit():\n    click.echo('ok')\n"
+                      "def run():\n    click.echo('error')\n    sys.exit(2)\n"
+                      "class _Main:\n    def invoke(self):\n        sys.exit(1)\n"
+                      "sys.exit(0)\n")
+    assert _misplaced_calls(str(source)) == [
+        "sample.py:5: click.echo in run", "sample.py:6: sys.exit in run",
+        "sample.py:10: sys.exit in <module>"]

@@ -69,8 +69,11 @@ def test_import_leaves_numpy_unloaded(statement):
     (["run", "--mode", "unitary"], 2),
     (["sweep", "--mode", "measure"], 2),
     (["run", "--mode", "unitary", "--wl1", "nan"], 2),
+    (["compare", "--wl1", "0.5", "--a1sq", "7"], 2),
+    (["sweep", "--mode", "unitary", "--a1sq", "7"], 2),
 ], ids=["run-csv", "run-json", "paper", "compare", "sweep", "config-error",
-        "sweep-no-a1sq", "run-flag-range"])
+        "sweep-no-a1sq", "run-flag-range", "compare-flag-range",
+        "sweep-flag-range"])
 def test_non_mc_commands_leave_numpy_unloaded(argv, code):
     exit_code, stdout, stderr, numpy_loaded = run_cli(argv)
     assert exit_code == code, stderr[-500:]
