@@ -20,6 +20,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -64,7 +65,11 @@ def _emit(text: str, out: str | None) -> None:
         else:
             Path(out).write_text(text)
     except OSError as exc:
-        target = "stdout" if out is None else f"--out {out!r}"
+        target = f"--out {out!r}"
+        if out is None:
+            # unflushed bytes would fail again, with a traceback, at exit
+            target = "stdout"
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise SplitLoopError(f"cannot write {target}: "
                              f"{exc.strerror or exc}") from None
 
@@ -379,14 +384,9 @@ def mc(mode, topology, a1sq, steps, paths, seed, sigma, fmt, out):
                                 max_steps=steps))
     report = montecarlo.agreement_report(
         estimate, [r.weights for r in analytic.records], sigma_bound=sigma)
-    rows = [{
-        "step": r.step,
-        "empirical_w_left": r.empirical,
-        "analytic_w_left": r.analytic,
-        "stderr": r.stderr,
-        "z": r.z,
-        "passed": r.passed,
-    } for r in report]
+    rows = [{"step": r.step, "empirical_w_left": r.empirical,
+             "analytic_w_left": r.analytic, "stderr": r.stderr, "z": r.z,
+             "passed": r.passed} for r in report]
     _write_table(fmt, out, {
         "topology": topology,
         "a1_squared": a1sq,

@@ -118,10 +118,9 @@ class TestRun:
         assert target.read_text() == printed.output
 
     def test_missing_initial_condition(self, runner):
+        # its exact stderr is pinned in CONFIG_ERRORS below
         result = runner.invoke(main, ["run", "--mode", "unitary"])
         assert result.exit_code == 2
-        assert result.stderr == ("error: need --wl1 or --a1sq to fix the "
-                                 "initial condition\n")
 
     def test_out_of_range_flag_named_in_error(self, runner):
         result = runner.invoke(main, ["run", "--mode", "unitary",
@@ -244,8 +243,7 @@ class TestSweep:
     def test_measure_sweep_requires_a1sq(self, runner):
         result = runner.invoke(main, ["sweep", "--mode", "measure"])
         assert result.exit_code == 2
-        assert result.stdout == ""
-        assert result.stderr == "error: need --a1sq for measure mode\n"
+        assert result.stdout == ""  # stderr pinned in CONFIG_ERRORS
         result = runner.invoke(main, ["sweep", "--mode", "measure",
                                       "--a1sq", "0.7"])
         assert result.exit_code == 0
@@ -457,7 +455,10 @@ class TestExitCodes:
     ], ids=lambda argv: argv[0])
     def test_unwritable_stdout_exits_2(self, argv):
         src = os.path.dirname(os.path.dirname(cli.__file__))
+        # stdout block-buffered, as by default, so that the failed bytes are
+        # still pending when the interpreter flushes stdout on exit
         env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "splitloop.cli", *argv], env=env,
