@@ -21,12 +21,13 @@ from .errors import (DegenerateInitialError, InvalidStepError,
                      NormalizationError, NumericDomainError, OutOfRangeError,
                      ScheduleConflictError, SplitLoopError,
                      UnsupportedModeError)
-from .maps import (FixedPoint, Stability, StepMap, closed_form_measure_both,
-                   closed_form_measure_right_half, fixed_points,
-                   induced_weight_map, map_derivative, stable_fixed_point,
-                   step_measure_both, step_measure_left_half,
-                   step_measure_right_half, step_unitary_both,
-                   step_unitary_left_half, step_unitary_right_half)
+from .maps import (FixedPoint, Stability, StepMap, closed_form_measure,
+                   closed_form_measure_both, closed_form_measure_right_half,
+                   fixed_points, induced_weight_map, map_derivative,
+                   stable_fixed_point, step_measure_both,
+                   step_measure_left_half, step_measure_right_half,
+                   step_unitary_both, step_unitary_left_half,
+                   step_unitary_right_half)
 from .states import (AMPLITUDE_NORM_TOL, WEIGHT_SUM_TOL, AmplitudePair,
                      InteractionMode, SplitterCoefficients, Topology,
                      Violation, WeightPair, amplitudes_from_left_weight,
@@ -96,6 +97,7 @@ __all__ = [
     "WeightPair",
     "agreement_report",
     "amplitudes_from_left_weight",
+    "closed_form_measure",
     "closed_form_measure_both",
     "closed_form_measure_right_half",
     "compare_modes",

@@ -38,10 +38,11 @@ Python floats (the per-pass path: math.sqrt, math.pow) or numpy arrays
 The array path imports numpy on first use, so float-only callers never
 load it.
 What differs between the six maps is in one table, `_SPECS[(mode,
-topology)]`: the kernel's name, the fixed points and, for the fixed
-splitter, the induced weight map; `_MODES[mode]` holds the state type and
-its constructors. The functions that dispatch read these tables and do not
-branch on the topology. `raw_step` is the per-pass function on validated
+topology)]`: the kernel's name, the fixed points and the induced weight
+map (fixed splitter) or the weight chain's rate (movable splitter);
+`_MODES[mode]` holds the state type and its constructors. The functions
+that dispatch, `closed_form_measure` among them, read these tables and do
+not branch on the topology. `raw_step` is the per-pass function on validated
 floats (kernel, Markov agreement check, `states.normalize_pair`); `StepMap`
 and the step_* one-liners are typed wrappers over it. Building it is the
 one check of a map's arguments; `Scenario` and the sampler run it too.
@@ -53,13 +54,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Union
 
 from .errors import InvalidStepError, ModeMismatchError, NumericDomainError
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
-                     Topology, WeightPair, _check_count, _check_splitter,
-                     _check_unit, amplitude_pair, normalize_pair, weight_pair)
+                     Topology, WeightPair, _check_count,
+                     _check_positive_finite, _check_splitter, _check_unit,
+                     amplitude_pair, normalize_pair, weight_pair)
 
 # Denominator guard for the half-connected unitary maps. Unreachable from a
 # normalized state (D >= 1 there), kept as a hard stop for raw kernel input.
@@ -163,11 +166,6 @@ def _unitary_right_half_weight(w: float) -> float:
     return w * w / (w * w + (1.0 - w) * (1.0 + s) ** 2)
 
 
-def _unitary_left_half_weight(w: float) -> float:
-    s = math.sqrt(1.0 - w)  # raises ValueError right of 1
-    return w * (1.0 + s) ** 2 / ((1.0 - w) ** 2 + w * (1.0 + s) ** 2)
-
-
 _FIXED = InteractionMode.FIXED_SPLITTER
 _MOVABLE = InteractionMode.MOVABLE_SPLITTER
 
@@ -179,8 +177,9 @@ _MODES = {_FIXED: (AmplitudePair, attrgetter("a_left", "b_right"),
                      weight_pair, "movable-splitter")}
 
 # Per (mode, topology): the kernel's name, the fixed points (stable point
-# first) and, for the fixed splitter, the induced weight map. Kernels are
-# named, not held, so one replaced on this module at run time is the one used.
+# first) and the induced weight map (fixed splitter) or the weight chain's
+# rate r(a1^2, b1^2) (movable). Kernels are named, not held, so one replaced
+# on this module at run time is the one used.
 _SPECS = {
     (_FIXED, Topology.BOTH_CONNECTED): ("unitary_both_kernel", (
         FixedPoint(AmplitudePair(math.sqrt(0.5), math.sqrt(0.5)),
@@ -194,16 +193,16 @@ _SPECS = {
     (_FIXED, Topology.LEFT_HALF_CONNECTED): ("unitary_left_half_kernel", (
         FixedPoint(AmplitudePair(1.0, 0.0), Stability.STABLE),
         FixedPoint(AmplitudePair(0.0, 1.0), Stability.UNSTABLE),
-    ), _unitary_left_half_weight),
+    ), lambda w: 1.0 - _unitary_right_half_weight(1.0 - w)),  # the mirror
     (_MOVABLE, Topology.BOTH_CONNECTED): ("measure_both_kernel", (
         FixedPoint(WeightPair(0.5, 0.5), Stability.STABLE),
-    ), None),
+    ), lambda a1sq, b1sq: a1sq - b1sq),
     (_MOVABLE, Topology.RIGHT_HALF_CONNECTED): ("measure_right_half_kernel", (
         FixedPoint(WeightPair(0.0, 1.0), Stability.STABLE, absorbing=True),
-    ), None),
+    ), lambda a1sq, b1sq: a1sq),
     (_MOVABLE, Topology.LEFT_HALF_CONNECTED): ("measure_left_half_kernel", (
         FixedPoint(WeightPair(1.0, 0.0), Stability.STABLE, absorbing=True),
-    ), None),
+    ), lambda a1sq, b1sq: b1sq),
 }
 
 
@@ -344,36 +343,34 @@ def stable_fixed_point(mode: InteractionMode, topology: Topology) -> State:
     return _spec(mode, topology)[1][0].point
 
 
-def closed_form_measure_both(w_left_initial: float,
-                             splitter: SplitterCoefficients,
-                             n: int) -> float:
-    """Left weight after n passes of the both-connected measuring map.
+def closed_form_measure(topology: Topology, w_left_initial: float,
+                        splitter: SplitterCoefficients, n: int) -> float:
+    """Left weight after n passes of the measuring map of one wiring.
 
-    Geometric contraction toward 1/2:
+    Each wiring is a two-state Markov chain, so pass n applies the (n - 1)th
+    power of its 2x2 stochastic matrix to the first weights. With w* the
+    stable left weight and r the matrix's second eigenvalue:
 
-        w_L(n) = 1/2 + (w_L(1) - 1/2) (a1^2 - b1^2)^(n - 1)
+        w_L(n) = w* + (w_L(1) - w*) r^(n - 1)
 
-    Step 1 is the initial weight itself. Serves as an independent check on
-    the iterated map; the two agree to high accuracy for n up to hundreds.
+    (w*, r) is (1/2, a1^2 - b1^2) with both loops connected, (0, a1^2) with
+    the right loop absorbing and (1, b1^2) with the left one; `_SPECS` holds
+    both. Step 1 is the initial weight itself. An independent check on the
+    iterated map.
     """
     _check_count("step index", n, InvalidStepError)
     _check_unit("w_left_initial", w_left_initial)
     _check_splitter(splitter)
-    ratio = splitter.a1_squared - splitter.b1_squared
-    return 0.5 + (w_left_initial - 0.5) * ratio ** (n - 1)
+    _, points, rate = _spec(_MOVABLE, topology)
+    fixed = points[0].point.w_left
+    r = rate(splitter.a1_squared, splitter.b1_squared)
+    return fixed + (w_left_initial - fixed) * r ** (n - 1)
 
 
-def closed_form_measure_right_half(w_left_initial: float,
-                                   splitter: SplitterCoefficients,
-                                   n: int) -> float:
-    """Left weight after n passes with the right loop absorbing.
-
-    Pure geometric decay: w_L(n) = w_L(1) * (a1^2)^(n - 1).
-    """
-    _check_count("step index", n, InvalidStepError)
-    _check_unit("w_left_initial", w_left_initial)
-    _check_splitter(splitter)
-    return w_left_initial * splitter.a1_squared ** (n - 1)
+closed_form_measure_both = partial(closed_form_measure,
+                                   Topology.BOTH_CONNECTED)
+closed_form_measure_right_half = partial(closed_form_measure,
+                                         Topology.RIGHT_HALF_CONNECTED)
 
 
 def induced_weight_map(mode: InteractionMode, topology: Topology,
@@ -388,7 +385,7 @@ def induced_weight_map(mode: InteractionMode, topology: Topology,
     Movable-splitter maps require the splitter argument.
     """
     name, _, weight_map = _spec(mode, topology)
-    if weight_map is not None:
+    if mode is _FIXED:
         return weight_map
     _check_splitter(splitter)
     kernel = globals()[name]
@@ -404,6 +401,7 @@ def map_derivative(f: Callable[[float], float], w: float,
     falls back to a one-sided difference at a boundary where the map's
     algebraic form stops being real (square root of a negative number).
     """
+    _check_positive_finite("h", h)
     try:
         fp = f(w + h)
     except ValueError:

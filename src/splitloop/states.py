@@ -53,8 +53,8 @@ def _check_unit(name: str, value: float) -> None:
 
 
 def _check_count(name: str, value: int, error: type = OutOfRangeError) -> None:
-    """Refuse a count that is not an integer >= 1, raising `error`."""
-    if not isinstance(value, int) or value < 1:
+    """Refuse a count that is not an integer >= 1, or a bool; raise `error`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise error(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -109,7 +109,7 @@ def _check_sampling(mode: InteractionMode, steps: int, seed: int,
             "unsupported mode for sampling: only movable-splitter dynamics "
             "have per-path statistics")
     _check_count("steps", steps)
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise OutOfRangeError(f"seed must be a non-negative integer, got {seed!r}")
     _check_count("n_paths", n_paths)
     if seed + n_paths > 2 ** 128:
@@ -143,8 +143,6 @@ def _violation(x: float, y: float, squared: bool,
             return Violation("range", float("nan"), f"{name} is not finite")
         if v < -_RANGE_SLACK:
             return Violation("range", v, f"{name} must be non-negative, got {v!r}")
-    if not abs(dev) > tol:
-        return None
     if squared:
         return Violation(
             "normalization", dev,

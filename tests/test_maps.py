@@ -6,6 +6,7 @@ they do not; the engine must land within a few double-precision ulps.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from splitloop import (AmplitudePair, FixedPoint, InteractionMode,
                        NumericDomainError, OutOfRangeError,
                        SplitterCoefficients, Stability, StepMap, Topology,
                        WeightPair, amplitudes_from_left_weight,
-                       closed_form_measure_both,
+                       closed_form_measure, closed_form_measure_both,
                        closed_form_measure_right_half, fixed_points,
                        induced_weight_map, map_derivative, maps,
                        stable_fixed_point, step_measure_both,
@@ -314,8 +315,39 @@ class TestClosedForms:
             assert w.w_left == pytest.approx(predicted, abs=1e-13)
             w = step_measure_right_half(w, splitter)
 
-    @pytest.mark.parametrize("closed_form", [closed_form_measure_both,
-                                             closed_form_measure_right_half])
+    def test_left_half_matches_iteration(self):
+        # acceptance criterion 6's grid and horizon
+        grid = [0.1 * k for k in range(1, 10)]
+        worst = 0.0
+        for w1 in grid:
+            for p in grid:
+                splitter = SplitterCoefficients.from_reflectance(p)
+                w = WeightPair(w1, 1.0 - w1)
+                for n in range(1, 201):
+                    predicted = closed_form_measure(
+                        Topology.LEFT_HALF_CONNECTED, w1, splitter, n)
+                    worst = max(worst, abs(w.w_left - predicted))
+                    w = step_measure_left_half(w, splitter)
+        assert worst <= 1e-12
+
+    @given(w=st.floats(0.0, 1.0), a1sq=st.floats(0.0, 1.0),
+           n=st.integers(1, 400))
+    def test_bindings_keep_the_written_out_forms_bit_for_bit(self, w, a1sq,
+                                                             n):
+        # written out here, so no edit of the shared formula can move them
+        splitter = SplitterCoefficients.from_reflectance(a1sq)
+        a, b = splitter.a1_squared, splitter.b1_squared
+        both = 0.5 + (w - 0.5) * (a - b) ** (n - 1)
+        right = w * a ** (n - 1)
+        assert closed_form_measure_both(w, splitter, n).hex() == both.hex()
+        assert (closed_form_measure_right_half(w, splitter, n).hex()
+                == right.hex())
+
+    @pytest.mark.parametrize("closed_form", [
+        closed_form_measure_both, closed_form_measure_right_half,
+        *(partial(closed_form_measure, t) for t in Topology),
+        partial(closed_form_measure, "both"),  # checked after the arguments
+    ])
     def test_validation(self, closed_form):
         splitter = SplitterCoefficients.from_reflectance(0.9)
         for n in (0, 2.5):  # 2.5 once returned a complex number
@@ -323,6 +355,26 @@ class TestClosedForms:
                 closed_form(0.9, splitter, n)
         with pytest.raises(OutOfRangeError):
             closed_form(1.2, splitter, 3)
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_measuring_spec_rows_agree(topology):
+    """A measuring row's fixed point, rate and closed form fit its kernel."""
+    assert set(maps._SPECS) == {(mode, t) for mode in InteractionMode
+                                for t in Topology}
+    name, points, rate = maps._SPECS[InteractionMode.MOVABLE_SPLITTER,
+                                     topology]
+    fixed = points[0].point.w_left
+    for a1sq in (0.0, 0.1, 0.5, 0.9, 1.0):
+        splitter = SplitterCoefficients.from_reflectance(a1sq)
+        a, b = splitter.a1_squared, splitter.b1_squared
+        wl, _ = getattr(maps, name)(fixed, 1.0 - fixed, a, b)
+        assert abs(wl - fixed) <= 1e-15
+        g = induced_weight_map(InteractionMode.MOVABLE_SPLITTER, topology,
+                               splitter)
+        assert abs(rate(a, b) - (g(1.0) - g(0.0))) <= 1e-15
+        for n in range(1, 51):
+            assert closed_form_measure(topology, fixed, splitter, n) == fixed
 
 
 class TestInducedWeightMaps:
@@ -423,6 +475,14 @@ class TestDerivatives:
         g = induced_weight_map(InteractionMode.FIXED_SPLITTER,
                                Topology.RIGHT_HALF_CONNECTED)
         assert abs(map_derivative(g, 0.0)) < 1e-3
+
+    @pytest.mark.parametrize("h", [0.0, math.nan, math.inf, -1e-6])
+    def test_step_must_be_positive_and_finite(self, h):
+        f = induced_weight_map(InteractionMode.FIXED_SPLITTER,
+                               Topology.BOTH_CONNECTED)
+        with pytest.raises(OutOfRangeError) as info:
+            map_derivative(f, 0.5, h)
+        assert str(info.value) == f"h must be positive and finite, got {h!r}"
 
     def test_measure_contraction_slope(self):
         splitter = SplitterCoefficients.from_reflectance(0.9)

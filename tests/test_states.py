@@ -14,7 +14,8 @@ from splitloop import (AMPLITUDE_NORM_TOL, AmplitudePair,
                        SplitLoopError, SplitterCoefficients, StepMap,
                        StepSchedule, Topology, UnsupportedModeError,
                        Violation, WeightPair, agreement_report,
-                       amplitudes_from_left_weight, closed_form_measure_both,
+                       amplitudes_from_left_weight, closed_form_measure,
+                       closed_form_measure_both,
                        closed_form_measure_right_half, compare_modes,
                        ensemble_frequencies, induced_weight_map,
                        run_switching_experiment, sample_path,
@@ -267,6 +268,27 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
     # the splitter is checked before the state
     (lambda: Scenario(MEASURE, BOTH, None, AP9, max_steps=3),
      ModeMismatchError, NO_SPLITTER + "None"),
+    (lambda: closed_form_measure("both", 0.9, SP9, 3),
+     ModeMismatchError, "topology must be a Topology, got 'both'"),
+    # a bool is an int, but not a count or a seed
+    (lambda: sample_path(SP9, BOTH, True, 0), OutOfRangeError,
+     "steps must be an integer >= 1, got True"),
+    (lambda: ensemble_frequencies(SP9, BOTH, True, 5, 0), OutOfRangeError,
+     "steps must be an integer >= 1, got True"),
+    (lambda: ensemble_frequencies(SP9, BOTH, 3, True, 0), OutOfRangeError,
+     "n_paths must be an integer >= 1, got True"),
+    (lambda: ensemble_frequencies(SP9, BOTH, 3, 5, True), OutOfRangeError,
+     "seed must be a non-negative integer, got True"),
+    (lambda: sample_path(SP9, BOTH, 3, False), OutOfRangeError,
+     "seed must be a non-negative integer, got False"),
+    (lambda: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=True),
+     OutOfRangeError, "max_steps must be an integer >= 1, got True"),
+    (lambda: StepSchedule(((True, BOTH),)), ScheduleConflictError,
+     "switch step must be an integer >= 1, got True"),
+    (lambda: run_switching_experiment([(BOTH, True)], MEASURE, SP9, WP9),
+     ScheduleConflictError, "phase length must be an integer >= 1, got True"),
+    (lambda: closed_form_measure_both(0.9, SP9, True), InvalidStepError,
+     "step index must be an integer >= 1, got True"),
 ], ids=["reflectance", "left-weight", "closed-both-w", "closed-right-w",
         "compare-w", "step-index-0", "step-index-2.5", "max-steps",
         "switch-step", "phase-length", "mc-steps", "mc-paths", "period",
@@ -275,7 +297,11 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
         "step-splitter", "weight-map-splitter", "closed-both-splitter",
         "closed-right-splitter", "ensemble-splitter", "path-splitter",
         "ensemble-topology", "path-topology", "epsilon-inf",
-        "scenario-state", "apply-state", "scenario-splitter-before-state"])
+        "scenario-state", "apply-state", "scenario-splitter-before-state",
+        "closed-topology", "mc-steps-bool", "ensemble-steps-bool",
+        "mc-paths-bool", "ensemble-seed-bool", "path-seed-bool",
+        "max-steps-bool", "switch-step-bool", "phase-length-bool",
+        "step-index-bool"])
 def test_argument_rule_class_and_message(call, error, message):
     with pytest.raises(SplitLoopError) as info:
         call()
