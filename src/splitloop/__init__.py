@@ -39,14 +39,11 @@ from .trajectory import (ConvergenceCriterion, NotConverged, Scenario,
 
 __version__ = "0.1.0"
 
-# Names served by `montecarlo`, which loads on first access (PEP 562).
-_LAZY = frozenset({"GENERATOR_NAME", "EnsembleEstimate", "PhotonPath", "Side",
-                   "StepAgreement", "agreement_report", "ensemble_frequencies",
-                   "sample_path"})
 
-
+# The names of __all__ that no import above binds are served by
+# `montecarlo`, which loads on first access (PEP 562).
 def __getattr__(name: str):
-    if name != "montecarlo" and name not in _LAZY:
+    if name != "montecarlo" and name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # not `from . import montecarlo`: that looks the submodule up on this
     # package first, which would come back here
@@ -55,7 +52,7 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _LAZY | {"montecarlo"})
+    return sorted(globals().keys() | set(__all__) | {"montecarlo"})
 
 __all__ = [
     "AMPLITUDE_NORM_TOL",

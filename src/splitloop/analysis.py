@@ -14,9 +14,9 @@ from typing import Sequence
 
 from .errors import DegenerateInitialError, OutOfRangeError
 from .maps import induced_weight_map, stable_fixed_point
-from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
-                     Topology, WeightPair, _check_unit,
-                     _state_from_left_weight, weights_of)
+from .states import (InteractionMode, SplitterCoefficients, Topology,
+                     WeightPair, _check_unit, _state_from_left_weight,
+                     weights_of)
 from .trajectory import (ConvergenceCriterion, NotConverged, Scenario,
                          converging_record, iterate, steps_to_converge)
 
@@ -73,20 +73,15 @@ class ReferenceReport:
     all_within_tolerance: bool
 
 
-def _canonical_w_left_series(mode: InteractionMode, p: float,
-                             n_steps: int) -> list[float]:
-    scenario = Scenario(mode, Topology.BOTH_CONNECTED,
-                        SplitterCoefficients.from_reflectance(p),
-                        _state_from_left_weight(mode, p), max_steps=n_steps)
-    return iterate(scenario).w_left_series()
-
-
 def reference_sequences() -> ReferenceReport:
     """Recompute the three canonical runs and compare with the table."""
     sequences = []
     all_ok = True
     for name, mode, p, reference, tolerances, note in _REFERENCE_TABLE:
-        series = _canonical_w_left_series(mode, p, n_steps=5)
+        series = iterate(Scenario(
+            mode, Topology.BOTH_CONNECTED,
+            SplitterCoefficients.from_reflectance(p),
+            _state_from_left_weight(mode, p), max_steps=5)).w_left_series()
         steps = tuple(range(2, 6))
         computed = tuple(series[n - 1] for n in steps)
         deviations = tuple(abs(c - float(r))
@@ -177,7 +172,7 @@ def sweep_initial_conditions(mode: InteractionMode, topology: Topology,
     map. Per cell, the run stops at the converging step and reports the
     weights there, or at max_steps when the run never meets the criterion.
     """
-    if not grid:
+    if len(grid) == 0:  # not `not grid`: an ndarray has no truth value
         raise OutOfRangeError("grid is empty")
     previous = 0.0
     for w in grid:
@@ -189,20 +184,18 @@ def sweep_initial_conditions(mode: InteractionMode, topology: Topology,
                 f"grid must be strictly increasing, got {w!r} after "
                 f"{previous!r}")
         previous = w
-    target_state = stable_fixed_point(mode, topology)
-    target = (weights_of(target_state)
-              if isinstance(target_state, AmplitudePair) else target_state)
+    target = weights_of(stable_fixed_point(mode, topology))
     criterion = ConvergenceCriterion(target, epsilon)
     cells = []
     for w in grid:
-        record, converged = converging_record(
-            Scenario(mode, topology, splitter,
-                     _state_from_left_weight(mode, w), max_steps=max_steps),
-            criterion)
+        scenario = Scenario(mode, topology, splitter,
+                            _state_from_left_weight(mode, w),
+                            max_steps=max_steps)
+        record, converged = converging_record(scenario, criterion)
         cells.append(SweepCell(w, converged, record.n if converged else None,
                                record.weights.w_left, record.weights.w_right))
     return SweepResult(tuple(cells), mode, topology, splitter, epsilon,
-                       max_steps, target)
+                       scenario.max_steps, target)  # the int form of max_steps
 
 
 def convergence_order(w_initial: float = 0.6, floor: float = 1e-13,

@@ -55,6 +55,9 @@ _topology_option = click.option(
 _out_option = click.option(
     "--out", type=click.Path(), default=None,
     help="write output to this file instead of stdout")
+_format_option = click.option(
+    "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
+    show_default=True)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -203,8 +206,7 @@ def main() -> None:
               help="loop traversal time per pass")
 @click.option("--switch", "switches", multiple=True, metavar="STEP:TOPOLOGY",
               help="retopologize before the map of the named step; repeatable")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
+@_format_option
 @_out_option
 def run(mode, topology, wl1, a1sq, steps, period, switches, fmt, out):
     """Simulate one trajectory and print every recorded pass."""
@@ -326,8 +328,7 @@ def compare(wl1, eps, max_steps, a1sq):
 @click.option("--max-steps", type=int, default=1000, show_default=True)
 @click.option("--a1sq", type=float, default=None,
               help="splitter reflectance; required for measure mode")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
+@_format_option
 @_out_option
 def sweep(mode, topology, grid, eps, max_steps, a1sq, fmt, out):
     """Convergence census over a grid of initial left weights."""
@@ -365,8 +366,7 @@ def sweep(mode, topology, grid, eps, max_steps, a1sq, fmt, out):
               help="base seed; path i uses stream seed + i")
 @click.option("--sigma", type=float, default=4.0, show_default=True,
               help="agreement bound in standard errors")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
+@_format_option
 @_out_option
 def mc(mode, topology, a1sq, steps, paths, seed, sigma, fmt, out):
     """Sample a photon ensemble and check it against the exact weights."""

@@ -358,7 +358,7 @@ def closed_form_measure(topology: Topology, w_left_initial: float,
     both. Step 1 is the initial weight itself. An independent check on the
     iterated map.
     """
-    _check_count("step index", n, InvalidStepError)
+    n = _check_count("step index", n, InvalidStepError)
     _check_unit("w_left_initial", w_left_initial)
     _check_splitter(splitter)
     _, points, rate = _spec(_MOVABLE, topology)

@@ -215,7 +215,7 @@ def sample_path(splitter: SplitterCoefficients, topology: Topology,
                 mode: InteractionMode = InteractionMode.MOVABLE_SPLITTER,
                 ) -> PhotonPath:
     """One photon path of the given length, fully determined by the seed."""
-    _check_sampling(mode, steps, seed)
+    steps, seed, _ = _check_sampling(mode, steps, seed)
     raw_step(mode, topology, splitter)  # names a bad argument before any draw
     column = _walk(_rekeyed_uniforms(seed, 1, steps), splitter.a1_squared,
                    splitter.b1_squared, topology)[:, 0]
@@ -233,7 +233,8 @@ def ensemble_frequencies(splitter: SplitterCoefficients, topology: Topology,
     base_seed, base_seed + 1, ..., base_seed + n_paths - 1, a chunk of paths
     at a time.
     """
-    _check_sampling(mode, steps, base_seed, n_paths)
+    steps, base_seed, n_paths = _check_sampling(mode, steps, base_seed,
+                                                n_paths)
     raw_step(mode, topology, splitter)  # names a bad argument before any draw
     chunk = _chunk_paths(steps)
     counts = np.zeros(steps, dtype=np.int64)

@@ -24,6 +24,7 @@ The argument rules that every module shares are written here once, as the
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -52,10 +53,21 @@ def _check_unit(name: str, value: float) -> None:
         raise OutOfRangeError(f"{name} out of range: {value!r} not in [0, 1]")
 
 
-def _check_count(name: str, value: int, error: type = OutOfRangeError) -> None:
-    """Refuse a count that is not an integer >= 1, or a bool; raise `error`."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+def _as_int(value) -> int | None:
+    """value as a Python int if operator.index takes it (numpy integers
+    included) and it is no bool, else None."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
+def _check_count(name: str, value: int, error: type = OutOfRangeError) -> int:
+    """The count as a Python int; `error` if not an integer >= 1, or a bool."""
+    count = _as_int(value)
+    if count is None or count < 1:
         raise error(f"{name} must be an integer >= 1, got {value!r}")
+    return count
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -101,20 +113,22 @@ def _check_splitter(splitter: SplitterCoefficients) -> None:
 
 
 def _check_sampling(mode: InteractionMode, steps: int, seed: int,
-                    n_paths: int = 1) -> None:
-    """Refuse a draw the sampler cannot make: a mode without paths, a bad
+                    n_paths: int = 1) -> tuple[int, int, int]:
+    """(steps, seed, n_paths) as ints; refuse a mode without paths, a bad
     count, or seeds seed .. seed + n_paths - 1 outside the 128-bit keys."""
     if mode is not InteractionMode.MOVABLE_SPLITTER:
         raise UnsupportedModeError(
             "unsupported mode for sampling: only movable-splitter dynamics "
             "have per-path statistics")
-    _check_count("steps", steps)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    steps = _check_count("steps", steps)
+    first = _as_int(seed)
+    if first is None or first < 0:
         raise OutOfRangeError(f"seed must be a non-negative integer, got {seed!r}")
-    _check_count("n_paths", n_paths)
-    if seed + n_paths > 2 ** 128:
-        raise OutOfRangeError(f"seeds {seed}..{seed + n_paths - 1} exceed "
+    n_paths = _check_count("n_paths", n_paths)
+    if first + n_paths > 2 ** 128:
+        raise OutOfRangeError(f"seeds {first}..{first + n_paths - 1} exceed "
                               "the Philox key range 0..2**128 - 1")
+    return steps, first, n_paths
 
 
 @dataclass(frozen=True)
@@ -164,12 +178,6 @@ def validate_weights(w_left: float, w_right: float,
     return _violation(w_left, w_right, False, tol)
 
 
-def _raise_for(violation: Violation) -> None:
-    if violation.kind == "range":
-        raise OutOfRangeError(violation.message)
-    raise NormalizationError(violation)
-
-
 def normalize_pair(x: float, y: float,
                    squared: bool) -> tuple[float, float, float]:
     """Validate a raw pair and rescale it to unit norm or unit sum.
@@ -183,7 +191,9 @@ def normalize_pair(x: float, y: float,
     violation = _violation(x, y, squared,
                            AMPLITUDE_NORM_TOL if squared else WEIGHT_SUM_TOL)
     if violation is not None:
-        _raise_for(violation)
+        if violation.kind == "range":
+            raise OutOfRangeError(violation.message)
+        raise NormalizationError(violation)
     x = 0.0 if x < 0.0 else x
     y = 0.0 if y < 0.0 else y
     total = math.sqrt(x * x + y * y) if squared else x + y
@@ -276,15 +286,13 @@ def _state_from_left_weight(mode: InteractionMode,
     return WeightPair(w_left, 1.0 - w_left)
 
 
-def weights_from_amplitudes(a_left: float,
-                            b_right: float) -> tuple[float, float, float]:
-    """Weights (a^2, b^2) of raw amplitudes, through normalize_pair."""
-    return normalize_pair(a_left * a_left, b_right * b_right, False)
-
-
-def weights_of(state: AmplitudePair) -> WeightPair:
-    """Statistical weights (a_left^2, b_right^2) of an amplitude pair."""
-    return weight_pair(*weights_from_amplitudes(state.a_left, state.b_right))
+def weights_of(state: AmplitudePair | WeightPair) -> WeightPair:
+    """Statistical weights of a state of either mode: a weight pair as it
+    is, an amplitude pair's (a_left^2, b_right^2) through normalize_pair."""
+    if isinstance(state, WeightPair):
+        return state
+    a, b = state.a_left, state.b_right
+    return weight_pair(*normalize_pair(a * a, b * b, False))
 
 
 def amplitude_pair(a_left: float, b_right: float,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from . import maps
@@ -27,7 +28,7 @@ from .maps import State
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
                      Topology, WeightPair, _check_count,
                      _check_positive_finite, _new, _set, amplitude_pair,
-                     weight_pair, weights_from_amplitudes, weights_of)
+                     weight_pair, weights_of)
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class Scenario:
     def __post_init__(self) -> None:
         maps.raw_step(self.mode, self.initial_topology, self.splitter)
         maps._check_state(self.mode, self.initial)
-        _check_count("max_steps", self.max_steps)
+        _set(self, "max_steps", _check_count("max_steps", self.max_steps))
         _check_positive_finite("period", self.period)
         try:  # the last record's time
             horizon = self.max_steps * self.period
@@ -63,9 +64,9 @@ class StepSchedule:
     switches: tuple[tuple[int, Topology], ...] = ()
 
     def __post_init__(self) -> None:
-        last = 0
+        last, checked = 0, []
         for step, topology in self.switches:
-            _check_count("switch step", step, ScheduleConflictError)
+            step = _check_count("switch step", step, ScheduleConflictError)
             if step <= last:
                 raise ScheduleConflictError(
                     f"switch steps must be strictly increasing, got {step} "
@@ -74,6 +75,8 @@ class StepSchedule:
                 raise ScheduleConflictError(
                     f"switch target must be a Topology, got {topology!r}")
             last = step
+            checked.append((step, topology))
+        _set(self, "switches", tuple(checked))
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,7 @@ def _records(scenario: Scenario,
     unitary = mode is InteractionMode.FIXED_SPLITTER
     x, y = maps._MODES[mode][1](scenario.initial)  # its two components
     amplitudes = scenario.initial if unitary else None
-    weights = weights_of(amplitudes) if unitary else scenario.initial
+    weights = weights_of(scenario.initial)
     for n in range(1, scenario.max_steps + 1):
         if n in switch_at:
             topology = switch_at[n]
@@ -148,7 +151,7 @@ def _records(scenario: Scenario,
             x, y, correction = step(x, y)
             if unitary:
                 amplitudes = amplitude_pair(x, y, correction)
-                weights = weight_pair(*weights_from_amplitudes(x, y))
+                weights = weights_of(amplitudes)
             else:
                 weights = weight_pair(x, y, correction)
         yield _record(n, n * period, topology, amplitudes, weights)
@@ -221,14 +224,11 @@ def run_switching_experiment(phases: Sequence[tuple[Topology, int]],
     """
     if not phases:
         raise ScheduleConflictError("at least one phase is required")
-    for topology, count in phases:
-        _check_count("phase length", count, ScheduleConflictError)
-    total = sum(count for _, count in phases)
-    switches = []
-    elapsed = phases[0][1]
-    for topology, count in phases[1:]:
-        switches.append((elapsed + 1, topology))
-        elapsed += count
+    ends = list(accumulate(_check_count("phase length", count,
+                                        ScheduleConflictError)
+                           for _, count in phases))
+    switches = tuple((end + 1, topology)  # the next phase starts after end
+                     for end, (topology, _) in zip(ends, phases[1:]))
     scenario = Scenario(mode, phases[0][0], splitter, initial,
-                        max_steps=total, period=period)
-    return iterate(scenario, StepSchedule(tuple(switches)))
+                        max_steps=ends[-1], period=period)
+    return iterate(scenario, StepSchedule(switches))

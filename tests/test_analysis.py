@@ -1,5 +1,8 @@
 """Reference-run report, mode race, sweeps and the convergence exponent."""
 
+import math
+
+import numpy as np
 import pytest
 
 from splitloop import (DegenerateInitialError, InteractionMode,
@@ -193,6 +196,23 @@ class TestSweep:
                 InteractionMode.FIXED_SPLITTER, Topology.BOTH_CONNECTED,
                 grid, 1e-3, 10)
 
+    @pytest.mark.parametrize("mode", InteractionMode)
+    def test_ndarray_grid_gives_the_cells_of_a_list(self, mode):
+        splitter = SplitterCoefficients.from_reflectance(0.7)
+        expected = sweep_initial_conditions(
+            mode, Topology.BOTH_CONNECTED, [0.2, 0.4], 1e-3, 50, splitter)
+        result = sweep_initial_conditions(
+            mode, Topology.BOTH_CONNECTED, np.array([0.2, 0.4]), 1e-3, 50,
+            splitter)
+        assert result.cells == expected.cells
+
+    def test_empty_ndarray_grid_is_refused(self):
+        with pytest.raises(OutOfRangeError) as info:
+            sweep_initial_conditions(
+                InteractionMode.FIXED_SPLITTER, Topology.BOTH_CONNECTED,
+                np.array([]), 1e-3, 10)
+        assert str(info.value) == "grid is empty"
+
 
 class TestConvergenceOrder:
     def test_quadratic_exponent(self):
@@ -207,6 +227,13 @@ class TestConvergenceOrder:
     def test_degenerate_starts_rejected(self, w):
         with pytest.raises(DegenerateInitialError):
             convergence_order(w)
+
+    @pytest.mark.parametrize("w", [1.5, math.nan])
+    def test_out_of_range_starts_rejected(self, w):
+        with pytest.raises(OutOfRangeError) as info:
+            convergence_order(w)
+        assert type(info.value) is OutOfRangeError
+        assert str(info.value) == f"w_initial out of range: {w!r} not in (0, 1)"
 
     def test_floor_above_first_distance_rejected(self):
         with pytest.raises(OutOfRangeError):

@@ -476,6 +476,19 @@ class TestDerivatives:
                                Topology.RIGHT_HALF_CONNECTED)
         assert abs(map_derivative(g, 0.0)) < 1e-3
 
+    def test_left_half_attracting_at_one(self):
+        # the mirror: sqrt(1 - w) kills the probe above one, so the
+        # backward one-sided difference is taken
+        g = induced_weight_map(InteractionMode.FIXED_SPLITTER,
+                               Topology.LEFT_HALF_CONNECTED)
+        assert 0.0 < map_derivative(g, 1.0) < 1e-3
+
+    def test_map_not_evaluable_on_either_side(self):
+        with pytest.raises(NumericDomainError) as info:
+            map_derivative(lambda w: math.sqrt(-1.0), 0.5)
+        assert str(info.value) == ("map not evaluable on either side of 0.5 "
+                                   "with h=1e-06")
+
     @pytest.mark.parametrize("h", [0.0, math.nan, math.inf, -1e-6])
     def test_step_must_be_positive_and_finite(self, h):
         f = induced_weight_map(InteractionMode.FIXED_SPLITTER,

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,10 +18,11 @@ from splitloop import (AMPLITUDE_NORM_TOL, AmplitudePair,
                        amplitudes_from_left_weight, closed_form_measure,
                        closed_form_measure_both,
                        closed_form_measure_right_half, compare_modes,
-                       ensemble_frequencies, induced_weight_map,
+                       ensemble_frequencies, induced_weight_map, iterate,
                        run_switching_experiment, sample_path,
                        step_measure_right_half, sweep_initial_conditions,
                        validate_amplitudes, validate_weights, weights_of)
+from splitloop.states import normalize_pair
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -183,6 +185,20 @@ class TestConversions:
         back = weights_of(amplitudes_from_left_weight(w))
         assert abs(back.w_left - w) < 1e-12
 
+    @given(w=weights)
+    def test_weights_of_a_weight_pair_is_the_pair(self, w):
+        pair = WeightPair(w, 1.0 - w)
+        assert weights_of(pair) is pair
+
+    @given(theta=angles)
+    def test_weights_of_amplitudes_bit_for_bit(self, theta):
+        state = AmplitudePair(math.cos(theta), math.sin(theta))
+        a, b = state.a_left, state.b_right
+        expected = normalize_pair(a * a, b * b, False)
+        pair = weights_of(state)
+        assert [pair.w_left.hex(), pair.w_right.hex(),
+                pair.sum_correction.hex()] == [x.hex() for x in expected]
+
 
 SP9 = SplitterCoefficients.from_reflectance(0.9)
 BOTH = Topology.BOTH_CONNECTED
@@ -289,6 +305,23 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
      ScheduleConflictError, "phase length must be an integer >= 1, got True"),
     (lambda: closed_form_measure_both(0.9, SP9, True), InvalidStepError,
      "step index must be an integer >= 1, got True"),
+    # numpy integers are counts and seeds; numpy floats and bools are not
+    (lambda: sample_path(SP9, BOTH, np.float64(3.0), 0), OutOfRangeError,
+     "steps must be an integer >= 1, got np.float64(3.0)"),
+    (lambda: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=3.0),
+     OutOfRangeError, "max_steps must be an integer >= 1, got 3.0"),
+    (lambda: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=np.True_),
+     OutOfRangeError, "max_steps must be an integer >= 1, got np.True_"),
+    (lambda: ensemble_frequencies(SP9, BOTH, 3, 5, np.float64(1.0)),
+     OutOfRangeError,
+     "seed must be a non-negative integer, got np.float64(1.0)"),
+    (lambda: sample_path(SP9, BOTH, 3, np.int64(-1)), OutOfRangeError,
+     "seed must be a non-negative integer, got np.int64(-1)"),
+    (lambda: ensemble_frequencies(SP9, BOTH, 3, np.int64(0), 0),
+     OutOfRangeError, "n_paths must be an integer >= 1, got np.int64(0)"),
+    (lambda: closed_form_measure_both(0.9, SP9, np.float64(3.0)),
+     InvalidStepError, "step index must be an integer >= 1, got "
+     "np.float64(3.0)"),
 ], ids=["reflectance", "left-weight", "closed-both-w", "closed-right-w",
         "compare-w", "step-index-0", "step-index-2.5", "max-steps",
         "switch-step", "phase-length", "mc-steps", "mc-paths", "period",
@@ -301,9 +334,59 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
         "closed-topology", "mc-steps-bool", "ensemble-steps-bool",
         "mc-paths-bool", "ensemble-seed-bool", "path-seed-bool",
         "max-steps-bool", "switch-step-bool", "phase-length-bool",
-        "step-index-bool"])
+        "step-index-bool", "mc-steps-np-float", "max-steps-float",
+        "max-steps-np-bool", "ensemble-seed-np-float", "path-seed-np-negative",
+        "ensemble-paths-np-0", "step-index-np-float"])
 def test_argument_rule_class_and_message(call, error, message):
     with pytest.raises(SplitLoopError) as info:
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+RIGHT = Topology.RIGHT_HALF_CONNECTED
+
+
+def _all_python_ints(value):
+    """Whether no value inside a result (dataclass fields, tuples, lists)
+    is a numpy scalar, so every count or seed it holds is a Python int."""
+    if isinstance(value, np.generic):
+        return False
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return all(_all_python_ints(v) for v in value)
+    return True
+
+
+# Each entry point, called with numpy integers and with Python ints (int).
+@pytest.mark.parametrize("np_int", [np.int64, np.uint64, np.int32])
+@pytest.mark.parametrize("call", [
+    lambda i: sample_path(SP9, BOTH, i(3), i(7)),
+    lambda i: ensemble_frequencies(SP9, BOTH, i(3), i(4), i(5)),
+    lambda i: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=i(3)),
+    lambda i: iterate(Scenario(MEASURE, BOTH, SP9, WP9, max_steps=i(4)),
+                      StepSchedule(((i(2), RIGHT),))),
+    lambda i: StepSchedule(((i(2), RIGHT), (i(5), BOTH))),
+    lambda i: run_switching_experiment([(BOTH, i(2)), (RIGHT, i(3))],
+                                       MEASURE, SP9, WP9),
+    lambda i: compare_modes(0.3, 1e-3, i(10)),
+    lambda i: sweep_initial_conditions(MEASURE, BOTH, (0.2, 0.4), 1e-3,
+                                       i(6), SP9),
+    lambda i: closed_form_measure_both(0.9, SP9, i(3)),
+    lambda i: closed_form_measure(RIGHT, 0.9, SP9, i(4)),
+], ids=["sample-path", "ensemble", "scenario", "iterate", "schedule",
+        "switching", "compare", "sweep", "closed-both", "closed-right"])
+def test_numpy_integers_give_what_python_ints_give(call, np_int):
+    expected = call(int)
+    got = call(np_int)
+    assert got == expected
+    assert _all_python_ints(got)
+
+
+def test_numpy_seed_across_the_key_carry_equals_the_python_run():
+    seed = 2 ** 64 - 2  # keys 2**64 - 2 .. 2**64 + 2 carry into the high word
+    expected = ensemble_frequencies(SP9, BOTH, 5, 5, seed)
+    got = ensemble_frequencies(SP9, BOTH, 5, 5, np.uint64(seed))
+    assert got == expected
+    assert type(got.base_seed) is int and type(got.n_paths) is int

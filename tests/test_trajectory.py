@@ -176,6 +176,12 @@ class TestSchedules:
         with pytest.raises(ScheduleConflictError):
             StepSchedule(((0, Topology.BOTH_CONNECTED),))
 
+    def test_switch_target_must_be_a_topology(self):
+        with pytest.raises(ScheduleConflictError) as info:
+            StepSchedule(((2, "both"),))
+        assert str(info.value) == ("switch target must be a Topology, got "
+                                   "'both'")
+
     def test_switch_beyond_max_steps_rejected(self):
         schedule = StepSchedule(((9, Topology.RIGHT_HALF_CONNECTED),))
         with pytest.raises(ScheduleConflictError):
