@@ -192,20 +192,20 @@ def sweep_initial_conditions(mode: InteractionMode, topology: Topology,
                             _state_from_left_weight(mode, w),
                             max_steps=max_steps)
         record, converged = converging_record(scenario, criterion)
-        cells.append(SweepCell(w, converged, record.n if converged else None,
+        cells.append(SweepCell(float(w), converged,
+                               record.n if converged else None,
                                record.weights.w_left, record.weights.w_right))
     return SweepResult(tuple(cells), mode, topology, splitter, epsilon,
                        scenario.max_steps, target)  # the int form of max_steps
 
 
-def convergence_order(w_initial: float = 0.6, floor: float = 1e-13,
-                      max_iterations: int = 60) -> float:
+def convergence_order(w_initial: float = 0.6) -> float:
     """Log-log slope of successive distances to the balanced fixed point.
 
-    Iterates the both-connected fixed-splitter weight map and fits
-    log d(n+1) against log d(n) by least squares, using only distances
-    above the floor so float noise near the fixed point is excluded. A
-    slope of 2 means squared-error (quadratic) convergence.
+    Iterates the both-connected fixed-splitter weight map at most 60 times
+    and fits log d(n+1) against log d(n) by least squares, using only the
+    distances above a floor of 1e-13 so float noise near the fixed point is
+    excluded. A slope of 2 means squared-error (quadratic) convergence.
     """
     if w_initial in (0.0, 0.5, 1.0):
         raise DegenerateInitialError(
@@ -217,9 +217,9 @@ def convergence_order(w_initial: float = 0.6, floor: float = 1e-13,
                               Topology.BOTH_CONNECTED)
     w = w_initial
     distances = []
-    for _ in range(max_iterations):
+    for _ in range(60):
         d = abs(w - 0.5)
-        if d <= floor:
+        if d <= 1e-13:
             break
         distances.append(d)
         w = step(w)

@@ -29,7 +29,8 @@ import click
 from .analysis import (compare_modes, reference_sequences,
                        sweep_initial_conditions)
 from .errors import (NumericDomainError, OutOfRangeError,
-                     ScheduleConflictError, SplitLoopError)
+                     ScheduleConflictError, SplitLoopError,
+                     UnsupportedModeError)
 from .states import (InteractionMode, SplitterCoefficients, Topology,
                      _check_positive_finite, _check_sampling, _check_unit,
                      _state_from_left_weight)
@@ -371,7 +372,11 @@ def sweep(mode, topology, grid, eps, max_steps, a1sq, fmt, out):
 def mc(mode, topology, a1sq, steps, paths, seed, sigma, fmt, out):
     """Sample a photon ensemble and check it against the exact weights."""
     mode_obj = _MODES[mode]
-    _check_sampling(mode_obj, steps, seed, paths)
+    if mode_obj is not InteractionMode.MOVABLE_SPLITTER:
+        raise UnsupportedModeError(
+            "unsupported mode for sampling: only movable-splitter dynamics "
+            "have per-path statistics")
+    _check_sampling(steps, seed, paths)
     _check_positive_finite("sigma_bound", sigma)
     splitter = _splitter(a1sq)
     from . import montecarlo  # numpy loads here, after the checks above

@@ -58,11 +58,11 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable, Union
 
-from .errors import InvalidStepError, ModeMismatchError, NumericDomainError
+from .errors import (InvalidStepError, ModeMismatchError, NumericDomainError,
+                     OutOfRangeError)
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
-                     Topology, WeightPair, _check_count,
-                     _check_positive_finite, _check_splitter, _check_unit,
-                     amplitude_pair, normalize_pair, weight_pair)
+                     Topology, WeightPair, _check_count, _check_splitter,
+                     _check_unit, amplitude_pair, normalize_pair, weight_pair)
 
 # Denominator guard for the half-connected unitary maps. Unreachable from a
 # normalized state (D >= 1 there), kept as a hard stop for raw kernel input.
@@ -393,15 +393,17 @@ def induced_weight_map(mode: InteractionMode, topology: Topology,
     return lambda w: kernel(w, 1.0 - w, a1sq, b1sq)[0]
 
 
-def map_derivative(f: Callable[[float], float], w: float,
-                   h: float = 1e-6) -> float:
-    """Finite-difference derivative of a 1-D map at w.
+def map_derivative(f: Callable[[float], float], w: float) -> float:
+    """Finite-difference derivative of a 1-D map at a finite w.
 
-    Centered difference with step h wherever both probe points evaluate;
-    falls back to a one-sided difference at a boundary where the map's
-    algebraic form stops being real (square root of a negative number).
+    Centered difference with step h = 1e-6 wherever both probe points
+    evaluate; falls back to a one-sided difference at a boundary where the
+    map's algebraic form stops being real (square root of a negative
+    number). A finite w outside [0, 1] is probed like any other.
     """
-    _check_positive_finite("h", h)
+    if not math.isfinite(w):
+        raise OutOfRangeError(f"w must be finite, got {w!r}")
+    h = 1e-6
     try:
         fp = f(w + h)
     except ValueError:

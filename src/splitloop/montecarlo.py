@@ -5,8 +5,9 @@ sits in exactly one loop, and the splitter coefficients give the branching
 probabilities. Ensemble frequencies across many paths estimate the same
 per-step weights the deterministic weight maps compute, which makes this an
 independent check on them. Fixed-splitter dynamics have no per-path story
-(the state is a coherent superposition, not a position), so that mode is
-refused by `states._check_sampling`, which the CLI runs before numpy loads.
+(the state is a coherent superposition, not a position), so the sampler
+takes no mode: every path follows the movable-splitter wirings. `splitloop
+mc` refuses the fixed-splitter mode itself, before numpy loads.
 
 Randomness comes from counter-based Philox streams: path i of an ensemble
 draws from the stream keyed base_seed + i, and a path is fully determined
@@ -211,12 +212,11 @@ def _walk(uniforms: np.ndarray, a1_squared: float, b1_squared: float,
 
 
 def sample_path(splitter: SplitterCoefficients, topology: Topology,
-                steps: int, seed: int,
-                mode: InteractionMode = InteractionMode.MOVABLE_SPLITTER,
-                ) -> PhotonPath:
+                steps: int, seed: int) -> PhotonPath:
     """One photon path of the given length, fully determined by the seed."""
-    steps, seed, _ = _check_sampling(mode, steps, seed)
-    raw_step(mode, topology, splitter)  # names a bad argument before any draw
+    steps, seed, _ = _check_sampling(steps, seed)
+    # names a bad splitter or topology before any draw
+    raw_step(InteractionMode.MOVABLE_SPLITTER, topology, splitter)
     column = _walk(_rekeyed_uniforms(seed, 1, steps), splitter.a1_squared,
                    splitter.b1_squared, topology)[:, 0]
     sides = tuple(Side.LEFT if hit else Side.RIGHT for hit in column)
@@ -224,18 +224,17 @@ def sample_path(splitter: SplitterCoefficients, topology: Topology,
 
 
 def ensemble_frequencies(splitter: SplitterCoefficients, topology: Topology,
-                         steps: int, n_paths: int, base_seed: int,
-                         mode: InteractionMode = InteractionMode.MOVABLE_SPLITTER,
-                         ) -> EnsembleEstimate:
+                         steps: int, n_paths: int,
+                         base_seed: int) -> EnsembleEstimate:
     """Per-step left/right frequencies over paths seeded base_seed + i.
 
     Aggregates exactly the paths sample_path would return for the seeds
     base_seed, base_seed + 1, ..., base_seed + n_paths - 1, a chunk of paths
     at a time.
     """
-    steps, base_seed, n_paths = _check_sampling(mode, steps, base_seed,
-                                                n_paths)
-    raw_step(mode, topology, splitter)  # names a bad argument before any draw
+    steps, base_seed, n_paths = _check_sampling(steps, base_seed, n_paths)
+    # names a bad splitter or topology before any draw
+    raw_step(InteractionMode.MOVABLE_SPLITTER, topology, splitter)
     chunk = _chunk_paths(steps)
     counts = np.zeros(steps, dtype=np.int64)
     for start in range(0, n_paths, chunk):

@@ -28,8 +28,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import (ModeMismatchError, NormalizationError, OutOfRangeError,
-                     UnsupportedModeError)
+from .errors import ModeMismatchError, NormalizationError, OutOfRangeError
 
 # Hand-entered amplitude pairs are often quoted to three decimals, which can
 # leave the squared norm off by a few 1e-4. Pairs within this tolerance are
@@ -112,14 +111,10 @@ def _check_splitter(splitter: SplitterCoefficients) -> None:
             f"{splitter!r}")
 
 
-def _check_sampling(mode: InteractionMode, steps: int, seed: int,
+def _check_sampling(steps: int, seed: int,
                     n_paths: int = 1) -> tuple[int, int, int]:
-    """(steps, seed, n_paths) as ints; refuse a mode without paths, a bad
-    count, or seeds seed .. seed + n_paths - 1 outside the 128-bit keys."""
-    if mode is not InteractionMode.MOVABLE_SPLITTER:
-        raise UnsupportedModeError(
-            "unsupported mode for sampling: only movable-splitter dynamics "
-            "have per-path statistics")
+    """(steps, seed, n_paths) as ints; refuse a bad count, or seeds
+    seed .. seed + n_paths - 1 outside the 128-bit keys."""
     steps = _check_count("steps", steps)
     first = _as_int(seed)
     if first is None or first < 0:
@@ -140,15 +135,16 @@ class Violation:
     message: str
 
 
-def _violation(x: float, y: float, squared: bool,
-               tol: float) -> Violation | None:
+def _violation(x: float, y: float, squared: bool) -> Violation | None:
     """The acceptance rule for a raw pair: a Violation, or None when fine.
 
     Both components must be finite and non-negative (up to the range
-    slack); the squared norm (squared=True, amplitudes) or the sum
-    (squared=False, weights) must lie within tol of 1.
+    slack); the squared norm (squared=True, amplitudes) must lie within
+    AMPLITUDE_NORM_TOL of 1, the sum (squared=False, weights) within
+    WEIGHT_SUM_TOL.
     """
     dev = (x * x + y * y if squared else x + y) - 1.0
+    tol = AMPLITUDE_NORM_TOL if squared else WEIGHT_SUM_TOL
     if x >= -_RANGE_SLACK and y >= -_RANGE_SLACK and abs(dev) <= tol:
         return None
     names = ("a_left", "b_right") if squared else ("w_left", "w_right")
@@ -166,16 +162,14 @@ def _violation(x: float, y: float, squared: bool,
         f"weight sum {1.0 + dev!r} deviates from 1 by {dev!r}")
 
 
-def validate_amplitudes(a_left: float, b_right: float,
-                        tol: float = AMPLITUDE_NORM_TOL) -> Violation | None:
+def validate_amplitudes(a_left: float, b_right: float) -> Violation | None:
     """Check a raw amplitude pair; return a Violation or None when fine."""
-    return _violation(a_left, b_right, True, tol)
+    return _violation(a_left, b_right, True)
 
 
-def validate_weights(w_left: float, w_right: float,
-                     tol: float = WEIGHT_SUM_TOL) -> Violation | None:
+def validate_weights(w_left: float, w_right: float) -> Violation | None:
     """Check a raw weight pair; return a Violation or None when fine."""
-    return _violation(w_left, w_right, False, tol)
+    return _violation(w_left, w_right, False)
 
 
 def normalize_pair(x: float, y: float,
@@ -188,8 +182,7 @@ def normalize_pair(x: float, y: float,
     (norm or sum minus 1). Raises OutOfRangeError or NormalizationError with
     the messages of validate_amplitudes / validate_weights.
     """
-    violation = _violation(x, y, squared,
-                           AMPLITUDE_NORM_TOL if squared else WEIGHT_SUM_TOL)
+    violation = _violation(x, y, squared)
     if violation is not None:
         if violation.kind == "range":
             raise OutOfRangeError(violation.message)

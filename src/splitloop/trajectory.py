@@ -23,7 +23,8 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from . import maps
-from .errors import OutOfRangeError, ScheduleConflictError
+from .errors import (ModeMismatchError, OutOfRangeError,
+                     ScheduleConflictError)
 from .maps import State
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
                      Topology, WeightPair, _check_count,
@@ -110,6 +111,9 @@ class ConvergenceCriterion:
     epsilon: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.target, WeightPair):
+            raise ModeMismatchError("target must be a WeightPair, got "
+                                    f"{type(self.target).__name__}")
         _check_positive_finite("epsilon", self.epsilon)
 
     def distance(self, weights: WeightPair) -> float:
@@ -130,6 +134,9 @@ class NotConverged:
 
 def _records(scenario: Scenario,
              schedule: StepSchedule | None) -> Iterator[TrajectoryRecord]:
+    if schedule is not None and not isinstance(schedule, StepSchedule):
+        raise ScheduleConflictError("schedule must be a StepSchedule, got "
+                                    f"{type(schedule).__name__}")
     switches = schedule.switches if schedule is not None else ()
     if switches and switches[-1][0] > scenario.max_steps:
         raise ScheduleConflictError(

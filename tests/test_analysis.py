@@ -205,6 +205,7 @@ class TestSweep:
             mode, Topology.BOTH_CONNECTED, np.array([0.2, 0.4]), 1e-3, 50,
             splitter)
         assert result.cells == expected.cells
+        assert repr(result.cells) == repr(expected.cells)
 
     def test_empty_ndarray_grid_is_refused(self):
         with pytest.raises(OutOfRangeError) as info:
@@ -235,6 +236,9 @@ class TestConvergenceOrder:
         assert type(info.value) is OutOfRangeError
         assert str(info.value) == f"w_initial out of range: {w!r} not in (0, 1)"
 
-    def test_floor_above_first_distance_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            convergence_order(0.6, floor=0.2)
+    def test_too_few_iterates_above_the_floor_rejected(self):
+        # 1e-4 from balance, the third distance is already below 1e-13
+        with pytest.raises(OutOfRangeError) as info:
+            convergence_order(0.5001)
+        assert str(info.value) == ("not enough usable iterates above the "
+                                   "noise floor to fit a slope")

@@ -489,13 +489,18 @@ class TestDerivatives:
         assert str(info.value) == ("map not evaluable on either side of 0.5 "
                                    "with h=1e-06")
 
-    @pytest.mark.parametrize("h", [0.0, math.nan, math.inf, -1e-6])
-    def test_step_must_be_positive_and_finite(self, h):
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_point_must_be_finite(self, w):
+        probes = []
+        with pytest.raises(OutOfRangeError) as info:
+            map_derivative(probes.append, w)
+        assert str(info.value) == f"w must be finite, got {w!r}"
+        assert probes == []  # refused before any probe
+
+    def test_finite_point_outside_the_unit_interval_is_probed(self):
         f = induced_weight_map(InteractionMode.FIXED_SPLITTER,
                                Topology.BOTH_CONNECTED)
-        with pytest.raises(OutOfRangeError) as info:
-            map_derivative(f, 0.5, h)
-        assert str(info.value) == f"h must be positive and finite, got {h!r}"
+        assert map_derivative(f, 1.2) == pytest.approx(3500.00007, abs=1e-3)
 
     def test_measure_contraction_slope(self):
         splitter = SplitterCoefficients.from_reflectance(0.9)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from splitloop import montecarlo
 from splitloop import (GENERATOR_NAME, InteractionMode, LengthMismatchError,
                        ModeMismatchError, OutOfRangeError, Scenario, Side, SplitterCoefficients,
-                       Topology, UnsupportedModeError, WeightPair,
+                       Topology, WeightPair,
                        agreement_report, ensemble_frequencies, iterate,
                        sample_path)
 
@@ -106,11 +106,6 @@ class TestSamplePath:
     def test_path_length(self):
         path = sample_path(SP9, Topology.RIGHT_HALF_CONNECTED, 17, 5)
         assert len(path.sides) == 17
-
-    def test_unitary_mode_refused(self):
-        with pytest.raises(UnsupportedModeError):
-            sample_path(SP9, Topology.BOTH_CONNECTED, 4, 0,
-                        mode=InteractionMode.FIXED_SPLITTER)
 
     @pytest.mark.parametrize("steps,seed", [(0, 1), (-3, 1), (4, -1)])
     def test_argument_validation(self, steps, seed):
@@ -241,11 +236,6 @@ class TestEnsemble:
     def test_path_count_validation(self):
         with pytest.raises(OutOfRangeError):
             ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, 4, 0, 1)
-
-    def test_unitary_mode_refused(self):
-        with pytest.raises(UnsupportedModeError):
-            ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, 4, 10, 1,
-                                 mode=InteractionMode.FIXED_SPLITTER)
 
     @pytest.mark.parametrize("splitter,topology", [
         (SP9, "both"), (None, Topology.BOTH_CONNECTED)],

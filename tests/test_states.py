@@ -13,7 +13,7 @@ from splitloop import (AMPLITUDE_NORM_TOL, AmplitudePair,
                        InvalidStepError, ModeMismatchError, NormalizationError,
                        OutOfRangeError, Scenario, ScheduleConflictError,
                        SplitLoopError, SplitterCoefficients, StepMap,
-                       StepSchedule, Topology, UnsupportedModeError,
+                       StepSchedule, Topology,
                        Violation, WeightPair, agreement_report,
                        amplitudes_from_left_weight, closed_form_measure,
                        closed_form_measure_both,
@@ -156,11 +156,10 @@ class TestValidators:
         assert validate_weights(0.25, 0.5).kind == "weight-sum"
         assert validate_weights(1.5, -0.5).kind == "range"
 
-    def test_custom_tolerance(self):
-        # (0.72, 0.72) has squared norm 1.0368
-        assert validate_amplitudes(0.72, 0.72, tol=0.05) is None
-        assert validate_amplitudes(0.72, 0.72,
-                                   tol=0.02).kind == "normalization"
+    def test_fixed_tolerance(self):
+        # squared norms 1.00064 and 1.001601: inside and outside the 1e-3 band
+        assert validate_amplitudes(0.6, 0.8004) is None
+        assert validate_amplitudes(0.6, 0.801).kind == "normalization"
         assert AMPLITUDE_NORM_TOL == 1e-3
 
 
@@ -250,9 +249,6 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
      ModeMismatchError, "topology must be a Topology, got 'both'"),
     (lambda: Scenario("measure", BOTH, SP9, WP9, max_steps=3),
      ModeMismatchError, "mode must be an InteractionMode, got 'measure'"),
-    (lambda: sample_path(SP9, BOTH, 3, 0, InteractionMode.FIXED_SPLITTER),
-     UnsupportedModeError, "unsupported mode for sampling: only "
-     "movable-splitter dynamics have per-path statistics"),
     (lambda: Scenario(MEASURE, BOTH, None, WP9, max_steps=3),
      ModeMismatchError, NO_SPLITTER + "None"),
     (lambda: sweep_initial_conditions(MEASURE, BOTH, (0.2, 0.4), 1e-3),
@@ -322,10 +318,18 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
     (lambda: closed_form_measure_both(0.9, SP9, np.float64(3.0)),
      InvalidStepError, "step index must be an integer >= 1, got "
      "np.float64(3.0)"),
+    # run arguments of the wrong type are named where they enter
+    (lambda: ConvergenceCriterion(None, 1e-3), ModeMismatchError,
+     "target must be a WeightPair, got NoneType"),
+    (lambda: ConvergenceCriterion(AP9, 1e-3), ModeMismatchError,
+     "target must be a WeightPair, got AmplitudePair"),
+    (lambda: iterate(Scenario(MEASURE, BOTH, SP9, WP9, max_steps=3),
+                     ((2, BOTH),)), ScheduleConflictError,
+     "schedule must be a StepSchedule, got tuple"),
 ], ids=["reflectance", "left-weight", "closed-both-w", "closed-right-w",
         "compare-w", "step-index-0", "step-index-2.5", "max-steps",
         "switch-step", "phase-length", "mc-steps", "mc-paths", "period",
-        "sigma", "scenario-topology", "scenario-mode", "sampling-mode",
+        "sigma", "scenario-topology", "scenario-mode",
         "scenario-splitter", "sweep-splitter", "apply-splitter",
         "step-splitter", "weight-map-splitter", "closed-both-splitter",
         "closed-right-splitter", "ensemble-splitter", "path-splitter",
@@ -336,7 +340,8 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
         "max-steps-bool", "switch-step-bool", "phase-length-bool",
         "step-index-bool", "mc-steps-np-float", "max-steps-float",
         "max-steps-np-bool", "ensemble-seed-np-float", "path-seed-np-negative",
-        "ensemble-paths-np-0", "step-index-np-float"])
+        "ensemble-paths-np-0", "step-index-np-float", "criterion-none",
+        "criterion-amplitudes", "schedule-tuple"])
 def test_argument_rule_class_and_message(call, error, message):
     with pytest.raises(SplitLoopError) as info:
         call()
