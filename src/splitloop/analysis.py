@@ -205,7 +205,8 @@ def convergence_order(w_initial: float = 0.6) -> float:
     Iterates the both-connected fixed-splitter weight map at most 60 times
     and fits log d(n+1) against log d(n) by least squares, using only the
     distances above a floor of 1e-13 so float noise near the fixed point is
-    excluded. A slope of 2 means squared-error (quadratic) convergence.
+    excluded. A slope of 2 means squared-error (quadratic) convergence. A
+    start whose iterate lands on the repelling fixed point 1 is refused.
     """
     if w_initial in (0.0, 0.5, 1.0):
         raise DegenerateInitialError(
@@ -218,6 +219,9 @@ def convergence_order(w_initial: float = 0.6) -> float:
     w = w_initial
     distances = []
     for _ in range(60):
+        if w == 1.0:  # every later distance would be 1/2: no slope to fit
+            raise DegenerateInitialError(
+                f"w_initial {w_initial!r} lands on the fixed point 1")
         d = abs(w - 0.5)
         if d <= 1e-13:
             break

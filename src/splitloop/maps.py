@@ -356,7 +356,8 @@ def closed_form_measure(topology: Topology, w_left_initial: float,
     (w*, r) is (1/2, a1^2 - b1^2) with both loops connected, (0, a1^2) with
     the right loop absorbing and (1, b1^2) with the left one; `_SPECS` holds
     both. Step 1 is the initial weight itself. An independent check on the
-    iterated map.
+    iterated map. The sign of r^(n - 1) comes from the parity of the
+    integer n - 1, so it is exact for any n.
     """
     n = _check_count("step index", n, InvalidStepError)
     _check_unit("w_left_initial", w_left_initial)
@@ -364,7 +365,10 @@ def closed_form_measure(topology: Topology, w_left_initial: float,
     _, points, rate = _spec(_MOVABLE, topology)
     fixed = points[0].point.w_left
     r = rate(splitter.a1_squared, splitter.b1_squared)
-    return fixed + (w_left_initial - fixed) * r ** (n - 1)
+    power = abs(r) ** min(n - 1, 2 ** 1023)  # n - 1 as a float overflows
+    if r < 0.0 and (n - 1) % 2:  # and loses its parity past 2**53
+        power = -power
+    return fixed + (w_left_initial - fixed) * power
 
 
 closed_form_measure_both = partial(closed_form_measure,
@@ -398,20 +402,19 @@ def map_derivative(f: Callable[[float], float], w: float) -> float:
 
     Centered difference with step h = 1e-6 wherever both probe points
     evaluate; falls back to a one-sided difference at a boundary where the
-    map's algebraic form stops being real (square root of a negative
-    number). A finite w outside [0, 1] is probed like any other.
+    map's algebraic form stops being real: a probe of f that raises
+    ValueError. A finite w outside [0, 1] is probed like any other.
     """
     if not math.isfinite(w):
         raise OutOfRangeError(f"w must be finite, got {w!r}")
     h = 1e-6
-    try:
-        fp = f(w + h)
-    except ValueError:
-        fp = None
-    try:
-        fm = f(w - h)
-    except ValueError:
-        fm = None
+
+    def probe(x: float) -> float | None:
+        try:
+            return f(x)
+        except ValueError:
+            return None
+    fp, fm = probe(w + h), probe(w - h)
     if fp is not None and fm is not None:
         return (fp - fm) / (2.0 * h)
     if fp is not None:

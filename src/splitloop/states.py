@@ -153,13 +153,9 @@ def _violation(x: float, y: float, squared: bool) -> Violation | None:
             return Violation("range", float("nan"), f"{name} is not finite")
         if v < -_RANGE_SLACK:
             return Violation("range", v, f"{name} must be non-negative, got {v!r}")
-    if squared:
-        return Violation(
-            "normalization", dev,
-            f"squared norm {1.0 + dev!r} deviates from 1 by {dev!r}")
-    return Violation(
-        "weight-sum", dev,
-        f"weight sum {1.0 + dev!r} deviates from 1 by {dev!r}")
+    label = "squared norm" if squared else "weight sum"
+    return Violation("normalization" if squared else "weight-sum", dev,
+                     f"{label} {1.0 + dev!r} deviates from 1 by {dev!r}")
 
 
 def validate_amplitudes(a_left: float, b_right: float) -> Violation | None:

@@ -161,20 +161,13 @@ def _records(scenario: Scenario,
                 weights = weights_of(amplitudes)
             else:
                 weights = weight_pair(x, y, correction)
-        yield _record(n, n * period, topology, amplitudes, weights)
-
-
-def _record(n: int, time: float, topology: Topology,
-            amplitudes: AmplitudePair | None,
-            weights: WeightPair) -> TrajectoryRecord:
-    """TrajectoryRecord(n, time, ...) without the frozen-field setters."""
-    record = _new(TrajectoryRecord)
-    _set(record, "n", n)
-    _set(record, "time", time)
-    _set(record, "topology", topology)
-    _set(record, "amplitudes", amplitudes)
-    _set(record, "weights", weights)
-    return record
+        record = _new(TrajectoryRecord)  # without the frozen-field setters
+        _set(record, "n", n)
+        _set(record, "time", n * period)
+        _set(record, "topology", topology)
+        _set(record, "amplitudes", amplitudes)
+        _set(record, "weights", weights)
+        yield record
 
 
 def iterate(scenario: Scenario,

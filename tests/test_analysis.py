@@ -229,6 +229,15 @@ class TestConvergenceOrder:
         with pytest.raises(DegenerateInitialError):
             convergence_order(w)
 
+    def test_start_carried_onto_the_repelling_point_rejected(self):
+        # one pass maps 1e-17 to exactly 1.0, where every distance is 1/2
+        with pytest.raises(DegenerateInitialError) as info:
+            convergence_order(1e-17)
+        assert str(info.value) == "w_initial 1e-17 lands on the fixed point 1"
+
+    def test_start_just_clear_of_the_repelling_point_fits(self):
+        assert 1.8 < convergence_order(3e-17) < 2.2
+
     @pytest.mark.parametrize("w", [1.5, math.nan])
     def test_out_of_range_starts_rejected(self, w):
         with pytest.raises(OutOfRangeError) as info:

@@ -225,6 +225,89 @@ def test_no_unused_imports():
     assert found == []
 
 
+def _unread_private_names(paths):
+    """Module-level private functions, classes and constants in the files at
+    paths that none of those files reads.
+
+    A bare name is a read only in the file that defines it. An attribute of
+    an imported module, or a name imported from one, is a read of that
+    module's name only. Any other attribute or imported name, and a string
+    constant equal to the name (`maps` looks its kernels up by name), is a
+    read of that name in every file.
+    """
+    modules = {os.path.basename(path)[:-3]: path for path in paths}
+    defined = {}
+    read = set()  # (path, name); path None: the name in every file
+    for path in paths:
+        with open(path) as source:
+            tree = ast.parse(source.read())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.endswith("__"):
+                    defined[path, name] = node.lineno
+        aliases = {}  # local name -> path of the module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name in modules:
+                        aliases[alias.asname or alias.name] = modules[
+                            alias.name]
+            elif isinstance(node, ast.ImportFrom):
+                origin = modules.get((node.module or "").rpartition(".")[2])
+                for alias in node.names:
+                    if origin is None and alias.name in modules:
+                        aliases[alias.asname or alias.name] = modules[
+                            alias.name]
+                    else:
+                        read.add((origin, alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((path, node.id))
+            elif isinstance(node, ast.Attribute):
+                owner = (aliases.get(node.value.id)
+                         if isinstance(node.value, ast.Name) else None)
+                read.add((owner, node.attr))
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                read.add((None, node.value))
+    return sorted(f"{os.path.basename(path)}:{line}: {name}"
+                  for (path, name), line in defined.items()
+                  if (path, name) not in read and (None, name) not in read)
+
+
+def test_no_unread_private_names():
+    package = os.path.dirname(splitloop.__file__)
+    assert _unread_private_names(
+        [os.path.join(package, name) for name in sorted(os.listdir(package))
+         if name.endswith(".py")]) == []
+
+
+def test_unread_private_name_check_sees_a_dead_helper(tmp_path):
+    first = tmp_path / "first.py"
+    first.write_text("_SEEN = 1\n_DEAD = 2\n_TWIN = 3\n"
+                     "def _kernel():\n    pass\n"
+                     "def _dead(x):\n    _DEAD = x\n"
+                     "class _Imported:\n    pass\n"
+                     "def _by_attribute():\n    pass\n"
+                     "def public():\n    return globals()['_kernel'], _SEEN\n")
+    second = tmp_path / "second.py"
+    # each of second's two names is read only as first's
+    second.write_text("import first\nfrom first import _Imported\n"
+                      "_SEEN = 4\n_TWIN = 5\n"
+                      "first._by_attribute(first._TWIN)\n")
+    assert _unread_private_names([str(first), str(second)]) == [
+        "first.py:2: _DEAD", "first.py:6: _dead",
+        "second.py:3: _SEEN", "second.py:4: _TWIN"]
+
+
 def test_unused_import_check_sees_an_unused_name(tmp_path):
     source = tmp_path / "sample.py"
     source.write_text("import math\nimport os as system\n"

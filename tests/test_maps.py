@@ -343,6 +343,31 @@ class TestClosedForms:
         assert (closed_form_measure_right_half(w, splitter, n).hex()
                 == right.hex())
 
+    @pytest.mark.parametrize("n,expected", [
+        (2 ** 53 + 2, 0.09999999999999998), (2 ** 53 + 3, 0.9),
+    ], ids=["2**53+2", "2**53+3"])
+    def test_alternating_sign_follows_the_integer_parity(self, n, expected):
+        # a1^2 = 0 gives r = -1: the weight alternates 0.9, 0.1, 0.9, ...
+        # (n up to 400 is pinned bit for bit by the test above)
+        splitter = SplitterCoefficients.from_reflectance(0.0)
+        assert closed_form_measure_both(0.9, splitter, n) == expected
+
+    def test_unit_rate_keeps_the_first_weight_beyond_the_float_range(self):
+        # a1^2 = 1 gives r = 1 with both loops connected
+        splitter = SplitterCoefficients.from_reflectance(1.0)
+        assert closed_form_measure_both(0.9, splitter, 10 ** 400) == 0.9
+
+    @pytest.mark.parametrize("topology,fixed", [
+        (Topology.BOTH_CONNECTED, 0.5),
+        (Topology.RIGHT_HALF_CONNECTED, 0.0),
+        (Topology.LEFT_HALF_CONNECTED, 1.0),
+    ])
+    def test_step_beyond_the_float_range_gives_the_fixed_weight(self,
+                                                                topology,
+                                                                fixed):
+        splitter = SplitterCoefficients.from_reflectance(0.3)
+        assert closed_form_measure(topology, 0.9, splitter, 10 ** 400) == fixed
+
     @pytest.mark.parametrize("closed_form", [
         closed_form_measure_both, closed_form_measure_right_half,
         *(partial(closed_form_measure, t) for t in Topology),

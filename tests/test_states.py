@@ -210,8 +210,8 @@ def _ensemble():
     return ensemble_frequencies(SP9, BOTH, 2, 10, 0)
 
 
-# Every call site of the shared argument rules in `states`, with the class
-# and exact message each raises.
+# Every call site of the shared argument rules in `states`, and each way a
+# state constructor fails, with the class and exact message each raises.
 NO_SPLITTER = "movable-splitter maps need SplitterCoefficients, got "
 WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
 
@@ -326,6 +326,14 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
     (lambda: iterate(Scenario(MEASURE, BOTH, SP9, WP9, max_steps=3),
                      ((2, BOTH),)), ScheduleConflictError,
      "schedule must be a StepSchedule, got tuple"),
+    (lambda: AmplitudePair(0.6, 0.6), NormalizationError,
+     "squared norm 0.72 deviates from 1 by -0.28"),
+    (lambda: WeightPair(0.25, 0.5), NormalizationError,
+     "weight sum 0.75 deviates from 1 by -0.25"),
+    (lambda: AmplitudePair(-0.5, 0.8), OutOfRangeError,
+     "a_left must be non-negative, got -0.5"),
+    (lambda: WeightPair(math.nan, 0.5), OutOfRangeError,
+     "w_left is not finite"),
 ], ids=["reflectance", "left-weight", "closed-both-w", "closed-right-w",
         "compare-w", "step-index-0", "step-index-2.5", "max-steps",
         "switch-step", "phase-length", "mc-steps", "mc-paths", "period",
@@ -341,7 +349,8 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
         "step-index-bool", "mc-steps-np-float", "max-steps-float",
         "max-steps-np-bool", "ensemble-seed-np-float", "path-seed-np-negative",
         "ensemble-paths-np-0", "step-index-np-float", "criterion-none",
-        "criterion-amplitudes", "schedule-tuple"])
+        "criterion-amplitudes", "schedule-tuple", "amplitude-norm",
+        "weight-sum", "amplitude-negative", "weight-not-finite"])
 def test_argument_rule_class_and_message(call, error, message):
     with pytest.raises(SplitLoopError) as info:
         call()
