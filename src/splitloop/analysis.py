@@ -117,7 +117,7 @@ def compare_modes(w_left_initial: float, epsilon: float,
     run from it. Tied, the coherent route is never the slower one; untied,
     the measuring route can win (ratio below 1).
     """
-    _check_unit("w_left_initial", w_left_initial)
+    w_left_initial = _check_unit("w_left_initial", w_left_initial)
     if w_left_initial in (0.0, 1.0):
         raise DegenerateInitialError(
             "pure initial states never relax; w_left_initial must be "

@@ -33,8 +33,10 @@ chains. Fixed-splitter maps ignore the splitter after the initial state has
 been formed, movable-splitter maps use it on every pass.
 
 The *_kernel functions are the one copy of each update formula. They take
-Python floats (the per-pass path: math.sqrt, math.pow) or numpy arrays
-(np.sqrt, np.float_power, np.any), with bit-identical results elementwise.
+Python floats (the per-pass path: math.sqrt) or numpy arrays (np.sqrt,
+np.any), with bit-identical results elementwise. Besides sqrt they use only
++ - * /, so every result is correctly rounded IEEE 754 arithmetic and no
+C library function such as pow decides a bit.
 The array path imports numpy on first use, so float-only callers never
 load it.
 What differs between the six maps is in one table, `_SPECS[(mode,
@@ -80,19 +82,6 @@ def _sqrt(x):
     return np.sqrt(x)
 
 
-def _square(x):
-    """x ** 2 through the C library's pow, on a float or elementwise.
-
-    Not x * x: pow rounds differently from the product for some inputs,
-    and the per-pass results are pinned to pow. numpy's `**` turns into a
-    product, so arrays go through float_power, which calls pow.
-    """
-    if isinstance(x, float):
-        return math.pow(x, 2.0)
-    import numpy as np
-    return np.float_power(x, 2.0)
-
-
 def _check_denominator(d, wiring: str) -> None:
     small = d < _MIN_DENOMINATOR
     if not isinstance(small, bool):
@@ -111,7 +100,7 @@ def unitary_both_kernel(a, b):
 
 def unitary_right_half_kernel(a, b):
     """Raw right-half-connected unitary update; returns (a', b')."""
-    d = _sqrt((a * a) * (a * a) + (b * b) * _square(1.0 + a))
+    d = _sqrt((a * a) * (a * a) + (b * b) * ((1.0 + a) * (1.0 + a)))
     _check_denominator(d, "right-half")
     return (a * a) / d, b * (1.0 + a) / d
 
@@ -122,7 +111,7 @@ def unitary_left_half_kernel(a, b):
     Written with the same expression shapes as unitary_right_half_kernel so
     that the mirror identity holds bit for bit, not merely to rounding.
     """
-    d = _sqrt((b * b) * (b * b) + (a * a) * _square(1.0 + b))
+    d = _sqrt((b * b) * (b * b) + (a * a) * ((1.0 + b) * (1.0 + b)))
     _check_denominator(d, "left-half")
     return a * (1.0 + b) / d, (b * b) / d
 
@@ -163,7 +152,7 @@ class FixedPoint:
 
 def _unitary_right_half_weight(w: float) -> float:
     s = math.sqrt(w)  # raises ValueError left of 0
-    return w * w / (w * w + (1.0 - w) * (1.0 + s) ** 2)
+    return w * w / (w * w + (1.0 - w) * ((1.0 + s) * (1.0 + s)))
 
 
 _FIXED = InteractionMode.FIXED_SPLITTER
@@ -360,7 +349,7 @@ def closed_form_measure(topology: Topology, w_left_initial: float,
     integer n - 1, so it is exact for any n.
     """
     n = _check_count("step index", n, InvalidStepError)
-    _check_unit("w_left_initial", w_left_initial)
+    w_left_initial = _check_unit("w_left_initial", w_left_initial)
     _check_splitter(splitter)
     _, points, rate = _spec(_MOVABLE, topology)
     fixed = points[0].point.w_left

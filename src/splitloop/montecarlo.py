@@ -255,7 +255,7 @@ def agreement_report(estimate: EnsembleEstimate,
                      analytic: Sequence[WeightPair],
                      sigma_bound: float = 4.0) -> list[StepAgreement]:
     """Per-step z-scores of the ensemble against an analytic weight series."""
-    _check_positive_finite("sigma_bound", sigma_bound)
+    sigma_bound = _check_positive_finite("sigma_bound", sigma_bound)
     if len(analytic) != len(estimate.w_left):
         raise LengthMismatchError(
             f"analytic series has {len(analytic)} steps, estimate has "

@@ -46,10 +46,20 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _check_unit(name: str, value: float) -> None:
-    """Refuse a value outside [0, 1], NaN included."""
-    if not 0.0 <= value <= 1.0:
+def _is_real(value) -> bool:
+    """Whether value is a real number, numpy's included, and no bool."""
+    if isinstance(value, (float, int)):  # np.float64 is a float
+        return not isinstance(value, bool)
+    import numbers  # for the other types only: a cold start skips it
+    return isinstance(value, numbers.Real)  # np.bool_ is none
+
+
+def _check_unit(name: str, value: float) -> float:
+    """The value as a Python float; refuse one outside [0, 1], NaN, a
+    non-number and a bool included."""
+    if not (_is_real(value) and 0.0 <= value <= 1.0):
         raise OutOfRangeError(f"{name} out of range: {value!r} not in [0, 1]")
+    return float(value)
 
 
 def _as_int(value) -> int | None:
@@ -69,11 +79,13 @@ def _check_count(name: str, value: int, error: type = OutOfRangeError) -> int:
     return count
 
 
-def _check_positive_finite(name: str, value: float) -> None:
-    """Refuse a bound that is not positive and finite."""
-    if not (value > 0.0 and math.isfinite(value)):
+def _check_positive_finite(name: str, value: float) -> float:
+    """The bound as a Python float; refuse one that is not positive and
+    finite, a non-number and a bool included."""
+    if not (_is_real(value) and value > 0.0 and math.isfinite(value)):
         raise OutOfRangeError(
             f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 class Topology(Enum):
@@ -257,13 +269,13 @@ class SplitterCoefficients:
     @classmethod
     def from_reflectance(cls, a1_squared: float) -> "SplitterCoefficients":
         """Build from the reflection probability a1^2 in [0, 1]."""
-        _check_unit("a1_squared", a1_squared)
+        a1_squared = _check_unit("a1_squared", a1_squared)
         return cls(math.sqrt(a1_squared), math.sqrt(1.0 - a1_squared))
 
 
 def amplitudes_from_left_weight(w_left: float) -> AmplitudePair:
     """Amplitude pair (sqrt(w), sqrt(1 - w)) carrying weight w on the left."""
-    _check_unit("w_left", w_left)
+    w_left = _check_unit("w_left", w_left)
     return AmplitudePair(math.sqrt(w_left), math.sqrt(1.0 - w_left))
 
 

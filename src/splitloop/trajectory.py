@@ -10,9 +10,12 @@ labeled with) the new wiring. Interaction modes never switch mid-run.
 
 The initial state is validated once, where it is built. `Scenario` builds
 `maps.raw_step`, the one check of mode, topology and splitter, and calls
-`maps._check_state`, the state-type rule. From there the loop in `_records`
-runs on plain floats through `maps.raw_step`, which keeps every per-pass
-check, and wraps each pass into a record without validating it again.
+`maps._check_state`, the state-type rule. From there `_passes` runs the
+schedule on plain floats through `maps.raw_step`, which keeps every
+per-pass check, and yields each pass's state and weights as float tuples.
+`iterate` wraps every pass into a record without validating it again;
+`converging_record` tests the floats against the criterion and builds only
+the record it returns.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .maps import State
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
                      Topology, WeightPair, _check_count,
                      _check_positive_finite, _new, _set, amplitude_pair,
-                     weight_pair, weights_of)
+                     normalize_pair, weight_pair, weights_of)
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ class Scenario:
         maps.raw_step(self.mode, self.initial_topology, self.splitter)
         maps._check_state(self.mode, self.initial)
         _set(self, "max_steps", _check_count("max_steps", self.max_steps))
-        _check_positive_finite("period", self.period)
+        _set(self, "period", _check_positive_finite("period", self.period))
         try:  # the last record's time
             horizon = self.max_steps * self.period
         except OverflowError:  # max_steps is beyond the float range
@@ -114,14 +117,19 @@ class ConvergenceCriterion:
         if not isinstance(self.target, WeightPair):
             raise ModeMismatchError("target must be a WeightPair, got "
                                     f"{type(self.target).__name__}")
-        _check_positive_finite("epsilon", self.epsilon)
+        _set(self, "epsilon", _check_positive_finite("epsilon", self.epsilon))
 
     def distance(self, weights: WeightPair) -> float:
-        return max(abs(weights.w_left - self.target.w_left),
-                   abs(weights.w_right - self.target.w_right))
+        return self._distance(weights.w_left, weights.w_right)
 
     def satisfied(self, weights: WeightPair) -> bool:
         return self.distance(weights) < self.epsilon
+
+    def _distance(self, w_left: float, w_right: float) -> float:
+        """The distance of the weights (w_left, w_right) from the target."""
+        target = self.target
+        return max(abs(w_left - target.w_left),
+                   abs(w_right - target.w_right))
 
 
 @dataclass(frozen=True)
@@ -132,8 +140,15 @@ class NotConverged:
     final_distance: float
 
 
-def _records(scenario: Scenario,
-             schedule: StepSchedule | None) -> Iterator[TrajectoryRecord]:
+def _passes(scenario: Scenario,
+            schedule: StepSchedule | None) -> Iterator[tuple]:
+    """Each pass of the run as (n, topology, state, weights) on floats.
+
+    state is the state's (x, y, correction): (a_left, b_right,
+    norm_correction) or (w_left, w_right, sum_correction). weights is
+    (w_left, w_right, sum_correction), the state itself in a
+    movable-splitter run.
+    """
     if schedule is not None and not isinstance(schedule, StepSchedule):
         raise ScheduleConflictError("schedule must be a StepSchedule, got "
                                     f"{type(schedule).__name__}")
@@ -143,31 +158,25 @@ def _records(scenario: Scenario,
             f"switch at step {switches[-1][0]} exceeds max_steps "
             f"{scenario.max_steps}")
     switch_at = dict(switches)
-    mode, splitter, period = scenario.mode, scenario.splitter, scenario.period
+    mode, splitter = scenario.mode, scenario.splitter
     topology = scenario.initial_topology
     step = maps.raw_step(mode, topology, splitter)
     unitary = mode is InteractionMode.FIXED_SPLITTER
-    x, y = maps._MODES[mode][1](scenario.initial)  # its two components
-    amplitudes = scenario.initial if unitary else None
-    weights = weights_of(scenario.initial)
+    initial, pair = scenario.initial, weights_of(scenario.initial)
+    weights = state = (pair.w_left, pair.w_right, pair.sum_correction)
+    if unitary:
+        state = (initial.a_left, initial.b_right, initial.norm_correction)
+    x, y, _ = state
     for n in range(1, scenario.max_steps + 1):
         if n in switch_at:
             topology = switch_at[n]
             step = maps.raw_step(mode, topology, splitter)
         if n > 1:
-            x, y, correction = step(x, y)
-            if unitary:
-                amplitudes = amplitude_pair(x, y, correction)
-                weights = weights_of(amplitudes)
-            else:
-                weights = weight_pair(x, y, correction)
-        record = _new(TrajectoryRecord)  # without the frozen-field setters
-        _set(record, "n", n)
-        _set(record, "time", n * period)
-        _set(record, "topology", topology)
-        _set(record, "amplitudes", amplitudes)
-        _set(record, "weights", weights)
-        yield record
+            state = step(x, y)
+            x, y, _ = state
+            # the weights of an amplitude pair, as states.weights_of has them
+            weights = normalize_pair(x * x, y * y, False) if unitary else state
+        yield n, topology, state, weights
 
 
 def iterate(scenario: Scenario,
@@ -177,7 +186,18 @@ def iterate(scenario: Scenario,
     Pure and deterministic: the same arguments give bit-identical
     trajectories, and any prefix of a longer run matches the shorter run.
     """
-    return Trajectory(tuple(_records(scenario, schedule)))
+    period = scenario.period
+    unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
+    records = []
+    for n, topology, state, weights in _passes(scenario, schedule):
+        record = _new(TrajectoryRecord)  # without the frozen-field setters
+        _set(record, "n", n)
+        _set(record, "time", n * period)
+        _set(record, "topology", topology)
+        _set(record, "amplitudes", amplitude_pair(*state) if unitary else None)
+        _set(record, "weights", weight_pair(*weights))
+        records.append(record)
+    return Trajectory(tuple(records))
 
 
 def converging_record(scenario: Scenario,
@@ -187,12 +207,21 @@ def converging_record(scenario: Scenario,
     """First record that meets the criterion, and whether one did.
 
     Scans the run lazily and stops at the first satisfying record; when
-    max_steps runs out first, returns the final record and False.
+    max_steps runs out first, returns the final record and False. Only the
+    returned record is built.
     """
-    for record in _records(scenario, schedule):
-        if criterion.satisfied(record.weights):
-            return record, True
-    return record, False
+    distance, epsilon = criterion._distance, criterion.epsilon
+    converged = False
+    for n, topology, state, (w_left, w_right, correction) in _passes(
+            scenario, schedule):
+        if distance(w_left, w_right) < epsilon:
+            converged = True
+            break
+    unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
+    record = TrajectoryRecord(n, n * scenario.period, topology,
+                              amplitude_pair(*state) if unitary else None,
+                              weight_pair(w_left, w_right, correction))
+    return record, converged
 
 
 def steps_to_converge(scenario: Scenario,

@@ -315,3 +315,63 @@ def test_unused_import_check_sees_an_unused_name(tmp_path):
                       "__all__ = ['Any']\nsystem.getcwd()\n")
     assert _unused_imports(str(source)) == ["sample.py:1: math",
                                             "sample.py:3: List"]
+
+
+# The functions every pass runs besides the kernels, by file. With the
+# kernels they use only + - * / and sqrt, which IEEE 754 rounds correctly, so
+# no C library's pow, exp or log decides a bit of a pass.
+PER_PASS = {"maps.py": {"raw_step", "_sqrt", "_check_denominator"},
+            "states.py": {"normalize_pair", "_violation"},
+            "trajectory.py": {"_passes"}}
+NOT_CORRECTLY_ROUNDED = {"pow", "float_power", "power", "exp", "exp2",
+                         "expm1", "log", "log2", "log10", "log1p"}
+
+
+def _library_rounding(path, names):
+    """(functions checked, uses of `**`, pow, exp or log in them) in the file
+    at path: the functions named in names and every `*_kernel`."""
+    with open(path) as source:
+        tree = ast.parse(source.read())
+    checked, found = set(), []
+    for node in tree.body:
+        if not (isinstance(node, ast.FunctionDef)
+                and (node.name in names or node.name.endswith("_kernel"))):
+            continue
+        checked.add(node.name)
+        for inner in ast.walk(node):
+            if (isinstance(inner, (ast.BinOp, ast.AugAssign))
+                    and isinstance(inner.op, ast.Pow)):
+                found.append(f"{node.name}:{inner.lineno}: **")
+            elif isinstance(inner, ast.Call):
+                func = inner.func
+                called = (func.attr if isinstance(func, ast.Attribute)
+                          else getattr(func, "id", None))
+                if called in NOT_CORRECTLY_ROUNDED:
+                    found.append(f"{node.name}:{inner.lineno}: {called}")
+    return checked, found
+
+
+def test_per_pass_arithmetic_is_correctly_rounded():
+    package = os.path.dirname(splitloop.__file__)
+    checked, found = set(), []
+    for name, names in PER_PASS.items():
+        seen, hits = _library_rounding(os.path.join(package, name), names)
+        checked |= seen
+        found += hits
+    kernels = {f"{mode}_{wiring}_kernel" for mode in ("unitary", "measure")
+               for wiring in ("both", "right_half", "left_half")}
+    assert checked == kernels.union(*PER_PASS.values())
+    assert found == []
+
+
+def test_rounding_check_sees_pow_exp_and_log(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("import math\n"
+                      "def step_kernel(a, b):\n"
+                      "    return a ** 2, math.pow(b, 2.0)\n"
+                      "def loop(x):\n    x **= 2\n    return np.exp(log(x))\n"
+                      "def elsewhere(x):\n    return x ** 0.5\n")
+    assert _library_rounding(str(source), {"loop"}) == (
+        {"step_kernel", "loop"},
+        ["step_kernel:3: **", "step_kernel:3: pow", "loop:5: **",
+         "loop:6: exp", "loop:6: log"])

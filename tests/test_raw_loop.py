@@ -2,23 +2,27 @@
 
 `iterate` runs on plain floats and wraps each pass's values without
 validating them again; these tests pin it to the typed chain
-StepMap.apply + weights_of, the typed steps to the state constructors,
-and each kernel's array path to its float path.
+StepMap.apply + weights_of, the convergence scans to iterate, the typed
+steps to the state constructors, and each kernel's array path to its
+float path.
 """
 
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitloop import (AmplitudePair, InteractionMode, NormalizationError,
-                       NumericDomainError, OutOfRangeError, Scenario,
-                       SplitterCoefficients, StepMap, StepSchedule, Topology,
-                       WeightPair, amplitudes_from_left_weight, iterate,
-                       maps, weights_of)
+from splitloop import (AmplitudePair, ConvergenceCriterion, InteractionMode,
+                       NormalizationError, NotConverged, NumericDomainError,
+                       OutOfRangeError, Scenario, SplitterCoefficients,
+                       StepMap, StepSchedule, Topology, WeightPair,
+                       amplitudes_from_left_weight, converging_record,
+                       iterate, maps, stable_fixed_point, steps_to_converge,
+                       sweep_initial_conditions, trajectory, weights_of)
 
 FIXED = InteractionMode.FIXED_SPLITTER
 MOVABLE = InteractionMode.MOVABLE_SPLITTER
@@ -105,6 +109,58 @@ def test_iterate_equals_the_typed_chain_bit_for_bit(run):
         assert state_bits(r.weights) == state_bits(weights)
 
 
+def record_bits(record):
+    return (record.n, record.topology, bits(record.time),
+            state_bits(record.amplitudes), state_bits(record.weights))
+
+
+@given(run=runs(), target=st.floats(0.0, 1.0),
+       epsilon=st.floats(-17.0, 0.0).map(lambda e: 10.0 ** e))
+def test_a_scan_returns_the_record_iterate_has_there(run, target, epsilon):
+    scenario, schedule = run
+    target = WeightPair(target, 1.0 - target)
+    criterion = ConvergenceCriterion(target, epsilon)
+
+    def distance(record):
+        return max(abs(record.weights.w_left - target.w_left),
+                   abs(record.weights.w_right - target.w_right))
+
+    records = iterate(scenario, schedule).records
+    expected = next((r for r in records if distance(r) < epsilon),
+                    records[-1])
+    record, converged = converging_record(scenario, criterion, schedule)
+    assert converged is (distance(expected) < epsilon)
+    assert record_bits(record) == record_bits(expected)
+    steps = steps_to_converge(scenario, criterion, schedule)
+    if converged:
+        assert steps == expected.n
+    else:
+        assert type(steps) is NotConverged
+        assert steps.steps == scenario.max_steps
+        assert bits(steps.final_distance) == bits(distance(expected))
+
+
+@pytest.mark.parametrize("mode", InteractionMode)
+def test_a_scan_builds_only_the_record_it_returns(monkeypatch, mode):
+    built = Counter()
+    for name in ("amplitude_pair", "weight_pair"):
+        def counted(*args, name=name, make=getattr(trajectory, name)):
+            built[name] += 1
+            return make(*args)
+        monkeypatch.setattr(trajectory, name, counted)
+    scenario = Scenario(mode, Topology.BOTH_CONNECTED,
+                        SplitterCoefficients.from_reflectance(0.999),
+                        initial_state(mode, 0.7), max_steps=2000)
+    never = ConvergenceCriterion(WeightPair(1.0, 0.0), 1e-3)  # it nears 1/2
+    record, converged = converging_record(scenario, never)
+    assert (record.n, converged) == (2000, False)
+    for scan in (converging_record, steps_to_converge):
+        built.clear()
+        scan(scenario, never)
+        assert (built["amplitude_pair"], built["weight_pair"]) == (
+            1 if mode is FIXED else 0, 1)
+
+
 @given(mode=st.sampled_from(InteractionMode),
        topology=st.sampled_from(Topology), w=st.floats(0.0, 1.0),
        a1sq=st.floats(0.0, 1.0))
@@ -145,8 +201,9 @@ def test_unitary_kernel_on_an_array_equals_it_on_each_float(name, points):
 
 @pytest.mark.parametrize("name", sorted(UNITARY_KERNELS.values()))
 def test_unitary_kernel_on_many_random_floats(name):
-    # pow and the plain product round (1 + a)^2 differently for a small
-    # share of inputs, too rare for the examples above to meet reliably
+    # a libm function such as pow rounds differently from the plain product
+    # for a small share of inputs, too rare for the examples above to meet
+    # reliably; a kernel that called one on floats or arrays would show here
     kernel = getattr(maps, name)
     rng = np.random.default_rng(2009)
     theta = rng.uniform(0.0, math.pi / 2.0, 20_000)
@@ -210,7 +267,7 @@ def _markov_disagreement(w_left, w_right, a1_squared, b1_squared):
     return wl, 1.0 - wl + 1e-12
 
 
-@pytest.mark.parametrize("mode,topology,corrupted,error", [
+CORRUPTIONS = [
     (FIXED, Topology.BOTH_CONNECTED, _nan_pair, OutOfRangeError),
     (FIXED, Topology.RIGHT_HALF_CONNECTED, _negative_pair, OutOfRangeError),
     (FIXED, Topology.LEFT_HALF_CONNECTED, _unnormalized_pair,
@@ -220,7 +277,10 @@ def _markov_disagreement(w_left, w_right, a1_squared, b1_squared):
     (MOVABLE, Topology.RIGHT_HALF_CONNECTED, _nan_pair, OutOfRangeError),
     (MOVABLE, Topology.LEFT_HALF_CONNECTED, _unnormalized_pair,
      NormalizationError),
-])
+]
+
+
+@pytest.mark.parametrize("mode,topology,corrupted,error", CORRUPTIONS)
 def test_a_corrupted_pass_fails_alike_in_the_loop_and_the_typed_step(
         monkeypatch, mode, topology, corrupted, error):
     kernels = UNITARY_KERNELS if mode is FIXED else MEASURE_KERNELS
@@ -233,3 +293,36 @@ def test_a_corrupted_pass_fails_alike_in_the_loop_and_the_typed_step(
         iterate(Scenario(mode, topology, splitter, state, max_steps=3))
     assert type(loop.value) is type(typed.value)
     assert str(loop.value) == str(typed.value)
+
+
+@pytest.mark.parametrize("bad_pass", [2, 5])
+@pytest.mark.parametrize("mode,topology,corrupted,error", CORRUPTIONS)
+def test_a_pass_gone_bad_fails_alike_in_every_scan(
+        monkeypatch, mode, topology, corrupted, error, bad_pass):
+    kernels = UNITARY_KERNELS if mode is FIXED else MEASURE_KERNELS
+    kernel = getattr(maps, kernels[topology])
+    calls = []
+
+    def going_bad(*args):  # pass n makes call n - 1
+        calls.append(args)
+        return (corrupted if len(calls) == bad_pass - 1 else kernel)(*args)
+
+    monkeypatch.setattr(maps, kernels[topology], going_bad)
+    splitter = SplitterCoefficients.from_reflectance(0.7)
+    scenario = Scenario(mode, topology, splitter, initial_state(mode, 0.7),
+                        max_steps=8)
+    # no run comes this close to its target within the first bad_pass passes
+    epsilon = 1e-300
+    criterion = ConvergenceCriterion(
+        weights_of(stable_fixed_point(mode, topology)), epsilon)
+    failures = []
+    for scan in (lambda: iterate(scenario),
+                 lambda: converging_record(scenario, criterion),
+                 lambda: sweep_initial_conditions(mode, topology, [0.7],
+                                                  epsilon, 8, splitter)):
+        calls.clear()
+        with pytest.raises(error) as info:
+            scan()
+        failures.append((type(info.value), str(info.value), len(calls)))
+    assert failures[0][2] == bad_pass - 1
+    assert failures == failures[:1] * 3

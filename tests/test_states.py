@@ -334,6 +334,23 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
      "a_left must be non-negative, got -0.5"),
     (lambda: WeightPair(math.nan, 0.5), OutOfRangeError,
      "w_left is not finite"),
+    # a bound or a weight must be a real number, and no bool
+    (lambda: ConvergenceCriterion(WP9, "0.1"), OutOfRangeError,
+     "epsilon must be positive and finite, got '0.1'"),
+    (lambda: SplitterCoefficients.from_reflectance("0.5"), OutOfRangeError,
+     "a1_squared out of range: '0.5' not in [0, 1]"),
+    (lambda: amplitudes_from_left_weight(None), OutOfRangeError,
+     "w_left out of range: None not in [0, 1]"),
+    (lambda: compare_modes("0.6", 1e-3), OutOfRangeError,
+     "w_left_initial out of range: '0.6' not in [0, 1]"),
+    (lambda: ConvergenceCriterion(WP9, True), OutOfRangeError,
+     "epsilon must be positive and finite, got True"),
+    (lambda: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=3, period=True),
+     OutOfRangeError, "period must be positive and finite, got True"),
+    (lambda: closed_form_measure_both(False, SP9, 3), OutOfRangeError,
+     "w_left_initial out of range: False not in [0, 1]"),
+    (lambda: SplitterCoefficients.from_reflectance(np.True_),
+     OutOfRangeError, "a1_squared out of range: np.True_ not in [0, 1]"),
 ], ids=["reflectance", "left-weight", "closed-both-w", "closed-right-w",
         "compare-w", "step-index-0", "step-index-2.5", "max-steps",
         "switch-step", "phase-length", "mc-steps", "mc-paths", "period",
@@ -350,7 +367,10 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
         "max-steps-np-bool", "ensemble-seed-np-float", "path-seed-np-negative",
         "ensemble-paths-np-0", "step-index-np-float", "criterion-none",
         "criterion-amplitudes", "schedule-tuple", "amplitude-norm",
-        "weight-sum", "amplitude-negative", "weight-not-finite"])
+        "weight-sum", "amplitude-negative", "weight-not-finite",
+        "epsilon-str", "reflectance-str", "left-weight-none", "compare-w-str",
+        "epsilon-bool", "period-bool", "closed-both-w-bool",
+        "reflectance-np-bool"])
 def test_argument_rule_class_and_message(call, error, message):
     with pytest.raises(SplitLoopError) as info:
         call()
@@ -396,6 +416,22 @@ def test_numpy_integers_give_what_python_ints_give(call, np_int):
     got = call(np_int)
     assert got == expected
     assert _all_python_ints(got)
+
+
+# Each real-valued argument, called with numpy floats and with Python floats.
+@pytest.mark.parametrize("np_float", [np.float64, np.float32])
+@pytest.mark.parametrize("call", [
+    lambda f: SplitterCoefficients.from_reflectance(f(0.75)),
+    lambda f: amplitudes_from_left_weight(f(0.75)),
+    lambda f: ConvergenceCriterion(WP9, f(0.125)).epsilon,
+    lambda f: iterate(Scenario(MEASURE, BOTH, SP9, WP9, max_steps=3,
+                               period=f(0.5))),
+    lambda f: compare_modes(f(0.75), f(0.125)),
+    lambda f: closed_form_measure_both(f(0.75), SP9, 3),
+], ids=["reflectance", "left-weight", "epsilon", "period", "compare",
+        "closed-both"])
+def test_numpy_floats_give_what_python_floats_give(call, np_float):
+    assert call(np_float) == call(float)
 
 
 def test_numpy_seed_across_the_key_carry_equals_the_python_run():
