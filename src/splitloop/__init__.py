@@ -23,19 +23,17 @@ from .errors import (DegenerateInitialError, InvalidStepError,
                      UnsupportedModeError)
 from .maps import (FixedPoint, Stability, StepMap, closed_form_measure,
                    closed_form_measure_both, closed_form_measure_right_half,
-                   fixed_points, induced_weight_map, map_derivative,
-                   stable_fixed_point, step_measure_both,
-                   step_measure_left_half, step_measure_right_half,
-                   step_unitary_both, step_unitary_left_half,
-                   step_unitary_right_half)
+                   fixed_points, induced_weight_map, stable_fixed_point,
+                   step_measure_both, step_measure_left_half,
+                   step_measure_right_half, step_unitary_both,
+                   step_unitary_left_half, step_unitary_right_half)
 from .states import (AMPLITUDE_NORM_TOL, WEIGHT_SUM_TOL, AmplitudePair,
                      InteractionMode, SplitterCoefficients, Topology,
                      Violation, WeightPair, amplitudes_from_left_weight,
                      validate_amplitudes, validate_weights, weights_of)
 from .trajectory import (ConvergenceCriterion, NotConverged, Scenario,
                          StepSchedule, Trajectory, TrajectoryRecord,
-                         converging_record, iterate, run_switching_experiment,
-                         steps_to_converge)
+                         converging_record, iterate, steps_to_converge)
 
 __version__ = "0.1.0"
 
@@ -104,9 +102,7 @@ __all__ = [
     "fixed_points",
     "induced_weight_map",
     "iterate",
-    "map_derivative",
     "reference_sequences",
-    "run_switching_experiment",
     "sample_path",
     "stable_fixed_point",
     "step_measure_both",

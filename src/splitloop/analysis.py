@@ -15,8 +15,8 @@ from typing import Sequence
 from .errors import DegenerateInitialError, OutOfRangeError
 from .maps import induced_weight_map, stable_fixed_point
 from .states import (InteractionMode, SplitterCoefficients, Topology,
-                     WeightPair, _check_unit, _state_from_left_weight,
-                     weights_of)
+                     WeightPair, _check_unit, _is_real,
+                     _state_from_left_weight, weights_of)
 from .trajectory import (ConvergenceCriterion, NotConverged, Scenario,
                          converging_record, iterate, steps_to_converge)
 
@@ -172,11 +172,16 @@ def sweep_initial_conditions(mode: InteractionMode, topology: Topology,
     map. Per cell, the run stops at the converging step and reports the
     weights there, or at max_steps when the run never meets the criterion.
     """
-    if len(grid) == 0:  # not `not grid`: an ndarray has no truth value
+    try:  # len, not `not grid`: an ndarray has no truth value
+        size = len(grid)
+    except TypeError:  # a scalar
+        raise OutOfRangeError(
+            f"grid must be a sequence of weights, got {grid!r}") from None
+    if size == 0:
         raise OutOfRangeError("grid is empty")
     previous = 0.0
     for w in grid:
-        if not 0.0 < w < 1.0:
+        if not (_is_real(w) and 0.0 < w < 1.0):
             raise OutOfRangeError(
                 f"grid values must lie strictly inside (0, 1), got {w!r}")
         if w <= previous:
@@ -208,15 +213,15 @@ def convergence_order(w_initial: float = 0.6) -> float:
     excluded. A slope of 2 means squared-error (quadratic) convergence. A
     start whose iterate lands on the repelling fixed point 1 is refused.
     """
+    if not (_is_real(w_initial) and 0.0 <= w_initial <= 1.0):
+        raise OutOfRangeError(
+            f"w_initial out of range: {w_initial!r} not in (0, 1)")
     if w_initial in (0.0, 0.5, 1.0):
         raise DegenerateInitialError(
             "w_initial must differ from the fixed points 0, 1/2 and 1")
-    if not 0.0 < w_initial < 1.0:
-        raise OutOfRangeError(
-            f"w_initial out of range: {w_initial!r} not in (0, 1)")
     step = induced_weight_map(InteractionMode.FIXED_SPLITTER,
                               Topology.BOTH_CONNECTED)
-    w = w_initial
+    w = float(w_initial)  # a np.float32 would iterate in float32
     distances = []
     for _ in range(60):
         if w == 1.0:  # every later distance would be 1/2: no slope to fit

@@ -60,8 +60,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable, Union
 
-from .errors import (InvalidStepError, ModeMismatchError, NumericDomainError,
-                     OutOfRangeError)
+from .errors import InvalidStepError, ModeMismatchError, NumericDomainError
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
                      Topology, WeightPair, _check_count, _check_splitter,
                      _check_unit, amplitude_pair, normalize_pair, weight_pair)
@@ -384,31 +383,3 @@ def induced_weight_map(mode: InteractionMode, topology: Topology,
     kernel = globals()[name]
     a1sq, b1sq = splitter.a1_squared, splitter.b1_squared
     return lambda w: kernel(w, 1.0 - w, a1sq, b1sq)[0]
-
-
-def map_derivative(f: Callable[[float], float], w: float) -> float:
-    """Finite-difference derivative of a 1-D map at a finite w.
-
-    Centered difference with step h = 1e-6 wherever both probe points
-    evaluate; falls back to a one-sided difference at a boundary where the
-    map's algebraic form stops being real: a probe of f that raises
-    ValueError. A finite w outside [0, 1] is probed like any other.
-    """
-    if not math.isfinite(w):
-        raise OutOfRangeError(f"w must be finite, got {w!r}")
-    h = 1e-6
-
-    def probe(x: float) -> float | None:
-        try:
-            return f(x)
-        except ValueError:
-            return None
-    fp, fm = probe(w + h), probe(w - h)
-    if fp is not None and fm is not None:
-        return (fp - fm) / (2.0 * h)
-    if fp is not None:
-        return (fp - f(w)) / h
-    if fm is not None:
-        return (f(w) - fm) / h
-    raise NumericDomainError(
-        f"map not evaluable on either side of {w!r} with h={h!r}")

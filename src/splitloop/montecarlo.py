@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatchError
+from .errors import LengthMismatchError, ModeMismatchError
 from .maps import raw_step
 from .states import (InteractionMode, SplitterCoefficients, Topology,
                      WeightPair, _check_positive_finite, _check_sampling)
@@ -262,6 +262,9 @@ def agreement_report(estimate: EnsembleEstimate,
             f"{len(estimate.w_left)}")
     report = []
     for i, expected in enumerate(analytic):
+        if not isinstance(expected, WeightPair):
+            raise ModeMismatchError("analytic entry must be a WeightPair, "
+                                    f"got {type(expected).__name__}")
         empirical = estimate.w_left[i]
         stderr = estimate.stderr[i]
         diff = abs(empirical - expected.w_left)

@@ -203,10 +203,17 @@ def normalize_pair(x: float, y: float,
 
 def _normalize_fields(pair, x: str, y: str, correction: str,
                       squared: bool) -> None:
-    """The constructors' rule: rescale fields x and y of a new frozen pair in
-    place through normalize_pair and store the correction in `correction`."""
-    values = normalize_pair(float(getattr(pair, x)), float(getattr(pair, y)),
-                            squared)
+    """The constructors' rule: refuse fields x and y of a new frozen pair
+    unless they are real numbers, rescale them in place through
+    normalize_pair and store the correction in `correction`."""
+    raw = []
+    for name in (x, y):
+        value = getattr(pair, name)
+        if not _is_real(value):
+            raise OutOfRangeError(
+                f"{name} must be a real number, got {value!r}")
+        raw.append(float(value))
+    values = normalize_pair(*raw, squared)
     for name, value in zip((x, y, correction), values):
         _set(pair, name, value)
 

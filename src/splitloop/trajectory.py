@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import maps
 from .errors import (ModeMismatchError, OutOfRangeError,
@@ -121,9 +120,6 @@ class ConvergenceCriterion:
 
     def distance(self, weights: WeightPair) -> float:
         return self._distance(weights.w_left, weights.w_right)
-
-    def satisfied(self, weights: WeightPair) -> bool:
-        return self.distance(weights) < self.epsilon
 
     def _distance(self, w_left: float, w_right: float) -> float:
         """The distance of the weights (w_left, w_right) from the target."""
@@ -238,26 +234,3 @@ def steps_to_converge(scenario: Scenario,
         return record.n
     return NotConverged(scenario.max_steps,
                         criterion.distance(record.weights))
-
-
-def run_switching_experiment(phases: Sequence[tuple[Topology, int]],
-                             mode: InteractionMode,
-                             splitter: SplitterCoefficients,
-                             initial: State,
-                             period: float = 1.0) -> Trajectory:
-    """Run consecutive topology phases, each lasting a given number of steps.
-
-    phases is a non-empty sequence of (topology, step_count) pairs; the
-    total record count is the sum of the phase lengths. Equivalent to a
-    single iterate call with the merged switch schedule.
-    """
-    if not phases:
-        raise ScheduleConflictError("at least one phase is required")
-    ends = list(accumulate(_check_count("phase length", count,
-                                        ScheduleConflictError)
-                           for _, count in phases))
-    switches = tuple((end + 1, topology)  # the next phase starts after end
-                     for end, (topology, _) in zip(ends, phases[1:]))
-    scenario = Scenario(mode, phases[0][0], splitter, initial,
-                        max_steps=ends[-1], period=period)
-    return iterate(scenario, StepSchedule(switches))

@@ -308,6 +308,57 @@ def test_unread_private_name_check_sees_a_dead_helper(tmp_path):
         "second.py:3: _SEEN", "second.py:4: _TWIN"]
 
 
+def _unread_public_methods(package, paths):
+    """Public methods and properties of the classes in the files at package
+    that no file at paths reads as an attribute or a string constant."""
+    read, defined = set(), []
+    for path in paths:
+        with open(path) as source:
+            tree = ast.parse(source.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                read.add(node.value)
+            elif isinstance(node, ast.ClassDef) and path in package:
+                defined += [(path, node.name, item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")]
+    return sorted(f"{os.path.basename(path)} {owner}.{name}"
+                  for path, owner, name in defined if name not in read)
+
+
+def test_no_public_method_without_a_reader():
+    package = os.path.dirname(splitloop.__file__)
+    root = os.path.dirname(SRC)
+    paths = [os.path.join(folder, name)
+             for top in ("src", "tests", "perfbench")
+             for folder, _, names in os.walk(os.path.join(root, top))
+             for name in sorted(names) if name.endswith(".py")]
+    defining = {path for path in paths if os.path.dirname(path) == package}
+    assert defining  # the package is the one under src/
+    assert _unread_public_methods(defining, paths) == []
+
+
+def test_unread_public_method_check_sees_a_dead_method(tmp_path):
+    first = tmp_path / "first.py"
+    first.write_text("class Thing:\n"
+                     "    def dead(self):\n        def inner():\n"
+                     "            pass\n"
+                     "    @property\n    def shown(self):\n        pass\n"
+                     "    def named(self):\n        pass\n"
+                     "    def _private(self):\n        pass\n"
+                     "getattr(Thing(), 'named')\n")
+    second = tmp_path / "second.py"
+    # second's own class is not checked, and it reads first's property
+    second.write_text("import first\nfirst.Thing().shown\n"
+                      "class Helper:\n    def unread(self):\n        pass\n")
+    paths = [str(first), str(second)]
+    assert _unread_public_methods({str(first)}, paths) == [
+        "first.py Thing.dead"]
+
+
 def test_unused_import_check_sees_an_unused_name(tmp_path):
     source = tmp_path / "sample.py"
     source.write_text("import math\nimport os as system\n"

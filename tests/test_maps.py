@@ -13,18 +13,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitloop import (AmplitudePair, FixedPoint, InteractionMode,
-                       InvalidStepError, ModeMismatchError,
-                       NumericDomainError, OutOfRangeError,
+from splitloop import (AmplitudePair, InteractionMode, InvalidStepError,
+                       ModeMismatchError, OutOfRangeError,
                        SplitterCoefficients, Stability, StepMap, Topology,
                        WeightPair, amplitudes_from_left_weight,
                        closed_form_measure, closed_form_measure_both,
                        closed_form_measure_right_half, fixed_points,
-                       induced_weight_map, map_derivative, maps,
-                       stable_fixed_point, step_measure_both,
-                       step_measure_left_half, step_measure_right_half,
-                       step_unitary_both, step_unitary_left_half,
-                       step_unitary_right_half, weights_of)
+                       induced_weight_map, maps, stable_fixed_point,
+                       step_measure_both, step_measure_left_half,
+                       step_measure_right_half, step_unitary_both,
+                       step_unitary_left_half, step_unitary_right_half,
+                       weights_of)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BALANCED = AmplitudePair(INV_SQRT2, INV_SQRT2)
@@ -473,66 +472,36 @@ class TestInducedWeightMaps:
             g(-0.2)
 
 
+FIXED_SPLITTER_POINTS = [
+    (topology, fixed) for topology in Topology
+    for fixed in fixed_points(InteractionMode.FIXED_SPLITTER, topology)]
+
+
 class TestDerivatives:
-    def test_superattracting_at_balance(self):
-        f = induced_weight_map(InteractionMode.FIXED_SPLITTER,
-                               Topology.BOTH_CONNECTED)
-        assert abs(map_derivative(f, 0.5)) < 1e-8
-
-    def test_repelling_at_all_left(self):
-        f = induced_weight_map(InteractionMode.FIXED_SPLITTER,
-                               Topology.BOTH_CONNECTED)
-        assert map_derivative(f, 1.0) == pytest.approx(4.0, abs=1e-5)
-
-    @pytest.mark.parametrize("topology,w", [
-        (Topology.RIGHT_HALF_CONNECTED, 1.0),
-        (Topology.LEFT_HALF_CONNECTED, 0.0),
-    ], ids=["right-half", "left-half"])
-    def test_half_forms_repel_at_four(self, topology, w):
-        # the algebraic forms stay real just past this end, so the probe is
-        # centered; a one-sided one would read 3.99999
-        g = induced_weight_map(InteractionMode.FIXED_SPLITTER, topology)
-        assert map_derivative(g, w) == pytest.approx(4.0, abs=1e-8)
-
-    def test_right_half_attracting_at_zero(self):
-        # sqrt(w) kills the centered probe below zero, so the one-sided
-        # fallback is exercised here
-        g = induced_weight_map(InteractionMode.FIXED_SPLITTER,
-                               Topology.RIGHT_HALF_CONNECTED)
-        assert abs(map_derivative(g, 0.0)) < 1e-3
-
-    def test_left_half_attracting_at_one(self):
-        # the mirror: sqrt(1 - w) kills the probe above one, so the
-        # backward one-sided difference is taken
-        g = induced_weight_map(InteractionMode.FIXED_SPLITTER,
-                               Topology.LEFT_HALF_CONNECTED)
-        assert 0.0 < map_derivative(g, 1.0) < 1e-3
-
-    def test_map_not_evaluable_on_either_side(self):
-        with pytest.raises(NumericDomainError) as info:
-            map_derivative(lambda w: math.sqrt(-1.0), 0.5)
-        assert str(info.value) == ("map not evaluable on either side of 0.5 "
-                                   "with h=1e-06")
-
-    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
-    def test_point_must_be_finite(self, w):
-        probes = []
-        with pytest.raises(OutOfRangeError) as info:
-            map_derivative(probes.append, w)
-        assert str(info.value) == f"w must be finite, got {w!r}"
-        assert probes == []  # refused before any probe
-
-    def test_finite_point_outside_the_unit_interval_is_probed(self):
-        f = induced_weight_map(InteractionMode.FIXED_SPLITTER,
-                               Topology.BOTH_CONNECTED)
-        assert map_derivative(f, 1.2) == pytest.approx(3500.00007, abs=1e-3)
+    @pytest.mark.parametrize(
+        "topology,fixed", FIXED_SPLITTER_POINTS,
+        ids=[f"{topology.value}-{fixed.stability.value}"
+             for topology, fixed in FIXED_SPLITTER_POINTS])
+    def test_slope_exceeds_one_exactly_where_unstable(self, topology, fixed):
+        f = induced_weight_map(InteractionMode.FIXED_SPLITTER, topology)
+        w = weights_of(fixed.point).w_left
+        # a one-sided quotient into [0, 1]: past its ends the half-connected
+        # forms take the square root of a negative number
+        h = 1e-6 if w < 0.5 else -1e-6
+        slope = (f(w + h) - f(w)) / h
+        unstable = fixed.stability is Stability.UNSTABLE
+        assert (abs(slope) > 1.0) == unstable
+        # every unstable point repels at 4; the stable ones attract
+        # quadratically or faster, so the quotient reads about h
+        assert slope == pytest.approx(4.0 if unstable else 0.0, abs=1e-4)
 
     def test_measure_contraction_slope(self):
         splitter = SplitterCoefficients.from_reflectance(0.9)
         g = induced_weight_map(InteractionMode.MOVABLE_SPLITTER,
                                Topology.BOTH_CONNECTED, splitter)
         expected = splitter.a1_squared - splitter.b1_squared
-        assert map_derivative(g, 0.3) == pytest.approx(expected, abs=1e-6)
+        assert (g(0.3 + 1e-6) - g(0.3)) / 1e-6 == pytest.approx(expected,
+                                                                abs=1e-6)
 
 
 class TestKernelArrays:

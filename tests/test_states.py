@@ -18,8 +18,8 @@ from splitloop import (AMPLITUDE_NORM_TOL, AmplitudePair,
                        amplitudes_from_left_weight, closed_form_measure,
                        closed_form_measure_both,
                        closed_form_measure_right_half, compare_modes,
-                       ensemble_frequencies, induced_weight_map, iterate,
-                       run_switching_experiment, sample_path,
+                       convergence_order, ensemble_frequencies,
+                       induced_weight_map, iterate, sample_path,
                        step_measure_right_half, sweep_initial_conditions,
                        validate_amplitudes, validate_weights, weights_of)
 from splitloop.states import normalize_pair
@@ -235,8 +235,6 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
      OutOfRangeError, "max_steps must be an integer >= 1, got 2.0"),
     (lambda: StepSchedule(((0, BOTH),)), ScheduleConflictError,
      "switch step must be an integer >= 1, got 0"),
-    (lambda: run_switching_experiment([(BOTH, 0)], MEASURE, SP9, WP9),
-     ScheduleConflictError, "phase length must be an integer >= 1, got 0"),
     (lambda: sample_path(SP9, BOTH, 1.5, 0), OutOfRangeError,
      "steps must be an integer >= 1, got 1.5"),
     (lambda: ensemble_frequencies(SP9, BOTH, 3, 0, 0), OutOfRangeError,
@@ -297,8 +295,6 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
      OutOfRangeError, "max_steps must be an integer >= 1, got True"),
     (lambda: StepSchedule(((True, BOTH),)), ScheduleConflictError,
      "switch step must be an integer >= 1, got True"),
-    (lambda: run_switching_experiment([(BOTH, True)], MEASURE, SP9, WP9),
-     ScheduleConflictError, "phase length must be an integer >= 1, got True"),
     (lambda: closed_form_measure_both(0.9, SP9, True), InvalidStepError,
      "step index must be an integer >= 1, got True"),
     # numpy integers are counts and seeds; numpy floats and bools are not
@@ -351,9 +347,39 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
      "w_left_initial out of range: False not in [0, 1]"),
     (lambda: SplitterCoefficients.from_reflectance(np.True_),
      OutOfRangeError, "a1_squared out of range: np.True_ not in [0, 1]"),
+    (lambda: sweep_initial_conditions(MEASURE, BOTH, ["0.5"], 1e-3,
+                                      splitter=SP9), OutOfRangeError,
+     "grid values must lie strictly inside (0, 1), got '0.5'"),
+    (lambda: sweep_initial_conditions(MEASURE, BOTH, [None], 1e-3,
+                                      splitter=SP9), OutOfRangeError,
+     "grid values must lie strictly inside (0, 1), got None"),
+    (lambda: sweep_initial_conditions(MEASURE, BOTH, 0.3, 1e-3,
+                                      splitter=SP9), OutOfRangeError,
+     "grid must be a sequence of weights, got 0.3"),
+    (lambda: convergence_order("0.6"), OutOfRangeError,
+     "w_initial out of range: '0.6' not in (0, 1)"),
+    (lambda: convergence_order(None), OutOfRangeError,
+     "w_initial out of range: None not in (0, 1)"),
+    (lambda: convergence_order(True), OutOfRangeError,
+     "w_initial out of range: True not in (0, 1)"),
+    (lambda: AmplitudePair("0.6", 0.8), OutOfRangeError,
+     "a_left must be a real number, got '0.6'"),
+    (lambda: AmplitudePair(0.6 + 0j, 0.8), OutOfRangeError,
+     "a_left must be a real number, got (0.6+0j)"),
+    (lambda: AmplitudePair(0.6, np.True_), OutOfRangeError,
+     "b_right must be a real number, got np.True_"),
+    (lambda: WeightPair(True, False), OutOfRangeError,
+     "w_left must be a real number, got True"),
+    (lambda: WeightPair(None, 1.0), OutOfRangeError,
+     "w_left must be a real number, got None"),
+    (lambda: SplitterCoefficients("0.6", 0.8), OutOfRangeError,
+     "a1 must be a real number, got '0.6'"),
+    # an analytic series is of weight pairs
+    (lambda: agreement_report(_ensemble(), [0.9, 0.82]), ModeMismatchError,
+     "analytic entry must be a WeightPair, got float"),
 ], ids=["reflectance", "left-weight", "closed-both-w", "closed-right-w",
         "compare-w", "step-index-0", "step-index-2.5", "max-steps",
-        "switch-step", "phase-length", "mc-steps", "mc-paths", "period",
+        "switch-step", "mc-steps", "mc-paths", "period",
         "sigma", "scenario-topology", "scenario-mode",
         "scenario-splitter", "sweep-splitter", "apply-splitter",
         "step-splitter", "weight-map-splitter", "closed-both-splitter",
@@ -362,15 +388,17 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
         "scenario-state", "apply-state", "scenario-splitter-before-state",
         "closed-topology", "mc-steps-bool", "ensemble-steps-bool",
         "mc-paths-bool", "ensemble-seed-bool", "path-seed-bool",
-        "max-steps-bool", "switch-step-bool", "phase-length-bool",
-        "step-index-bool", "mc-steps-np-float", "max-steps-float",
+        "max-steps-bool", "switch-step-bool", "step-index-bool", "mc-steps-np-float", "max-steps-float",
         "max-steps-np-bool", "ensemble-seed-np-float", "path-seed-np-negative",
         "ensemble-paths-np-0", "step-index-np-float", "criterion-none",
         "criterion-amplitudes", "schedule-tuple", "amplitude-norm",
         "weight-sum", "amplitude-negative", "weight-not-finite",
         "epsilon-str", "reflectance-str", "left-weight-none", "compare-w-str",
         "epsilon-bool", "period-bool", "closed-both-w-bool",
-        "reflectance-np-bool"])
+        "reflectance-np-bool", "grid-str", "grid-none", "grid-scalar",
+        "order-str", "order-none", "order-bool", "amplitude-str",
+        "amplitude-complex", "amplitude-np-bool", "weight-bool",
+        "weight-none", "splitter-str", "agreement-float"])
 def test_argument_rule_class_and_message(call, error, message):
     with pytest.raises(SplitLoopError) as info:
         call()
@@ -402,15 +430,14 @@ def _all_python_ints(value):
     lambda i: iterate(Scenario(MEASURE, BOTH, SP9, WP9, max_steps=i(4)),
                       StepSchedule(((i(2), RIGHT),))),
     lambda i: StepSchedule(((i(2), RIGHT), (i(5), BOTH))),
-    lambda i: run_switching_experiment([(BOTH, i(2)), (RIGHT, i(3))],
-                                       MEASURE, SP9, WP9),
+    lambda i: WeightPair(i(1), i(0)),
     lambda i: compare_modes(0.3, 1e-3, i(10)),
     lambda i: sweep_initial_conditions(MEASURE, BOTH, (0.2, 0.4), 1e-3,
                                        i(6), SP9),
     lambda i: closed_form_measure_both(0.9, SP9, i(3)),
     lambda i: closed_form_measure(RIGHT, 0.9, SP9, i(4)),
 ], ids=["sample-path", "ensemble", "scenario", "iterate", "schedule",
-        "switching", "compare", "sweep", "closed-both", "closed-right"])
+        "weight-pair", "compare", "sweep", "closed-both", "closed-right"])
 def test_numpy_integers_give_what_python_ints_give(call, np_int):
     expected = call(int)
     got = call(np_int)
@@ -428,8 +455,12 @@ def test_numpy_integers_give_what_python_ints_give(call, np_int):
                                period=f(0.5))),
     lambda f: compare_modes(f(0.75), f(0.125)),
     lambda f: closed_form_measure_both(f(0.75), SP9, 3),
+    lambda f: AmplitudePair(f(0.625), f(0.78125)),
+    lambda f: WeightPair(f(0.75), f(0.25)),
+    lambda f: SplitterCoefficients(f(0.625), f(0.78125)),
+    lambda f: convergence_order(f(0.75)),
 ], ids=["reflectance", "left-weight", "epsilon", "period", "compare",
-        "closed-both"])
+        "closed-both", "amplitude-pair", "weight-pair", "splitter", "order"])
 def test_numpy_floats_give_what_python_floats_give(call, np_float):
     assert call(np_float) == call(float)
 

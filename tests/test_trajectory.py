@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from splitloop import (AmplitudePair, ConvergenceCriterion, InteractionMode,
+from splitloop import (ConvergenceCriterion, InteractionMode,
                        ModeMismatchError, NotConverged, OutOfRangeError,
                        Scenario, ScheduleConflictError, SplitterCoefficients,
-                       StepSchedule, Topology, Trajectory, WeightPair,
+                       StepSchedule, Topology, WeightPair,
                        amplitudes_from_left_weight, iterate,
-                       run_switching_experiment, steps_to_converge)
+                       steps_to_converge)
 
 BALANCED_TARGET = WeightPair(0.5, 0.5)
 SP9 = SplitterCoefficients.from_reflectance(0.9)
@@ -237,25 +237,10 @@ class TestConvergence:
 
 
 class TestSwitchingExperiment:
-    def test_phases_match_manual_schedule(self):
-        phases = [(Topology.RIGHT_HALF_CONNECTED, 5),
-                  (Topology.BOTH_CONNECTED, 12)]
-        state = amplitudes_from_left_weight(0.5)
-        combined = run_switching_experiment(
-            phases, InteractionMode.FIXED_SPLITTER, SP9, state)
-        manual = iterate(
-            Scenario(InteractionMode.FIXED_SPLITTER,
-                     Topology.RIGHT_HALF_CONNECTED, SP9, state,
-                     max_steps=17),
-            StepSchedule(((6, Topology.BOTH_CONNECTED),)))
-        assert combined == manual
-
     def test_capture_then_release(self):
-        phases = [(Topology.RIGHT_HALF_CONNECTED, 5),
-                  (Topology.BOTH_CONNECTED, 20)]
-        trajectory = run_switching_experiment(
-            phases, InteractionMode.FIXED_SPLITTER, SP9,
-            amplitudes_from_left_weight(0.5))
+        trajectory = iterate(
+            unitary_scenario(0.5, 25, Topology.RIGHT_HALF_CONNECTED),
+            StepSchedule(((6, Topology.BOTH_CONNECTED),)))
         assert len(trajectory.records) == 25
         captured = trajectory.records[4]
         assert captured.weights.w_right > 1.0 - 1e-6
@@ -266,28 +251,16 @@ class TestSwitchingExperiment:
         # flips the state next to the unstable all-left point, and the
         # deviation only grows fourfold per pass, so 20 passes are not
         # enough to get back to balance
-        phases = [(Topology.RIGHT_HALF_CONNECTED, 6),
-                  (Topology.BOTH_CONNECTED, 20)]
-        trajectory = run_switching_experiment(
-            phases, InteractionMode.FIXED_SPLITTER, SP9,
-            amplitudes_from_left_weight(0.5))
+        trajectory = iterate(
+            unitary_scenario(0.5, 26, Topology.RIGHT_HALF_CONNECTED),
+            StepSchedule(((7, Topology.BOTH_CONNECTED),)))
         assert trajectory.final.weights.w_left > 0.99
 
-    def test_rejects_empty_or_bad_phases(self):
-        state = amplitudes_from_left_weight(0.5)
-        with pytest.raises(ScheduleConflictError):
-            run_switching_experiment([], InteractionMode.FIXED_SPLITTER,
-                                     SP9, state)
-        with pytest.raises(ScheduleConflictError):
-            run_switching_experiment([(Topology.BOTH_CONNECTED, 0)],
-                                     InteractionMode.FIXED_SPLITTER, SP9,
-                                     state)
-
     def test_measure_mode_switching(self):
-        phases = [(Topology.RIGHT_HALF_CONNECTED, 3),
-                  (Topology.BOTH_CONNECTED, 3)]
-        trajectory = run_switching_experiment(
-            phases, InteractionMode.MOVABLE_SPLITTER, SP9,
-            WeightPair(0.5, 0.5))
+        trajectory = iterate(
+            Scenario(InteractionMode.MOVABLE_SPLITTER,
+                     Topology.RIGHT_HALF_CONNECTED, SP9, WeightPair(0.5, 0.5),
+                     max_steps=6),
+            StepSchedule(((4, Topology.BOTH_CONNECTED),)))
         w3 = trajectory.records[2].weights.w_left
         assert w3 == pytest.approx(0.5 * SP9.a1_squared ** 2, abs=1e-15)
