@@ -68,12 +68,10 @@ __all__ = [
     "NotConverged",
     "NumericDomainError",
     "OutOfRangeError",
-    "PhotonPath",
     "ReferenceReport",
     "Scenario",
     "ScheduleConflictError",
     "SequenceComparison",
-    "Side",
     "SpeedComparison",
     "SplitLoopError",
     "SplitterCoefficients",
@@ -103,7 +101,6 @@ __all__ = [
     "induced_weight_map",
     "iterate",
     "reference_sequences",
-    "sample_path",
     "stable_fixed_point",
     "step_measure_both",
     "step_measure_left_half",

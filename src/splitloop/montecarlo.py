@@ -7,7 +7,8 @@ per-step weights the deterministic weight maps compute, which makes this an
 independent check on them. Fixed-splitter dynamics have no per-path story
 (the state is a coherent superposition, not a position), so the sampler
 takes no mode: every path follows the movable-splitter wirings. `splitloop
-mc` refuses the fixed-splitter mode itself, before numpy loads.
+mc` refuses the fixed-splitter mode itself, before numpy loads. A single
+path is an ensemble of one, whose w_left is 1.0 or 0.0 at each pass.
 
 Randomness comes from counter-based Philox streams: path i of an ensemble
 draws from the stream keyed base_seed + i, and a path is fully determined
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -29,22 +29,10 @@ import numpy as np
 from .errors import LengthMismatchError, ModeMismatchError
 from .maps import raw_step
 from .states import (InteractionMode, SplitterCoefficients, Topology,
-                     WeightPair, _check_positive_finite, _check_sampling)
+                     WeightPair, _check_positive_finite, _check_sampling,
+                     _check_type)
 
 GENERATOR_NAME = "philox"
-
-
-class Side(Enum):
-    LEFT = "L"
-    RIGHT = "R"
-
-
-@dataclass(frozen=True)
-class PhotonPath:
-    """Loop occupied at each pass, plus the seed that produced the path."""
-
-    sides: tuple[Side, ...]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -211,26 +199,18 @@ def _walk(uniforms: np.ndarray, a1_squared: float, b1_squared: float,
     return in_left
 
 
-def sample_path(splitter: SplitterCoefficients, topology: Topology,
-                steps: int, seed: int) -> PhotonPath:
-    """One photon path of the given length, fully determined by the seed."""
-    steps, seed, _ = _check_sampling(steps, seed)
-    # names a bad splitter or topology before any draw
-    raw_step(InteractionMode.MOVABLE_SPLITTER, topology, splitter)
-    column = _walk(_rekeyed_uniforms(seed, 1, steps), splitter.a1_squared,
-                   splitter.b1_squared, topology)[:, 0]
-    sides = tuple(Side.LEFT if hit else Side.RIGHT for hit in column)
-    return PhotonPath(sides, seed)
-
-
 def ensemble_frequencies(splitter: SplitterCoefficients, topology: Topology,
                          steps: int, n_paths: int,
                          base_seed: int) -> EnsembleEstimate:
     """Per-step left/right frequencies over paths seeded base_seed + i.
 
-    Aggregates exactly the paths sample_path would return for the seeds
-    base_seed, base_seed + 1, ..., base_seed + n_paths - 1, a chunk of paths
-    at a time.
+    Path i draws u_1 .. u_steps, the first `steps` doubles that a numpy
+    Generator on Philox(key=base_seed + i) returns from .random(steps). It
+    is in the left loop after pass 1 when u_1 < a1^2. After that, a photon
+    in the left loop stays there when u_t < a1^2 (always, in the left-half
+    wiring); one in the right loop moves left when u_t < b1^2 in the
+    both-connected wiring, never in the right-half one, and when
+    u_t >= b1^2 in the left-half one. Paths are counted a chunk at a time.
     """
     steps, base_seed, n_paths = _check_sampling(steps, base_seed, n_paths)
     # names a bad splitter or topology before any draw
@@ -255,16 +235,20 @@ def agreement_report(estimate: EnsembleEstimate,
                      analytic: Sequence[WeightPair],
                      sigma_bound: float = 4.0) -> list[StepAgreement]:
     """Per-step z-scores of the ensemble against an analytic weight series."""
+    _check_type("estimate", estimate, EnsembleEstimate)
+    try:
+        n_steps = len(analytic)
+    except TypeError:
+        raise ModeMismatchError("analytic must be a sequence of WeightPair, "
+                                f"got {type(analytic).__name__}") from None
     sigma_bound = _check_positive_finite("sigma_bound", sigma_bound)
-    if len(analytic) != len(estimate.w_left):
+    if n_steps != len(estimate.w_left):
         raise LengthMismatchError(
-            f"analytic series has {len(analytic)} steps, estimate has "
+            f"analytic series has {n_steps} steps, estimate has "
             f"{len(estimate.w_left)}")
     report = []
     for i, expected in enumerate(analytic):
-        if not isinstance(expected, WeightPair):
-            raise ModeMismatchError("analytic entry must be a WeightPair, "
-                                    f"got {type(expected).__name__}")
+        _check_type("analytic entry", expected, WeightPair)
         empirical = estimate.w_left[i]
         stderr = estimate.stderr[i]
         diff = abs(empirical - expected.w_left)

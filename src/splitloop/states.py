@@ -88,6 +88,15 @@ def _check_positive_finite(name: str, value: float) -> float:
     return float(value)
 
 
+def _check_type(name: str, value, kind: type,
+                error: type = ModeMismatchError) -> None:
+    """Refuse a run argument that is not a `kind`, naming the type it is."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise error(f"{name} must be {article} {kind.__name__}, got "
+                    f"{type(value).__name__}")
+
+
 class Topology(Enum):
     """Fiber wiring of the loop interferometer.
 
@@ -299,6 +308,9 @@ def weights_of(state: AmplitudePair | WeightPair) -> WeightPair:
     is, an amplitude pair's (a_left^2, b_right^2) through normalize_pair."""
     if isinstance(state, WeightPair):
         return state
+    if not isinstance(state, AmplitudePair):
+        raise ModeMismatchError("state must be an AmplitudePair or a "
+                                f"WeightPair, got {type(state).__name__}")
     a, b = state.a_left, state.b_right
     return weight_pair(*normalize_pair(a * a, b * b, False))
 

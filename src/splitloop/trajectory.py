@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import maps
-from .errors import (ModeMismatchError, OutOfRangeError,
-                     ScheduleConflictError)
+from .errors import OutOfRangeError, ScheduleConflictError
 from .maps import State
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
                      Topology, WeightPair, _check_count,
-                     _check_positive_finite, _new, _set, amplitude_pair,
-                     normalize_pair, weight_pair, weights_of)
+                     _check_positive_finite, _check_type, _new, _set,
+                     amplitude_pair, normalize_pair, weight_pair, weights_of)
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,19 @@ class StepSchedule:
 
     def __post_init__(self) -> None:
         last, checked = 0, []
-        for step, topology in self.switches:
+        try:
+            switches = iter(self.switches)
+        except TypeError:
+            raise ScheduleConflictError(
+                "switches must be a sequence of (step, Topology) pairs, got "
+                f"{type(self.switches).__name__}") from None
+        for switch in switches:
+            try:
+                step, topology = switch
+            except (TypeError, ValueError):
+                raise ScheduleConflictError(
+                    "switch must be a (step, Topology) pair, got "
+                    f"{switch!r}") from None
             step = _check_count("switch step", step, ScheduleConflictError)
             if step <= last:
                 raise ScheduleConflictError(
@@ -113,9 +124,7 @@ class ConvergenceCriterion:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.target, WeightPair):
-            raise ModeMismatchError("target must be a WeightPair, got "
-                                    f"{type(self.target).__name__}")
+        _check_type("target", self.target, WeightPair)
         _set(self, "epsilon", _check_positive_finite("epsilon", self.epsilon))
 
     def distance(self, weights: WeightPair) -> float:
@@ -145,9 +154,8 @@ def _passes(scenario: Scenario,
     (w_left, w_right, sum_correction), the state itself in a
     movable-splitter run.
     """
-    if schedule is not None and not isinstance(schedule, StepSchedule):
-        raise ScheduleConflictError("schedule must be a StepSchedule, got "
-                                    f"{type(schedule).__name__}")
+    if schedule is not None:
+        _check_type("schedule", schedule, StepSchedule, ScheduleConflictError)
     switches = schedule.switches if schedule is not None else ()
     if switches and switches[-1][0] > scenario.max_steps:
         raise ScheduleConflictError(
@@ -182,6 +190,7 @@ def iterate(scenario: Scenario,
     Pure and deterministic: the same arguments give bit-identical
     trajectories, and any prefix of a longer run matches the shorter run.
     """
+    _check_type("scenario", scenario, Scenario)
     period = scenario.period
     unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
     records = []
@@ -206,6 +215,8 @@ def converging_record(scenario: Scenario,
     max_steps runs out first, returns the final record and False. Only the
     returned record is built.
     """
+    _check_type("scenario", scenario, Scenario)
+    _check_type("criterion", criterion, ConvergenceCriterion)
     distance, epsilon = criterion._distance, criterion.epsilon
     converged = False
     for n, topology, state, (w_left, w_right, correction) in _passes(

@@ -16,7 +16,6 @@ bending the bound.
 import math
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
 import splitloop.maps
@@ -29,7 +28,7 @@ from splitloop import (AmplitudePair, ConvergenceCriterion, InteractionMode,
                        agreement_report, fixed_points, iterate,
                        reference_sequences, steps_to_converge,
                        step_measure_both, step_unitary_both,
-                       step_unitary_right_half, weights_of)
+                       step_unitary_right_half)
 from splitloop.cli import main as cli_main
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)

@@ -18,9 +18,8 @@ SRC = os.path.dirname(os.path.dirname(splitloop.__file__))
 ENV = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
            OMP_NUM_THREADS="1")
 
-LAZY_NAMES = ("GENERATOR_NAME", "EnsembleEstimate", "PhotonPath", "Side",
-              "StepAgreement", "agreement_report", "ensemble_frequencies",
-              "sample_path")
+LAZY_NAMES = ("GENERATOR_NAME", "EnsembleEstimate", "StepAgreement",
+              "agreement_report", "ensemble_frequencies")
 
 # Runs the CLI on its arguments, then reports on stderr whether numpy is
 # loaded; `finally` runs before click's sys.exit ends the process.
@@ -219,9 +218,12 @@ def _unused_imports(path):
 
 def test_no_unused_imports():
     package = os.path.dirname(splitloop.__file__)
-    found = [hit for name in sorted(os.listdir(package))
+    root = os.path.dirname(SRC)
+    folders = [package] + [os.path.join(root, top)
+                           for top in ("tests", "perfbench")]
+    found = [hit for folder in folders for name in sorted(os.listdir(folder))
              if name.endswith(".py")
-             for hit in _unused_imports(os.path.join(package, name))]
+             for hit in _unused_imports(os.path.join(folder, name))]
     assert found == []
 
 

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from splitloop import montecarlo
 from splitloop import (GENERATOR_NAME, InteractionMode, LengthMismatchError,
-                       ModeMismatchError, OutOfRangeError, Scenario, Side, SplitterCoefficients,
-                       Topology, WeightPair,
-                       agreement_report, ensemble_frequencies, iterate,
-                       sample_path)
+                       ModeMismatchError, OutOfRangeError, Scenario,
+                       SplitterCoefficients, Topology, WeightPair,
+                       agreement_report, ensemble_frequencies, iterate)
 
 # a uint64 overflow warning from the key or counter arithmetic fails a test;
 # numpy warns with RuntimeWarning. Plain "error" would also raise hypothesis's
@@ -56,8 +55,10 @@ def reference_walk(splitter, topology, steps, n_paths, base_seed):
     return in_left
 
 
-def sides_of(row):
-    return tuple(Side.LEFT if hit else Side.RIGHT for hit in row)
+def path_of(sides):
+    """The w_left of a one-path ensemble, its loop at each pass spelled out
+    as L and R."""
+    return tuple(1.0 if side == "L" else 0.0 for side in sides)
 
 
 @contextlib.contextmanager
@@ -89,59 +90,53 @@ def sampling_cases(draw):
     return steps, n_paths, seed
 
 
-class TestSamplePath:
-    def test_frozen_path(self):
-        # pins the generator stream; a change in seeding or draw order
-        # would silently invalidate every seeded result
-        path = sample_path(SP9, Topology.BOTH_CONNECTED, 8, 0)
-        assert "".join(s.value for s in path.sides) == "LLLLLLRR"
-        assert path.seed == 0
+class TestOnePath:
+    """A single path is an ensemble of one: w_left is 1.0 or 0.0 per pass."""
+
+    # pin the generator stream of each draw method; a change in seeding or
+    # draw order would silently invalidate every seeded result
+    def test_frozen_vectorized_draw(self):
+        estimate = ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, 8, 1, 0)
+        assert estimate.w_left == path_of("LLLLLLRR")
         assert GENERATOR_NAME == "philox"
 
-    def test_deterministic_per_seed(self):
-        first = sample_path(SP9, Topology.BOTH_CONNECTED, 64, 123)
-        second = sample_path(SP9, Topology.BOTH_CONNECTED, 64, 123)
-        assert first == second
-
-    def test_path_length(self):
-        path = sample_path(SP9, Topology.RIGHT_HALF_CONNECTED, 17, 5)
-        assert len(path.sides) == 17
+    def test_frozen_rekeyed_draw(self):
+        steps = montecarlo.VECTOR_MAX_STEPS + 1
+        estimate = ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, steps,
+                                        1, 0)
+        assert estimate.w_left == path_of(
+            "LLLLLLRRRRRRRRRRRRRRRLLRRRRRRRRRRRRRRRLLLRRLLLRRRRRRRRLLLLL"
+            "LLLLLLLLLLLLLLLRRRRRRRRRRRLLLLLLLLLRRRRRRRRLLLLLLLLLLLLLRRL"
+            "LRRRRRRRRRR")
 
     @pytest.mark.parametrize("steps,seed", [(0, 1), (-3, 1), (4, -1)])
     def test_argument_validation(self, steps, seed):
         with pytest.raises(OutOfRangeError):
-            sample_path(SP9, Topology.BOTH_CONNECTED, steps, seed)
+            ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, steps, 1, seed)
 
     @settings(max_examples=40)
     @given(seed=st.integers(0, 10_000))
     def test_right_half_absorbs_into_right(self, seed):
-        path = sample_path(SP9, Topology.RIGHT_HALF_CONNECTED, 24, seed)
-        sides = path.sides
-        if Side.RIGHT in sides:
-            first = sides.index(Side.RIGHT)
-            assert all(s is Side.RIGHT for s in sides[first:])
+        w_left = ensemble_frequencies(SP9, Topology.RIGHT_HALF_CONNECTED, 24,
+                                      1, seed).w_left
+        if 0.0 in w_left:
+            first = w_left.index(0.0)
+            assert all(w == 0.0 for w in w_left[first:])
 
     @settings(max_examples=40)
     @given(seed=st.integers(0, 10_000))
     def test_left_half_absorbs_into_left(self, seed):
-        path = sample_path(SP9, Topology.LEFT_HALF_CONNECTED, 24, seed)
-        sides = path.sides
-        if Side.LEFT in sides:
-            first = sides.index(Side.LEFT)
-            assert all(s is Side.LEFT for s in sides[first:])
-
-    def test_last_key_and_first_key_past_the_range(self):
-        path = sample_path(SP9, Topology.BOTH_CONNECTED, 9, KEYS - 1)
-        expected = reference_walk(SP9, Topology.BOTH_CONNECTED, 9, 1,
-                                  KEYS - 1)[0]
-        assert path.sides == sides_of(expected)
-        with pytest.raises(OutOfRangeError, match="Philox key range"):
-            sample_path(SP9, Topology.BOTH_CONNECTED, 9, KEYS)
+        w_left = ensemble_frequencies(SP9, Topology.LEFT_HALF_CONNECTED, 24,
+                                      1, seed).w_left
+        if 1.0 in w_left:
+            first = w_left.index(1.0)
+            assert all(w == 1.0 for w in w_left[first:])
 
     def test_degenerate_splitter_never_leaves_left(self):
         mirror = SplitterCoefficients.from_reflectance(1.0)
-        path = sample_path(mirror, Topology.BOTH_CONNECTED, 32, 9)
-        assert all(s is Side.LEFT for s in path.sides)
+        estimate = ensemble_frequencies(mirror, Topology.BOTH_CONNECTED, 32,
+                                        1, 9)
+        assert estimate.w_left == (1.0,) * 32
 
 
 class TestEnsemble:
@@ -164,11 +159,11 @@ class TestEnsemble:
     def test_matches_aggregated_single_paths(self):
         estimate = ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, 4,
                                         200, 50)
-        counts = [0] * 4
+        counts = [0.0] * 4
         for i in range(200):
-            path = sample_path(SP9, Topology.BOTH_CONNECTED, 4, 50 + i)
-            for t, side in enumerate(path.sides):
-                counts[t] += side is Side.LEFT
+            path = ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, 4, 1,
+                                        50 + i)
+            counts = [c + w for c, w in zip(counts, path.w_left)]
         assert estimate.w_left == tuple(c / 200 for c in counts)
 
     def test_reproducible_and_seed_sensitive(self):
@@ -188,13 +183,13 @@ class TestEnsemble:
         with small_chunks():
             estimate = ensemble_frequencies(splitter, topology, steps,
                                             n_paths, seed)
-            first = sample_path(splitter, topology, steps, seed)
+            first = ensemble_frequencies(splitter, topology, steps, 1, seed)
         in_left = reference_walk(splitter, topology, steps, n_paths, seed)
         w_left = in_left.mean(axis=0)
         assert estimate.w_left == tuple(float(x) for x in w_left)
         assert estimate.stderr == tuple(
             float(x) for x in np.sqrt(w_left * (1.0 - w_left) / n_paths))
-        assert first.sides == sides_of(in_left[0])
+        assert first.w_left == tuple(float(x) for x in in_left[0])
 
     @pytest.mark.parametrize("steps", [5, montecarlo.VECTOR_MAX_STEPS + 1])
     def test_matches_reference_across_a_full_size_chunk(self, steps):
@@ -249,8 +244,6 @@ class TestEnsemble:
         monkeypatch.setattr(montecarlo, "_rekeyed_uniforms", refuse)
         with pytest.raises(ModeMismatchError):
             ensemble_frequencies(splitter, topology, 4, 10, 1)
-        with pytest.raises(ModeMismatchError):
-            sample_path(splitter, topology, 4, 1)
 
 
 class TestAgreement:

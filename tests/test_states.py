@@ -19,8 +19,8 @@ from splitloop import (AMPLITUDE_NORM_TOL, AmplitudePair,
                        closed_form_measure_both,
                        closed_form_measure_right_half, compare_modes,
                        convergence_order, ensemble_frequencies,
-                       induced_weight_map, iterate, sample_path,
-                       step_measure_right_half, sweep_initial_conditions,
+                       induced_weight_map, iterate, step_measure_right_half,
+                       steps_to_converge, sweep_initial_conditions,
                        validate_amplitudes, validate_weights, weights_of)
 from splitloop.states import normalize_pair
 
@@ -235,7 +235,7 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
      OutOfRangeError, "max_steps must be an integer >= 1, got 2.0"),
     (lambda: StepSchedule(((0, BOTH),)), ScheduleConflictError,
      "switch step must be an integer >= 1, got 0"),
-    (lambda: sample_path(SP9, BOTH, 1.5, 0), OutOfRangeError,
+    (lambda: ensemble_frequencies(SP9, BOTH, 1.5, 1, 0), OutOfRangeError,
      "steps must be an integer >= 1, got 1.5"),
     (lambda: ensemble_frequencies(SP9, BOTH, 3, 0, 0), OutOfRangeError,
      "n_paths must be an integer >= 1, got 0"),
@@ -263,11 +263,9 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
      ModeMismatchError, NO_SPLITTER + "0.9"),
     (lambda: ensemble_frequencies(None, BOTH, 3, 10, 0),
      ModeMismatchError, NO_SPLITTER + "None"),
-    (lambda: sample_path(0.9, BOTH, 3, 0),
+    (lambda: ensemble_frequencies(0.9, BOTH, 3, 1, 0),
      ModeMismatchError, NO_SPLITTER + "0.9"),
     (lambda: ensemble_frequencies(SP9, "both", 3, 10, 0),
-     ModeMismatchError, "topology must be a Topology, got 'both'"),
-    (lambda: sample_path(SP9, "both", 3, 0),
      ModeMismatchError, "topology must be a Topology, got 'both'"),
     (lambda: ConvergenceCriterion(WP9, math.inf), OutOfRangeError,
      "epsilon must be positive and finite, got inf"),
@@ -281,15 +279,13 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
     (lambda: closed_form_measure("both", 0.9, SP9, 3),
      ModeMismatchError, "topology must be a Topology, got 'both'"),
     # a bool is an int, but not a count or a seed
-    (lambda: sample_path(SP9, BOTH, True, 0), OutOfRangeError,
-     "steps must be an integer >= 1, got True"),
     (lambda: ensemble_frequencies(SP9, BOTH, True, 5, 0), OutOfRangeError,
      "steps must be an integer >= 1, got True"),
     (lambda: ensemble_frequencies(SP9, BOTH, 3, True, 0), OutOfRangeError,
      "n_paths must be an integer >= 1, got True"),
     (lambda: ensemble_frequencies(SP9, BOTH, 3, 5, True), OutOfRangeError,
      "seed must be a non-negative integer, got True"),
-    (lambda: sample_path(SP9, BOTH, 3, False), OutOfRangeError,
+    (lambda: ensemble_frequencies(SP9, BOTH, 3, 1, False), OutOfRangeError,
      "seed must be a non-negative integer, got False"),
     (lambda: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=True),
      OutOfRangeError, "max_steps must be an integer >= 1, got True"),
@@ -298,7 +294,8 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
     (lambda: closed_form_measure_both(0.9, SP9, True), InvalidStepError,
      "step index must be an integer >= 1, got True"),
     # numpy integers are counts and seeds; numpy floats and bools are not
-    (lambda: sample_path(SP9, BOTH, np.float64(3.0), 0), OutOfRangeError,
+    (lambda: ensemble_frequencies(SP9, BOTH, np.float64(3.0), 1, 0),
+     OutOfRangeError,
      "steps must be an integer >= 1, got np.float64(3.0)"),
     (lambda: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=3.0),
      OutOfRangeError, "max_steps must be an integer >= 1, got 3.0"),
@@ -307,7 +304,8 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
     (lambda: ensemble_frequencies(SP9, BOTH, 3, 5, np.float64(1.0)),
      OutOfRangeError,
      "seed must be a non-negative integer, got np.float64(1.0)"),
-    (lambda: sample_path(SP9, BOTH, 3, np.int64(-1)), OutOfRangeError,
+    (lambda: ensemble_frequencies(SP9, BOTH, 3, 1, np.int64(-1)),
+     OutOfRangeError,
      "seed must be a non-negative integer, got np.int64(-1)"),
     (lambda: ensemble_frequencies(SP9, BOTH, 3, np.int64(0), 0),
      OutOfRangeError, "n_paths must be an integer >= 1, got np.int64(0)"),
@@ -322,6 +320,24 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
     (lambda: iterate(Scenario(MEASURE, BOTH, SP9, WP9, max_steps=3),
                      ((2, BOTH),)), ScheduleConflictError,
      "schedule must be a StepSchedule, got tuple"),
+    (lambda: StepSchedule(((1,),)), ScheduleConflictError,
+     "switch must be a (step, Topology) pair, got (1,)"),
+    (lambda: StepSchedule(5), ScheduleConflictError,
+     "switches must be a sequence of (step, Topology) pairs, got int"),
+    (lambda: StepSchedule(None), ScheduleConflictError,
+     "switches must be a sequence of (step, Topology) pairs, got NoneType"),
+    (lambda: agreement_report(None, [WP9, WP9]), ModeMismatchError,
+     "estimate must be an EnsembleEstimate, got NoneType"),
+    (lambda: agreement_report(_ensemble(), None), ModeMismatchError,
+     "analytic must be a sequence of WeightPair, got NoneType"),
+    (lambda: weights_of(0.5), ModeMismatchError,
+     "state must be an AmplitudePair or a WeightPair, got float"),
+    (lambda: iterate(None), ModeMismatchError,
+     "scenario must be a Scenario, got NoneType"),
+    (lambda: steps_to_converge(Scenario(MEASURE, BOTH, SP9, WP9,
+                                        max_steps=3), None),
+     ModeMismatchError, "criterion must be a ConvergenceCriterion, got "
+     "NoneType"),
     (lambda: AmplitudePair(0.6, 0.6), NormalizationError,
      "squared norm 0.72 deviates from 1 by -0.28"),
     (lambda: WeightPair(0.25, 0.5), NormalizationError,
@@ -384,14 +400,17 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
         "scenario-splitter", "sweep-splitter", "apply-splitter",
         "step-splitter", "weight-map-splitter", "closed-both-splitter",
         "closed-right-splitter", "ensemble-splitter", "path-splitter",
-        "ensemble-topology", "path-topology", "epsilon-inf",
+        "ensemble-topology", "epsilon-inf",
         "scenario-state", "apply-state", "scenario-splitter-before-state",
-        "closed-topology", "mc-steps-bool", "ensemble-steps-bool",
+        "closed-topology", "ensemble-steps-bool",
         "mc-paths-bool", "ensemble-seed-bool", "path-seed-bool",
         "max-steps-bool", "switch-step-bool", "step-index-bool", "mc-steps-np-float", "max-steps-float",
         "max-steps-np-bool", "ensemble-seed-np-float", "path-seed-np-negative",
         "ensemble-paths-np-0", "step-index-np-float", "criterion-none",
-        "criterion-amplitudes", "schedule-tuple", "amplitude-norm",
+        "criterion-amplitudes", "schedule-tuple", "schedule-entry",
+        "schedule-int", "schedule-none", "agreement-estimate-none",
+        "agreement-analytic-none", "weights-of-float", "iterate-none",
+        "converge-criterion-none", "amplitude-norm",
         "weight-sum", "amplitude-negative", "weight-not-finite",
         "epsilon-str", "reflectance-str", "left-weight-none", "compare-w-str",
         "epsilon-bool", "period-bool", "closed-both-w-bool",
@@ -424,7 +443,7 @@ def _all_python_ints(value):
 # Each entry point, called with numpy integers and with Python ints (int).
 @pytest.mark.parametrize("np_int", [np.int64, np.uint64, np.int32])
 @pytest.mark.parametrize("call", [
-    lambda i: sample_path(SP9, BOTH, i(3), i(7)),
+    lambda i: ensemble_frequencies(SP9, BOTH, i(3), i(1), i(7)),
     lambda i: ensemble_frequencies(SP9, BOTH, i(3), i(4), i(5)),
     lambda i: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=i(3)),
     lambda i: iterate(Scenario(MEASURE, BOTH, SP9, WP9, max_steps=i(4)),
@@ -436,7 +455,7 @@ def _all_python_ints(value):
                                        i(6), SP9),
     lambda i: closed_form_measure_both(0.9, SP9, i(3)),
     lambda i: closed_form_measure(RIGHT, 0.9, SP9, i(4)),
-], ids=["sample-path", "ensemble", "scenario", "iterate", "schedule",
+], ids=["one-path", "ensemble", "scenario", "iterate", "schedule",
         "weight-pair", "compare", "sweep", "closed-both", "closed-right"])
 def test_numpy_integers_give_what_python_ints_give(call, np_int):
     expected = call(int)
