@@ -45,10 +45,10 @@ map (fixed splitter) or the weight chain's rate (movable splitter);
 `_MODES[mode]` holds the state type and its constructors. The functions
 that dispatch, `closed_form_measure` among them, read these tables and do
 not branch on the topology. `raw_step` is the per-pass function on validated
-floats (kernel, Markov agreement check, `states.normalize_pair`); `StepMap`
-and the step_* one-liners are typed wrappers over it. Building it is the
-one check of a map's arguments; `Scenario` and the sampler run it too.
-`_check_state` is the one rule for the type of a map's state.
+floats (kernel, Markov agreement check, `states.normalize_pair`); `StepMap`,
+the step_* one-liners, `Scenario`, the sampler, `closed_form_measure` and
+`induced_weight_map` build it, the one check of a map's arguments (topology
+first). `_check_state` is the one rule for the type of a map's state.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ from typing import Callable, Union
 
 from .errors import InvalidStepError, ModeMismatchError, NumericDomainError
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
-                     Topology, WeightPair, _check_count, _check_splitter,
-                     _check_unit, amplitude_pair, normalize_pair, weight_pair)
+                     Topology, WeightPair, _check_count, _check_unit,
+                     amplitude_pair, normalize_pair, weight_pair)
 
 # Denominator guard for the half-connected unitary maps. Unreachable from a
 # normalized state (D >= 1 there), kept as a hard stop for raw kernel input.
@@ -234,7 +234,9 @@ def raw_step(mode: InteractionMode, topology: Topology,
             a, b = kernel(a, b)
             return normalize_pair(a, b, True)
         return unitary
-    _check_splitter(splitter)
+    if not isinstance(splitter, SplitterCoefficients):
+        raise ModeMismatchError("movable-splitter maps need "
+                                f"SplitterCoefficients, got {splitter!r}")
     a1sq, b1sq = splitter.a1_squared, splitter.b1_squared
     markov = topology is Topology.BOTH_CONNECTED
 
@@ -349,7 +351,7 @@ def closed_form_measure(topology: Topology, w_left_initial: float,
     """
     n = _check_count("step index", n, InvalidStepError)
     w_left_initial = _check_unit("w_left_initial", w_left_initial)
-    _check_splitter(splitter)
+    raw_step(_MOVABLE, topology, splitter)
     _, points, rate = _spec(_MOVABLE, topology)
     fixed = points[0].point.w_left
     r = rate(splitter.a1_squared, splitter.b1_squared)
@@ -379,7 +381,7 @@ def induced_weight_map(mode: InteractionMode, topology: Topology,
     name, _, weight_map = _spec(mode, topology)
     if mode is _FIXED:
         return weight_map
-    _check_splitter(splitter)
+    raw_step(mode, topology, splitter)
     kernel = globals()[name]
     a1sq, b1sq = splitter.a1_squared, splitter.b1_squared
     return lambda w: kernel(w, 1.0 - w, a1sq, b1sq)[0]

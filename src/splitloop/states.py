@@ -13,9 +13,9 @@ signed correction that was applied is kept on the instance for inspection
 but does not participate in equality.
 
 `normalize_pair` is the one copy of that validate-and-rescale rule. The
-constructors call it on hand-entered values; the trajectory loop calls it
-on the raw floats of every pass and wraps the results with
-`amplitude_pair`/`weight_pair`, which skip the constructor's second run.
+constructors call it on what the validators' rule `_entered_violation`
+accepts; the trajectory loop calls it on the raw floats of every pass and
+wraps the results with `amplitude_pair`/`weight_pair`, which skip both.
 
 The argument rules that every module shares are written here once, as the
 `_check_*` functions.
@@ -54,6 +54,14 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real)  # np.bool_ is none
 
 
+def _as_float(value) -> float:
+    """value as a Python float: nan unless _is_real, inf for a huge int."""
+    try:
+        return float(value) if _is_real(value) else math.nan
+    except OverflowError:  # an int beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_unit(name: str, value: float) -> float:
     """The value as a Python float; refuse one outside [0, 1], NaN, a
     non-number and a bool included."""
@@ -81,8 +89,8 @@ def _check_count(name: str, value: int, error: type = OutOfRangeError) -> int:
 
 def _check_positive_finite(name: str, value: float) -> float:
     """The bound as a Python float; refuse one that is not positive and
-    finite, a non-number and a bool included."""
-    if not (_is_real(value) and value > 0.0 and math.isfinite(value)):
+    finite, a non-number, a bool and a huge int included."""
+    if not 0.0 < _as_float(value) < math.inf:
         raise OutOfRangeError(
             f"{name} must be positive and finite, got {value!r}")
     return float(value)
@@ -124,18 +132,10 @@ class InteractionMode(Enum):
     MOVABLE_SPLITTER = "measure"
 
 
-def _check_splitter(splitter: SplitterCoefficients) -> None:
-    """Refuse a splitter a movable-splitter map cannot read."""
-    if not isinstance(splitter, SplitterCoefficients):
-        raise ModeMismatchError(
-            "movable-splitter maps need SplitterCoefficients, got "
-            f"{splitter!r}")
-
-
 def _check_sampling(steps: int, seed: int,
-                    n_paths: int = 1) -> tuple[int, int, int]:
-    """(steps, seed, n_paths) as ints; refuse a bad count, or seeds
-    seed .. seed + n_paths - 1 outside the 128-bit keys."""
+                    n_paths: int) -> tuple[int, int, int]:
+    """(steps, seed, n_paths) of an ensemble as ints; refuse a bad count,
+    or seeds seed .. seed + n_paths - 1 outside the 128-bit keys."""
     steps = _check_count("steps", steps)
     first = _as_int(seed)
     if first is None or first < 0:
@@ -156,19 +156,21 @@ class Violation:
     message: str
 
 
-def _violation(x: float, y: float, squared: bool) -> Violation | None:
-    """The acceptance rule for a raw pair: a Violation, or None when fine.
+def _violation(x: float, y: float, squared: bool,
+               names: tuple = ()) -> Violation | None:
+    """The acceptance rule for two floats: a Violation, or None when fine.
 
     Both components must be finite and non-negative (up to the range
     slack); the squared norm (squared=True, amplitudes) must lie within
     AMPLITUDE_NORM_TOL of 1, the sum (squared=False, weights) within
-    WEIGHT_SUM_TOL.
+    WEIGHT_SUM_TOL. Messages call x and y `names`, else the pair types' fields.
     """
     dev = (x * x + y * y if squared else x + y) - 1.0
     tol = AMPLITUDE_NORM_TOL if squared else WEIGHT_SUM_TOL
     if x >= -_RANGE_SLACK and y >= -_RANGE_SLACK and abs(dev) <= tol:
         return None
-    names = ("a_left", "b_right") if squared else ("w_left", "w_right")
+    names = names or (("a_left", "b_right") if squared
+                      else ("w_left", "w_right"))
     for name, v in zip(names, (x, y)):
         if not math.isfinite(v):
             return Violation("range", float("nan"), f"{name} is not finite")
@@ -179,14 +181,30 @@ def _violation(x: float, y: float, squared: bool) -> Violation | None:
                      f"{label} {1.0 + dev!r} deviates from 1 by {dev!r}")
 
 
+def _entered_violation(names: tuple, x, y, squared: bool) -> Violation | None:
+    """The rule for a hand-entered pair with fields `names`: each value a
+    real number and no bool, then `_violation` on their `_as_float`."""
+    for name, value in zip(names, (x, y)):
+        if not _is_real(value):
+            return Violation("range", math.nan,
+                             f"{name} must be a real number, got {value!r}")
+    return _violation(_as_float(x), _as_float(y), squared, names)
+
+
+def _error(violation: Violation) -> ValueError:
+    """The error a Violation raises, by its kind."""
+    return (OutOfRangeError(violation.message) if violation.kind == "range"
+            else NormalizationError(violation))
+
+
 def validate_amplitudes(a_left: float, b_right: float) -> Violation | None:
-    """Check a raw amplitude pair; return a Violation or None when fine."""
-    return _violation(a_left, b_right, True)
+    """A Violation, or None exactly when AmplitudePair takes the pair."""
+    return _entered_violation(("a_left", "b_right"), a_left, b_right, True)
 
 
 def validate_weights(w_left: float, w_right: float) -> Violation | None:
-    """Check a raw weight pair; return a Violation or None when fine."""
-    return _violation(w_left, w_right, False)
+    """A Violation, or None exactly when WeightPair takes the pair."""
+    return _entered_violation(("w_left", "w_right"), w_left, w_right, False)
 
 
 def normalize_pair(x: float, y: float,
@@ -201,9 +219,7 @@ def normalize_pair(x: float, y: float,
     """
     violation = _violation(x, y, squared)
     if violation is not None:
-        if violation.kind == "range":
-            raise OutOfRangeError(violation.message)
-        raise NormalizationError(violation)
+        raise _error(violation)
     x = 0.0 if x < 0.0 else x
     y = 0.0 if y < 0.0 else y
     total = math.sqrt(x * x + y * y) if squared else x + y
@@ -212,17 +228,14 @@ def normalize_pair(x: float, y: float,
 
 def _normalize_fields(pair, x: str, y: str, correction: str,
                       squared: bool) -> None:
-    """The constructors' rule: refuse fields x and y of a new frozen pair
-    unless they are real numbers, rescale them in place through
+    """The constructors' rule: raise what `_entered_violation` finds in
+    fields x and y of a new frozen pair, else rescale them in place through
     normalize_pair and store the correction in `correction`."""
-    raw = []
-    for name in (x, y):
-        value = getattr(pair, name)
-        if not _is_real(value):
-            raise OutOfRangeError(
-                f"{name} must be a real number, got {value!r}")
-        raw.append(float(value))
-    values = normalize_pair(*raw, squared)
+    raw = getattr(pair, x), getattr(pair, y)
+    violation = _entered_violation((x, y), *raw, squared)
+    if violation is not None:
+        raise _error(violation)
+    values = normalize_pair(float(raw[0]), float(raw[1]), squared)
     for name, value in zip((x, y, correction), values):
         _set(pair, name, value)
 
@@ -317,10 +330,8 @@ def weights_of(state: AmplitudePair | WeightPair) -> WeightPair:
 
 def amplitude_pair(a_left: float, b_right: float,
                    norm_correction: float) -> AmplitudePair:
-    """An AmplitudePair from values normalize_pair has already returned.
-
-    Skips __post_init__, which would validate and rescale them again.
-    """
+    """An AmplitudePair from values normalize_pair has already returned,
+    without the __post_init__ that would validate and rescale them again."""
     pair = _new(AmplitudePair)
     _set(pair, "a_left", a_left)
     _set(pair, "b_right", b_right)
@@ -330,10 +341,8 @@ def amplitude_pair(a_left: float, b_right: float,
 
 def weight_pair(w_left: float, w_right: float,
                 sum_correction: float) -> WeightPair:
-    """A WeightPair from values normalize_pair has already returned.
-
-    Skips __post_init__, which would validate and rescale them again.
-    """
+    """A WeightPair from values normalize_pair has already returned,
+    without the __post_init__ that would validate and rescale them again."""
     pair = _new(WeightPair)
     _set(pair, "w_left", w_left)
     _set(pair, "w_right", w_right)

@@ -128,6 +128,7 @@ class ConvergenceCriterion:
         _set(self, "epsilon", _check_positive_finite("epsilon", self.epsilon))
 
     def distance(self, weights: WeightPair) -> float:
+        _check_type("weights", weights, WeightPair)
         return self._distance(weights.w_left, weights.w_right)
 
     def _distance(self, w_left: float, w_right: float) -> float:

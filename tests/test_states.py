@@ -393,6 +393,30 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
     # an analytic series is of weight pairs
     (lambda: agreement_report(_ensemble(), [0.9, 0.82]), ModeMismatchError,
      "analytic entry must be a WeightPair, got float"),
+    (lambda: ConvergenceCriterion(WP9, 1e-3).distance(None),
+     ModeMismatchError, "weights must be a WeightPair, got NoneType"),
+    # an int beyond the float range is no finite bound
+    (lambda: ConvergenceCriterion(WP9, 10 ** 400), OutOfRangeError,
+     f"epsilon must be positive and finite, got {10 ** 400!r}"),
+    (lambda: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=3,
+                      period=10 ** 400), OutOfRangeError,
+     f"period must be positive and finite, got {10 ** 400!r}"),
+    (lambda: agreement_report(_ensemble(), [WP9, WP9],
+                              sigma_bound=10 ** 400), OutOfRangeError,
+     f"sigma_bound must be positive and finite, got {10 ** 400!r}"),
+    # a pair's messages name its own fields; a huge int is not finite
+    (lambda: SplitterCoefficients(-0.5, 0.8), OutOfRangeError,
+     "a1 must be non-negative, got -0.5"),
+    (lambda: SplitterCoefficients(0.6, math.nan), OutOfRangeError,
+     "b1 is not finite"),
+    (lambda: SplitterCoefficients(0.6, 10 ** 400), OutOfRangeError,
+     "b1 is not finite"),
+    (lambda: WeightPair(10 ** 400, 0), OutOfRangeError,
+     "w_left is not finite"),
+    (lambda: WeightPair(0.5, -10 ** 400), OutOfRangeError,
+     "w_right is not finite"),
+    (lambda: AmplitudePair(10 ** 400, 0), OutOfRangeError,
+     "a_left is not finite"),
 ], ids=["reflectance", "left-weight", "closed-both-w", "closed-right-w",
         "compare-w", "step-index-0", "step-index-2.5", "max-steps",
         "switch-step", "mc-steps", "mc-paths", "period",
@@ -417,12 +441,63 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
         "reflectance-np-bool", "grid-str", "grid-none", "grid-scalar",
         "order-str", "order-none", "order-bool", "amplitude-str",
         "amplitude-complex", "amplitude-np-bool", "weight-bool",
-        "weight-none", "splitter-str", "agreement-float"])
+        "weight-none", "splitter-str", "agreement-float", "distance-none",
+        "epsilon-huge-int", "period-huge-int", "sigma-huge-int",
+        "splitter-negative", "splitter-nan", "splitter-huge-int",
+        "weight-huge-int", "weight-huge-negative-int",
+        "amplitude-huge-int"])
 def test_argument_rule_class_and_message(call, error, message):
     with pytest.raises(SplitLoopError) as info:
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# Each map entry point checks its topology before its splitter.
+@pytest.mark.parametrize("call", [
+    lambda: Scenario(MEASURE, "both", None, WP9, max_steps=3),
+    lambda: StepMap(MEASURE, "both", None).apply(WP9),
+    lambda: ensemble_frequencies(None, "both", 3, 10, 0),
+    lambda: closed_form_measure("both", 0.9, None, 3),
+    lambda: induced_weight_map(MEASURE, "both", None),
+], ids=["scenario", "apply", "ensemble", "closed-form", "weight-map"])
+def test_a_bad_topology_is_named_before_a_bad_splitter(call):
+    with pytest.raises(ModeMismatchError) as info:
+        call()
+    assert str(info.value) == "topology must be a Topology, got 'both'"
+
+
+# Values a hand-entered pair may hold: floats (nan, the infinities,
+# negative and off-band ones), ints beyond the float range, bools, numpy
+# scalars, None, strings and complex numbers.
+entered = st.one_of(
+    st.floats(), st.floats(-0.1, 1.1), st.integers(-1, 2),
+    st.sampled_from([10 ** 400, -10 ** 400]), st.booleans(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_), st.none(), st.text(max_size=2),
+    st.complex_numbers())
+
+
+@pytest.mark.parametrize("validate,cls,accepted", [
+    (validate_amplitudes, AmplitudePair,
+     angles.map(lambda t: (math.cos(t), math.sin(t)))),
+    (validate_weights, WeightPair, weights.map(lambda w: (w, 1.0 - w))),
+], ids=["amplitudes", "weights"])
+@given(data=st.data())
+def test_validator_returns_what_the_constructor_raises(validate, cls,
+                                                        accepted, data):
+    pair = data.draw(st.one_of(
+        st.tuples(entered, entered), accepted,
+        accepted.map(lambda p: (np.float32(p[0]), np.float64(p[1])))))
+    violation = validate(*pair)
+    if violation is None:
+        cls(*pair)
+        return
+    with pytest.raises(SplitLoopError) as info:
+        cls(*pair)
+    assert type(info.value) is (OutOfRangeError if violation.kind == "range"
+                                else NormalizationError)
+    assert str(info.value) == violation.message
 
 
 RIGHT = Topology.RIGHT_HALF_CONNECTED
