@@ -15,7 +15,7 @@ from typing import Sequence
 from .errors import DegenerateInitialError, OutOfRangeError
 from .maps import induced_weight_map, stable_fixed_point
 from .states import (InteractionMode, SplitterCoefficients, Topology,
-                     WeightPair, _check_unit, _is_real,
+                     WeightPair, _as_float, _check_unit, _shown,
                      _state_from_left_weight, weights_of)
 from .trajectory import (ConvergenceCriterion, NotConverged, Scenario,
                          converging_record, iterate, steps_to_converge)
@@ -176,18 +176,18 @@ def sweep_initial_conditions(mode: InteractionMode, topology: Topology,
         size = len(grid)
     except TypeError:  # a scalar
         raise OutOfRangeError(
-            f"grid must be a sequence of weights, got {grid!r}") from None
+            f"grid must be a sequence of weights, got {_shown(grid)}") from None
     if size == 0:
         raise OutOfRangeError("grid is empty")
     previous = 0.0
     for w in grid:
-        if not (_is_real(w) and 0.0 < w < 1.0):
+        if not 0.0 < _as_float(w) < 1.0:
             raise OutOfRangeError(
-                f"grid values must lie strictly inside (0, 1), got {w!r}")
+                f"grid values must lie strictly inside (0, 1), got {_shown(w)}")
         if w <= previous:
             raise OutOfRangeError(
-                f"grid must be strictly increasing, got {w!r} after "
-                f"{previous!r}")
+                f"grid must be strictly increasing, got {_shown(w)} after "
+                f"{_shown(previous)}")
         previous = w
     target = weights_of(stable_fixed_point(mode, topology))
     criterion = ConvergenceCriterion(target, epsilon)
@@ -213,20 +213,20 @@ def convergence_order(w_initial: float = 0.6) -> float:
     excluded. A slope of 2 means squared-error (quadratic) convergence. A
     start whose iterate lands on the repelling fixed point 1 is refused.
     """
-    if not (_is_real(w_initial) and 0.0 <= w_initial <= 1.0):
+    w = _as_float(w_initial)  # a np.float32 would iterate in float32
+    if not 0.0 <= w <= 1.0:
         raise OutOfRangeError(
-            f"w_initial out of range: {w_initial!r} not in (0, 1)")
-    if w_initial in (0.0, 0.5, 1.0):
+            f"w_initial out of range: {_shown(w_initial)} not in (0, 1)")
+    if w in (0.0, 0.5, 1.0):
         raise DegenerateInitialError(
             "w_initial must differ from the fixed points 0, 1/2 and 1")
     step = induced_weight_map(InteractionMode.FIXED_SPLITTER,
                               Topology.BOTH_CONNECTED)
-    w = float(w_initial)  # a np.float32 would iterate in float32
     distances = []
     for _ in range(60):
         if w == 1.0:  # every later distance would be 1/2: no slope to fit
             raise DegenerateInitialError(
-                f"w_initial {w_initial!r} lands on the fixed point 1")
+                f"w_initial {_shown(w_initial)} lands on the fixed point 1")
         d = abs(w - 0.5)
         if d <= 1e-13:
             break

@@ -62,7 +62,7 @@ from typing import Callable, Union
 
 from .errors import InvalidStepError, ModeMismatchError, NumericDomainError
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
-                     Topology, WeightPair, _check_count, _check_unit,
+                     Topology, WeightPair, _check_count, _check_unit, _shown,
                      amplitude_pair, normalize_pair, weight_pair)
 
 # Denominator guard for the half-connected unitary maps. Unreachable from a
@@ -201,9 +201,9 @@ def _spec(mode: InteractionMode, topology: Topology):
     except (KeyError, TypeError):  # TypeError: an unhashable argument
         if not isinstance(mode, InteractionMode):
             raise ModeMismatchError(
-                f"mode must be an InteractionMode, got {mode!r}") from None
+                f"mode must be an InteractionMode, got {_shown(mode)}") from None
         raise ModeMismatchError(
-            f"topology must be a Topology, got {topology!r}") from None
+            f"topology must be a Topology, got {_shown(topology)}") from None
 
 
 def _check_state(mode: InteractionMode, state: State) -> None:
@@ -236,7 +236,7 @@ def raw_step(mode: InteractionMode, topology: Topology,
         return unitary
     if not isinstance(splitter, SplitterCoefficients):
         raise ModeMismatchError("movable-splitter maps need "
-                                f"SplitterCoefficients, got {splitter!r}")
+                                f"SplitterCoefficients, got {_shown(splitter)}")
     a1sq, b1sq = splitter.a1_squared, splitter.b1_squared
     markov = topology is Topology.BOTH_CONNECTED
 

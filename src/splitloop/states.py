@@ -17,8 +17,8 @@ constructors call it on what the validators' rule `_entered_violation`
 accepts; the trajectory loop calls it on the raw floats of every pass and
 wraps the results with `amplitude_pair`/`weight_pair`, which skip both.
 
-The argument rules that every module shares are written here once, as the
-`_check_*` functions.
+The argument rules every module shares are written here once: `_check_*`,
+`_as_float`, how a caller's value is read, and `_shown`, how it is shown.
 """
 
 from __future__ import annotations
@@ -62,11 +62,24 @@ def _as_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _shown(value) -> str:
+    """repr(value), or where Python refuses it (a huge int, or a container of
+    one) the int as ±d.ddde+N from its 64 top bits, else the type's name."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return type(value).__name__
+        from decimal import MAX_EMAX, Context  # only this path loads it
+        shift, ctx = abs(value).bit_length() - 64, Context(Emax=MAX_EMAX)
+        return f"{ctx.multiply(value >> shift, ctx.power(2, shift)):.3e}"
+
+
 def _check_unit(name: str, value: float) -> float:
     """The value as a Python float; refuse one outside [0, 1], NaN, a
-    non-number and a bool included."""
-    if not (_is_real(value) and 0.0 <= value <= 1.0):
-        raise OutOfRangeError(f"{name} out of range: {value!r} not in [0, 1]")
+    non-number, a bool and a huge int included."""
+    if not 0.0 <= _as_float(value) <= 1.0:
+        raise OutOfRangeError(f"{name} out of range: {_shown(value)} not in [0, 1]")
     return float(value)
 
 
@@ -83,7 +96,7 @@ def _check_count(name: str, value: int, error: type = OutOfRangeError) -> int:
     """The count as a Python int; `error` if not an integer >= 1, or a bool."""
     count = _as_int(value)
     if count is None or count < 1:
-        raise error(f"{name} must be an integer >= 1, got {value!r}")
+        raise error(f"{name} must be an integer >= 1, got {_shown(value)}")
     return count
 
 
@@ -92,7 +105,7 @@ def _check_positive_finite(name: str, value: float) -> float:
     finite, a non-number, a bool and a huge int included."""
     if not 0.0 < _as_float(value) < math.inf:
         raise OutOfRangeError(
-            f"{name} must be positive and finite, got {value!r}")
+            f"{name} must be positive and finite, got {_shown(value)}")
     return float(value)
 
 
@@ -139,11 +152,12 @@ def _check_sampling(steps: int, seed: int,
     steps = _check_count("steps", steps)
     first = _as_int(seed)
     if first is None or first < 0:
-        raise OutOfRangeError(f"seed must be a non-negative integer, got {seed!r}")
+        raise OutOfRangeError(f"seed must be a non-negative integer, got {_shown(seed)}")
     n_paths = _check_count("n_paths", n_paths)
     if first + n_paths > 2 ** 128:
-        raise OutOfRangeError(f"seeds {first}..{first + n_paths - 1} exceed "
-                              "the Philox key range 0..2**128 - 1")
+        raise OutOfRangeError(
+            f"seeds {_shown(first)}..{_shown(first + n_paths - 1)} exceed "
+            "the Philox key range 0..2**128 - 1")
     return steps, first, n_paths
 
 
@@ -187,7 +201,7 @@ def _entered_violation(names: tuple, x, y, squared: bool) -> Violation | None:
     for name, value in zip(names, (x, y)):
         if not _is_real(value):
             return Violation("range", math.nan,
-                             f"{name} must be a real number, got {value!r}")
+                             f"{name} must be a real number, got {_shown(value)}")
     return _violation(_as_float(x), _as_float(y), squared, names)
 
 

@@ -28,8 +28,8 @@ from . import maps
 from .errors import OutOfRangeError, ScheduleConflictError
 from .maps import State
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
-                     Topology, WeightPair, _check_count,
-                     _check_positive_finite, _check_type, _new, _set,
+                     Topology, WeightPair, _as_float, _check_count,
+                     _check_positive_finite, _check_type, _new, _set, _shown,
                      amplitude_pair, normalize_pair, weight_pair, weights_of)
 
 
@@ -49,14 +49,10 @@ class Scenario:
         maps._check_state(self.mode, self.initial)
         _set(self, "max_steps", _check_count("max_steps", self.max_steps))
         _set(self, "period", _check_positive_finite("period", self.period))
-        try:  # the last record's time
-            horizon = self.max_steps * self.period
-        except OverflowError:  # max_steps is beyond the float range
-            horizon = math.inf
-        if not math.isfinite(horizon):
+        if not math.isfinite(_as_float(self.max_steps) * self.period):
             raise OutOfRangeError(
-                f"max_steps * period overflows: {self.max_steps!r} * "
-                f"{self.period!r}")
+                f"max_steps * period overflows: {_shown(self.max_steps)} * "
+                f"{_shown(self.period)}")
 
 
 @dataclass(frozen=True)
@@ -79,15 +75,15 @@ class StepSchedule:
             except (TypeError, ValueError):
                 raise ScheduleConflictError(
                     "switch must be a (step, Topology) pair, got "
-                    f"{switch!r}") from None
+                    f"{_shown(switch)}") from None
             step = _check_count("switch step", step, ScheduleConflictError)
             if step <= last:
                 raise ScheduleConflictError(
-                    f"switch steps must be strictly increasing, got {step} "
-                    f"after {last}")
+                    "switch steps must be strictly increasing, got "
+                    f"{_shown(step)} after {_shown(last)}")
             if not isinstance(topology, Topology):
                 raise ScheduleConflictError(
-                    f"switch target must be a Topology, got {topology!r}")
+                    f"switch target must be a Topology, got {_shown(topology)}")
             last = step
             checked.append((step, topology))
         _set(self, "switches", tuple(checked))
@@ -160,8 +156,8 @@ def _passes(scenario: Scenario,
     switches = schedule.switches if schedule is not None else ()
     if switches and switches[-1][0] > scenario.max_steps:
         raise ScheduleConflictError(
-            f"switch at step {switches[-1][0]} exceeds max_steps "
-            f"{scenario.max_steps}")
+            f"switch at step {_shown(switches[-1][0])} exceeds max_steps "
+            f"{_shown(scenario.max_steps)}")
     switch_at = dict(switches)
     mode, splitter = scenario.mode, scenario.splitter
     topology = scenario.initial_topology

@@ -99,6 +99,29 @@ def test_mc_config_errors_leave_numpy_unloaded(flags):
     assert not numpy_loaded
 
 
+# Imports the CLI, runs it on its arguments if there are any, then reports
+# on stderr whether `decimal` is loaded.
+DECIMAL_PROBE = """\
+import sys
+from splitloop.cli import main
+try:
+    if sys.argv[1:]:
+        main(sys.argv[1:])
+finally:
+    print("decimal loaded:", "decimal" in sys.modules, file=sys.stderr)
+"""
+
+
+# `states._shown` imports decimal only to show an int too long for a repr.
+@pytest.mark.parametrize("argv", [
+    [], ["run", "--mode", "unitary", "--wl1", "0.9", "--steps", "4"],
+], ids=["import-cli", "run"])
+def test_decimal_stays_unloaded(argv):
+    proc = python(DECIMAL_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stderr.splitlines() == ["decimal loaded: False"]
+
+
 def test_mc_loads_numpy_and_still_works():
     exit_code, stdout, stderr, numpy_loaded = run_cli(
         ["mc", "--a1sq", "0.9", "--steps", "3", "--paths", "50",
@@ -428,3 +451,75 @@ def test_rounding_check_sees_pow_exp_and_log(tmp_path):
         {"step_kernel", "loop"},
         ["step_kernel:3: **", "step_kernel:3: pow", "loop:5: **",
          "loop:6: exp", "loop:6: log"])
+
+
+# The modules whose refusals show a caller's value, and the functions in
+# them that may render a value themselves: `_shown`, which is the rendering
+# the others go through, and the two that show only the engine's own floats.
+SHOWING = ("states.py", "trajectory.py", "analysis.py", "maps.py",
+           "montecarlo.py")
+SHOWN_BY_ITSELF = {"_shown", "_violation", "raw_step.measure"}
+
+
+def _values_shown_by_hand(path, exempt):
+    """`!r` conversions and `repr(` calls in the message of a `raise` or of
+    a `Violation(...)` in the file at path, outside the functions whose
+    qualified names are in exempt."""
+    with open(path) as source:
+        tree = ast.parse(source.read())
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            if scope in exempt:
+                return
+        messages = []
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            messages = [node.exc]
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "Violation"):
+            messages = node.args + [k.value for k in node.keywords]
+        for message in messages:
+            for inner in ast.walk(message):
+                if (isinstance(inner, ast.FormattedValue)
+                        and inner.conversion == ord("r")):
+                    found.add((inner.lineno, "!r"))
+                elif (isinstance(inner, ast.Call)
+                      and getattr(inner.func, "id", None) == "repr"):
+                    found.add((inner.lineno, "repr("))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return [f"{os.path.basename(path)}:{line}: {what}"
+            for line, what in sorted(found)]
+
+
+def test_refusals_show_values_through_shown():
+    package = os.path.dirname(splitloop.__file__)
+    assert [hit for name in SHOWING
+            for hit in _values_shown_by_hand(os.path.join(package, name),
+                                             SHOWN_BY_ITSELF)] == []
+
+
+def test_shown_by_hand_check_sees_a_repr(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "def check(x):\n"
+        "    raise ValueError(f'bad {x!r}')\n"
+        "def rule(x):\n"
+        "    return Violation('range', 0.0, message='bad ' + repr(x))\n"
+        "class Pair:\n"
+        "    def make(self, x):\n"
+        "        raise Error(f'{x} {_shown(x)} {x!s}', str(x), f'{x!r}')\n"
+        "def _shown(x):\n"
+        "    raise ValueError(repr(x))\n"
+        "def outer(x):\n"
+        "    def inner(y):\n"
+        "        raise ValueError(f'{y!r}')\n"
+        "    print(f'{x!r}', repr(x))\n"
+        "    raise ValueError(Violation('range', 0.0, f'{x!r}').message)\n")
+    assert _values_shown_by_hand(str(source), {"_shown", "outer.inner"}) == [
+        "sample.py:2: !r", "sample.py:4: repr(", "sample.py:7: !r",
+        "sample.py:14: !r"]

@@ -19,7 +19,8 @@ from splitloop import (AMPLITUDE_NORM_TOL, AmplitudePair,
                        closed_form_measure_both,
                        closed_form_measure_right_half, compare_modes,
                        convergence_order, ensemble_frequencies,
-                       induced_weight_map, iterate, step_measure_right_half,
+                       fixed_points, induced_weight_map, iterate,
+                       step_measure_right_half,
                        steps_to_converge, sweep_initial_conditions,
                        validate_amplitudes, validate_weights, weights_of)
 from splitloop.states import normalize_pair
@@ -204,6 +205,8 @@ BOTH = Topology.BOTH_CONNECTED
 MEASURE = InteractionMode.MOVABLE_SPLITTER
 WP9 = WeightPair(0.9, 0.1)
 AP9 = amplitudes_from_left_weight(0.9)
+# past Python's int-to-decimal limit of 4300 digits: repr refuses it
+HUGE = 10 ** 5000
 
 
 def _ensemble():
@@ -417,6 +420,70 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
      "w_right is not finite"),
     (lambda: AmplitudePair(10 ** 400, 0), OutOfRangeError,
      "a_left is not finite"),
+    # an int too long for a repr is shown by its sign and magnitude
+    (lambda: ConvergenceCriterion(WP9, HUGE), OutOfRangeError,
+     "epsilon must be positive and finite, got 1.000e+5000"),
+    (lambda: ConvergenceCriterion(WP9, -HUGE), OutOfRangeError,
+     "epsilon must be positive and finite, got -1.000e+5000"),
+    (lambda: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=3, period=HUGE),
+     OutOfRangeError, "period must be positive and finite, got 1.000e+5000"),
+    (lambda: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=3, period=-HUGE),
+     OutOfRangeError,
+     "period must be positive and finite, got -1.000e+5000"),
+    (lambda: agreement_report(_ensemble(), [WP9, WP9], sigma_bound=HUGE),
+     OutOfRangeError,
+     "sigma_bound must be positive and finite, got 1.000e+5000"),
+    (lambda: agreement_report(_ensemble(), [WP9, WP9], sigma_bound=-HUGE),
+     OutOfRangeError,
+     "sigma_bound must be positive and finite, got -1.000e+5000"),
+    (lambda: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=-HUGE),
+     OutOfRangeError, "max_steps must be an integer >= 1, got -1.000e+5000"),
+    (lambda: Scenario(MEASURE, BOTH, SP9, WP9, max_steps=HUGE),
+     OutOfRangeError, "max_steps * period overflows: 1.000e+5000 * 1.0"),
+    (lambda: ensemble_frequencies(SP9, BOTH, -HUGE, 1, 0), OutOfRangeError,
+     "steps must be an integer >= 1, got -1.000e+5000"),
+    (lambda: ensemble_frequencies(SP9, BOTH, 3, -HUGE, 0), OutOfRangeError,
+     "n_paths must be an integer >= 1, got -1.000e+5000"),
+    (lambda: ensemble_frequencies(SP9, BOTH, 3, 1, -HUGE), OutOfRangeError,
+     "seed must be a non-negative integer, got -1.000e+5000"),
+    (lambda: ensemble_frequencies(SP9, BOTH, 3, 1, HUGE), OutOfRangeError,
+     "seeds 1.000e+5000..1.000e+5000 exceed the Philox key range "
+     "0..2**128 - 1"),
+    # past decimal's default exponent range, and shown in milliseconds:
+    # converting all of its 3 million digits would take minutes
+    (lambda: ensemble_frequencies(SP9, BOTH, 3, 1, -(1 << 10 ** 7)),
+     OutOfRangeError,
+     "seed must be a non-negative integer, got -9.050e+3010299"),
+    (lambda: SplitterCoefficients.from_reflectance(HUGE), OutOfRangeError,
+     "a1_squared out of range: 1.000e+5000 not in [0, 1]"),
+    (lambda: amplitudes_from_left_weight(HUGE), OutOfRangeError,
+     "w_left out of range: 1.000e+5000 not in [0, 1]"),
+    (lambda: compare_modes(HUGE, 1e-3), OutOfRangeError,
+     "w_left_initial out of range: 1.000e+5000 not in [0, 1]"),
+    (lambda: convergence_order(HUGE), OutOfRangeError,
+     "w_initial out of range: 1.000e+5000 not in (0, 1)"),
+    (lambda: sweep_initial_conditions(MEASURE, BOTH, [HUGE], 1e-3,
+                                      splitter=SP9), OutOfRangeError,
+     "grid values must lie strictly inside (0, 1), got 1.000e+5000"),
+    (lambda: sweep_initial_conditions(MEASURE, BOTH, HUGE, 1e-3,
+                                      splitter=SP9), OutOfRangeError,
+     "grid must be a sequence of weights, got 1.000e+5000"),
+    (lambda: StepSchedule(((HUGE, BOTH), (2, BOTH))), ScheduleConflictError,
+     "switch steps must be strictly increasing, got 2 after 1.000e+5000"),
+    # a container whose repr Python refuses is named by its type
+    (lambda: StepSchedule(((HUGE,),)), ScheduleConflictError,
+     "switch must be a (step, Topology) pair, got tuple"),
+    (lambda: WeightPair([HUGE], 0.5), OutOfRangeError,
+     "w_left must be a real number, got list"),
+    (lambda: iterate(Scenario(MEASURE, BOTH, SP9, WP9, max_steps=3),
+                     StepSchedule(((HUGE, BOTH),))), ScheduleConflictError,
+     "switch at step 1.000e+5000 exceeds max_steps 3"),
+    (lambda: closed_form_measure_both(0.9, SP9, -HUGE), InvalidStepError,
+     "step index must be an integer >= 1, got -1.000e+5000"),
+    (lambda: fixed_points(InteractionMode.FIXED_SPLITTER, HUGE),
+     ModeMismatchError, "topology must be a Topology, got 1.000e+5000"),
+    (lambda: StepMap(MEASURE, BOTH, HUGE).apply(WP9), ModeMismatchError,
+     NO_SPLITTER + "1.000e+5000"),
 ], ids=["reflectance", "left-weight", "closed-both-w", "closed-right-w",
         "compare-w", "step-index-0", "step-index-2.5", "max-steps",
         "switch-step", "mc-steps", "mc-paths", "period",
@@ -445,7 +512,19 @@ WRONG_STATE = "movable-splitter maps act on WeightPair, got AmplitudePair"
         "epsilon-huge-int", "period-huge-int", "sigma-huge-int",
         "splitter-negative", "splitter-nan", "splitter-huge-int",
         "weight-huge-int", "weight-huge-negative-int",
-        "amplitude-huge-int"])
+        "amplitude-huge-int", "epsilon-long-int", "epsilon-long-negative-int",
+        "period-long-int", "period-long-negative-int", "sigma-long-int",
+        "sigma-long-negative-int", "max-steps-long-negative-int",
+        "max-steps-long-int-overflow", "mc-steps-long-negative-int",
+        "mc-paths-long-negative-int", "seed-long-negative-int",
+        "seed-range-long-int", "seed-giant-negative-int",
+        "reflectance-long-int",
+        "left-weight-long-int", "compare-w-long-int", "order-long-int",
+        "grid-entry-long-int", "grid-scalar-long-int",
+        "switch-order-long-int", "switch-entry-long-int",
+        "weight-list-long-int", "switch-past-max-steps-long-int",
+        "step-index-long-negative-int", "fixed-points-long-int",
+        "apply-splitter-long-int"])
 def test_argument_rule_class_and_message(call, error, message):
     with pytest.raises(SplitLoopError) as info:
         call()
@@ -468,11 +547,13 @@ def test_a_bad_topology_is_named_before_a_bad_splitter(call):
 
 
 # Values a hand-entered pair may hold: floats (nan, the infinities,
-# negative and off-band ones), ints beyond the float range, bools, numpy
-# scalars, None, strings and complex numbers.
+# negative and off-band ones), ints beyond the float range or too long for
+# a repr, a list holding one, bools, numpy scalars, None, strings and
+# complex numbers.
 entered = st.one_of(
     st.floats(), st.floats(-0.1, 1.1), st.integers(-1, 2),
-    st.sampled_from([10 ** 400, -10 ** 400]), st.booleans(),
+    st.sampled_from([10 ** 400, -10 ** 400, HUGE, -HUGE, [HUGE]]),
+    st.booleans(),
     st.floats().map(np.float64), st.floats(width=32).map(np.float32),
     st.booleans().map(np.bool_), st.none(), st.text(max_size=2),
     st.complex_numbers())
