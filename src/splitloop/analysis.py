@@ -134,8 +134,8 @@ def compare_modes(w_left_initial: float, epsilon: float,
     ratio = None
     if isinstance(unitary, int) and isinstance(measurement, int):
         ratio = measurement / unitary
-    return SpeedComparison(w_left_initial, epsilon, unitary, measurement,
-                           ratio)
+    return SpeedComparison(w_left_initial, criterion.epsilon, unitary,
+                           measurement, ratio)
 
 
 @dataclass(frozen=True)
@@ -192,16 +192,16 @@ def sweep_initial_conditions(mode: InteractionMode, topology: Topology,
     target = weights_of(stable_fixed_point(mode, topology))
     criterion = ConvergenceCriterion(target, epsilon)
     cells = []
-    for w in grid:
+    for w in map(float, grid):  # from here on, only checked values
         scenario = Scenario(mode, topology, splitter,
                             _state_from_left_weight(mode, w),
                             max_steps=max_steps)
         record, converged = converging_record(scenario, criterion)
-        cells.append(SweepCell(float(w), converged,
+        cells.append(SweepCell(w, converged,
                                record.n if converged else None,
                                record.weights.w_left, record.weights.w_right))
-    return SweepResult(tuple(cells), mode, topology, splitter, epsilon,
-                       scenario.max_steps, target)  # the int form of max_steps
+    return SweepResult(tuple(cells), mode, topology, splitter,
+                       criterion.epsilon, scenario.max_steps, target)
 
 
 def convergence_order(w_initial: float = 0.6) -> float:

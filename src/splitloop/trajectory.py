@@ -13,9 +13,9 @@ The initial state is validated once, where it is built. `Scenario` builds
 `maps._check_state`, the state-type rule. From there `_passes` runs the
 schedule on plain floats through `maps.raw_step`, which keeps every
 per-pass check, and yields each pass's state and weights as float tuples.
-`iterate` wraps every pass into a record without validating it again;
-`converging_record` tests the floats against the criterion and builds only
-the record it returns.
+`_records` builds every record, without validating it again: `iterate`'s
+for each pass, and `converging_record`'s one, after it has tested the
+floats against the criterion.
 """
 
 from __future__ import annotations
@@ -180,6 +180,22 @@ def _passes(scenario: Scenario,
         yield n, topology, state, weights
 
 
+def _records(scenario: Scenario, passes) -> tuple[TrajectoryRecord, ...]:
+    """Each (n, topology, state, weights) pass as a record, unvalidated."""
+    period = scenario.period
+    unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
+    records = []
+    for n, topology, state, weights in passes:
+        record = _new(TrajectoryRecord)  # without the frozen-field setters
+        _set(record, "n", n)
+        _set(record, "time", n * period)
+        _set(record, "topology", topology)
+        _set(record, "amplitudes", amplitude_pair(*state) if unitary else None)
+        _set(record, "weights", weight_pair(*weights))
+        records.append(record)
+    return tuple(records)
+
+
 def iterate(scenario: Scenario,
             schedule: StepSchedule | None = None) -> Trajectory:
     """Run the scenario for exactly max_steps records.
@@ -188,18 +204,7 @@ def iterate(scenario: Scenario,
     trajectories, and any prefix of a longer run matches the shorter run.
     """
     _check_type("scenario", scenario, Scenario)
-    period = scenario.period
-    unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
-    records = []
-    for n, topology, state, weights in _passes(scenario, schedule):
-        record = _new(TrajectoryRecord)  # without the frozen-field setters
-        _set(record, "n", n)
-        _set(record, "time", n * period)
-        _set(record, "topology", topology)
-        _set(record, "amplitudes", amplitude_pair(*state) if unitary else None)
-        _set(record, "weights", weight_pair(*weights))
-        records.append(record)
-    return Trajectory(tuple(records))
+    return Trajectory(_records(scenario, _passes(scenario, schedule)))
 
 
 def converging_record(scenario: Scenario,
@@ -210,22 +215,18 @@ def converging_record(scenario: Scenario,
 
     Scans the run lazily and stops at the first satisfying record; when
     max_steps runs out first, returns the final record and False. Only the
-    returned record is built.
+    returned record is built, by the builder `iterate` uses.
     """
     _check_type("scenario", scenario, Scenario)
     _check_type("criterion", criterion, ConvergenceCriterion)
     distance, epsilon = criterion._distance, criterion.epsilon
-    converged = False
     for n, topology, state, (w_left, w_right, correction) in _passes(
             scenario, schedule):
         if distance(w_left, w_right) < epsilon:
-            converged = True
             break
-    unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
-    record = TrajectoryRecord(n, n * scenario.period, topology,
-                              amplitude_pair(*state) if unitary else None,
-                              weight_pair(w_left, w_right, correction))
-    return record, converged
+    (record,) = _records(
+        scenario, ((n, topology, state, (w_left, w_right, correction)),))
+    return record, distance(w_left, w_right) < epsilon
 
 
 def steps_to_converge(scenario: Scenario,

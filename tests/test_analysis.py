@@ -68,20 +68,6 @@ class TestCompareModes:
         # a more balanced splitter contracts faster
         assert untied.measurement_steps < tied.measurement_steps
 
-    def test_untied_race_can_favor_measurement(self):
-        # a balanced splitter makes the measuring route contract at once,
-        # so it wins; the ratio is reported as computed
-        result = compare_modes(
-            0.9, 1e-3, splitter=SplitterCoefficients.from_reflectance(0.5))
-        assert result.unitary_steps == 5
-        assert result.measurement_steps == 2
-        assert result.ratio == 0.4
-
-    @pytest.mark.parametrize("w", [0.0, 1.0])
-    def test_pure_states_are_degenerate(self, w):
-        with pytest.raises(DegenerateInitialError):
-            compare_modes(w, 1e-3)
-
     def test_out_of_range_initial(self):
         with pytest.raises(OutOfRangeError):
             compare_modes(1.2, 1e-3)

@@ -586,7 +586,8 @@ RIGHT = Topology.RIGHT_HALF_CONNECTED
 
 def _all_python_ints(value):
     """Whether no value inside a result (dataclass fields, tuples, lists)
-    is a numpy scalar, so every count or seed it holds is a Python int."""
+    is a numpy scalar (any np.generic, float or int), so every count or
+    seed it holds is a Python int and every real a Python float."""
     if isinstance(value, np.generic):
         return False
     if dataclasses.is_dataclass(value):
@@ -620,8 +621,9 @@ def test_numpy_integers_give_what_python_ints_give(call, np_int):
     assert _all_python_ints(got)
 
 
-# Each real-valued argument, called with numpy floats and with Python floats.
-@pytest.mark.parametrize("np_float", [np.float64, np.float32])
+# Each real-valued argument, called with numpy floats and with the same
+# values as Python floats (a float32 0.2 is not the Python float 0.2).
+@pytest.mark.parametrize("np_float", [np.float64, np.float32, np.float16])
 @pytest.mark.parametrize("call", [
     lambda f: SplitterCoefficients.from_reflectance(f(0.75)),
     lambda f: amplitudes_from_left_weight(f(0.75)),
@@ -629,15 +631,23 @@ def test_numpy_integers_give_what_python_ints_give(call, np_int):
     lambda f: iterate(Scenario(MEASURE, BOTH, SP9, WP9, max_steps=3,
                                period=f(0.5))),
     lambda f: compare_modes(f(0.75), f(0.125)),
+    lambda f: compare_modes(f(0.7), f(0.01)),
+    lambda f: sweep_initial_conditions(MEASURE, BOTH, (f(0.2), f(0.4)),
+                                       f(0.01), 50, SP9),
+    lambda f: sweep_initial_conditions(InteractionMode.FIXED_SPLITTER, BOTH,
+                                       (f(0.2), f(0.4)), f(0.01), 50),
     lambda f: closed_form_measure_both(f(0.75), SP9, 3),
     lambda f: AmplitudePair(f(0.625), f(0.78125)),
     lambda f: WeightPair(f(0.75), f(0.25)),
     lambda f: SplitterCoefficients(f(0.625), f(0.78125)),
     lambda f: convergence_order(f(0.75)),
 ], ids=["reflectance", "left-weight", "epsilon", "period", "compare",
-        "closed-both", "amplitude-pair", "weight-pair", "splitter", "order"])
+        "compare-inexact", "sweep-measure", "sweep-unitary", "closed-both",
+        "amplitude-pair", "weight-pair", "splitter", "order"])
 def test_numpy_floats_give_what_python_floats_give(call, np_float):
-    assert call(np_float) == call(float)
+    got = call(np_float)
+    assert got == call(lambda v: float(np_float(v)))
+    assert _all_python_ints(got)
 
 
 def test_numpy_seed_across_the_key_carry_equals_the_python_run():
