@@ -346,8 +346,15 @@ def closed_form_measure(topology: Topology, w_left_initial: float,
     (w*, r) is (1/2, a1^2 - b1^2) with both loops connected, (0, a1^2) with
     the right loop absorbing and (1, b1^2) with the left one; `_SPECS` holds
     both. Step 1 is the initial weight itself. An independent check on the
-    iterated map. The sign of r^(n - 1) comes from the parity of the
-    integer n - 1, so it is exact for any n.
+    iterated map. It is evaluated as
+
+        w_L(n) = w* (1 - |r|^(n - 1)) + s |r|^(n - 1)
+
+    with s = w_L(1), or for an odd power of a negative r (both loops
+    connected, which swaps the sides) its mirror 2 w* - w_L(1). Both terms
+    are non-negative, so no start near 0 or 1 is lost to cancellation, and
+    w* stays exactly w*. The parity comes from the integer n - 1, so it is
+    exact for any n.
     """
     n = _check_count("step index", n, InvalidStepError)
     w_left_initial = _check_unit("w_left_initial", w_left_initial)
@@ -356,9 +363,10 @@ def closed_form_measure(topology: Topology, w_left_initial: float,
     fixed = points[0].point.w_left
     r = rate(splitter.a1_squared, splitter.b1_squared)
     power = abs(r) ** min(n - 1, 2 ** 1023)  # n - 1 as a float overflows
+    start = w_left_initial
     if r < 0.0 and (n - 1) % 2:  # and loses its parity past 2**53
-        power = -power
-    return fixed + (w_left_initial - fixed) * power
+        start = 2.0 * fixed - start
+    return fixed * (1.0 - power) + start * power
 
 
 closed_form_measure_both = partial(closed_form_measure,

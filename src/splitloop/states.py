@@ -16,6 +16,10 @@ but does not participate in equality.
 constructors call it on what the validators' rule `_entered_violation`
 accepts; the trajectory loop calls it on the raw floats of every pass and
 wraps the results with `amplitude_pair`/`weight_pair`, which skip both.
+The pair types are slotted, so an instance holds no `__dict__`, and those
+two fill a bare instance through the slots' own setters, which `_setters`
+looks up once at import: cheaper than `object.__setattr__`, and a slot
+left unset raises AttributeError on reading, with no class default.
 
 The argument rules every module shares are written here once: `_check_*`,
 `_as_float`, how a caller's value is read, and `_shown`, how it is shown.
@@ -254,7 +258,7 @@ def _normalize_fields(pair, x: str, y: str, correction: str,
         _set(pair, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AmplitudePair:
     """Superposition coefficients (reflected, passing) of the photon state.
 
@@ -272,7 +276,7 @@ class AmplitudePair:
         _normalize_fields(self, "a_left", "b_right", "norm_correction", True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightPair:
     """Classical statistical weights (left loop, right loop), summing to 1."""
 
@@ -342,14 +346,26 @@ def weights_of(state: AmplitudePair | WeightPair) -> WeightPair:
     return weight_pair(*normalize_pair(a * a, b * b, False))
 
 
+def _setters(cls: type, *names: str) -> tuple:
+    """The setters of the slots `names` of a slotted class: each stores its
+    value on an instance without the frozen dataclass's __setattr__."""
+    return tuple(getattr(cls, name).__set__ for name in names)
+
+
+_AMPLITUDE_SETTERS = _setters(AmplitudePair, "a_left", "b_right",
+                              "norm_correction")
+_WEIGHT_SETTERS = _setters(WeightPair, "w_left", "w_right", "sum_correction")
+
+
 def amplitude_pair(a_left: float, b_right: float,
                    norm_correction: float) -> AmplitudePair:
     """An AmplitudePair from values normalize_pair has already returned,
     without the __post_init__ that would validate and rescale them again."""
     pair = _new(AmplitudePair)
-    _set(pair, "a_left", a_left)
-    _set(pair, "b_right", b_right)
-    _set(pair, "norm_correction", norm_correction)
+    set_a_left, set_b_right, set_correction = _AMPLITUDE_SETTERS
+    set_a_left(pair, a_left)
+    set_b_right(pair, b_right)
+    set_correction(pair, norm_correction)
     return pair
 
 
@@ -358,7 +374,8 @@ def weight_pair(w_left: float, w_right: float,
     """A WeightPair from values normalize_pair has already returned,
     without the __post_init__ that would validate and rescale them again."""
     pair = _new(WeightPair)
-    _set(pair, "w_left", w_left)
-    _set(pair, "w_right", w_right)
-    _set(pair, "sum_correction", sum_correction)
+    set_w_left, set_w_right, set_correction = _WEIGHT_SETTERS
+    set_w_left(pair, w_left)
+    set_w_right(pair, w_right)
+    set_correction(pair, sum_correction)
     return pair

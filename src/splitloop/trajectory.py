@@ -15,7 +15,8 @@ schedule on plain floats through `maps.raw_step`, which keeps every
 per-pass check, and yields each pass's state and weights as float tuples.
 `_records` builds every record, without validating it again: `iterate`'s
 for each pass, and `converging_record`'s one, after it has tested the
-floats against the criterion.
+floats against the criterion. A record is slotted like its pairs, and
+`_records` fills it through the slot setters of `_RECORD_SETTERS`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from .errors import OutOfRangeError, ScheduleConflictError
 from .maps import State
 from .states import (AmplitudePair, InteractionMode, SplitterCoefficients,
                      Topology, WeightPair, _as_float, _check_count,
-                     _check_positive_finite, _check_type, _new, _set, _shown,
-                     amplitude_pair, normalize_pair, weight_pair, weights_of)
+                     _check_positive_finite, _check_type, _new, _set,
+                     _setters, _shown, amplitude_pair, normalize_pair,
+                     weight_pair, weights_of)
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ class StepSchedule:
         _set(self, "switches", tuple(checked))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryRecord:
     """State after pass n. Amplitudes are None in movable-splitter runs."""
 
@@ -98,6 +100,10 @@ class TrajectoryRecord:
     topology: Topology
     amplitudes: AmplitudePair | None
     weights: WeightPair
+
+
+_RECORD_SETTERS = _setters(TrajectoryRecord, "n", "time", "topology",
+                           "amplitudes", "weights")
 
 
 @dataclass(frozen=True)
@@ -184,14 +190,16 @@ def _records(scenario: Scenario, passes) -> tuple[TrajectoryRecord, ...]:
     """Each (n, topology, state, weights) pass as a record, unvalidated."""
     period = scenario.period
     unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
+    (set_n, set_time, set_topology, set_amplitudes,
+     set_weights) = _RECORD_SETTERS
     records = []
     for n, topology, state, weights in passes:
-        record = _new(TrajectoryRecord)  # without the frozen-field setters
-        _set(record, "n", n)
-        _set(record, "time", n * period)
-        _set(record, "topology", topology)
-        _set(record, "amplitudes", amplitude_pair(*state) if unitary else None)
-        _set(record, "weights", weight_pair(*weights))
+        record = _new(TrajectoryRecord)  # filled through its slot setters
+        set_n(record, n)
+        set_time(record, n * period)
+        set_topology(record, topology)
+        set_amplitudes(record, amplitude_pair(*state) if unitary else None)
+        set_weights(record, weight_pair(*weights))
         records.append(record)
     return tuple(records)
 

@@ -6,6 +6,7 @@ they do not; the engine must land within a few double-precision ulps.
 """
 
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -333,14 +334,48 @@ class TestClosedForms:
            n=st.integers(1, 400))
     def test_bindings_keep_the_written_out_forms_bit_for_bit(self, w, a1sq,
                                                              n):
-        # written out here, so no edit of the shared formula can move them
+        # written out here, so no edit of the shared formula can move them;
+        # an odd power of the negative rate mirrors the start to 1 - w
         splitter = SplitterCoefficients.from_reflectance(a1sq)
         a, b = splitter.a1_squared, splitter.b1_squared
-        both = 0.5 + (w - 0.5) * (a - b) ** (n - 1)
+        p = (a - b) ** (n - 1)
+        both = 0.5 * (1.0 - abs(p)) + (1.0 - w if p < 0.0 else w) * abs(p)
         right = w * a ** (n - 1)
         assert closed_form_measure_both(w, splitter, n).hex() == both.hex()
         assert (closed_form_measure_right_half(w, splitter, n).hex()
                 == right.hex())
+
+    def test_a_start_near_zero_is_not_lost_to_cancellation(self):
+        # a1^2 = 1e-17 rounds the rate to -1, so pass 5 returns the start;
+        # w* + (w1 - w*) r^4 evaluated as written cancels to 1/2 - 1/2 = 0.0
+        splitter = SplitterCoefficients.from_reflectance(1e-17)
+        w = WeightPair(1e-17, 1.0 - 1e-17)
+        for _ in range(4):
+            w = step_measure_both(w, splitter)
+        assert w.w_left == 1e-17
+        assert closed_form_measure_both(1e-17, splitter, 5) == 1e-17
+
+    @given(topology=st.sampled_from(Topology), w=st.floats(0.0, 1.0),
+           a1sq=st.floats(0.0, 1.0), n=st.integers(1, 400))
+    def test_error_against_exact_arithmetic(self, topology, w, a1sq, n):
+        # The reference is w* + (s - w*) q in exact rationals, from the
+        # float power q = |r|^(n - 1) (pow's own rounding of it is not this
+        # formula's) and the start s, mirrored about w* where r^(n - 1) < 0.
+        # Budget: 3 * 2^-53 relative (three roundings of non-negative
+        # terms) plus one subnormal step. w* + (w1 - w*) r^(n - 1)
+        # evaluated as written misses it by factors up to 3e15.
+        splitter = SplitterCoefficients.from_reflectance(a1sq)
+        _, points, rate = maps._SPECS[InteractionMode.MOVABLE_SPLITTER,
+                                     topology]
+        fixed = Fraction(points[0].point.w_left)
+        r = rate(splitter.a1_squared, splitter.b1_squared)
+        q = Fraction(abs(r) ** (n - 1))
+        start = Fraction(w)
+        if r < 0.0 and (n - 1) % 2:
+            start = 2 * fixed - start
+        exact = fixed + (start - fixed) * q
+        got = Fraction(closed_form_measure(topology, w, splitter, n))
+        assert abs(got - exact) <= (3 * exact + Fraction(2) ** -1021) / 2 ** 53
 
     @pytest.mark.parametrize("n,expected", [
         (2 ** 53 + 2, 0.09999999999999998), (2 ** 53 + 3, 0.9),

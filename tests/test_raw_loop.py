@@ -7,7 +7,9 @@ steps to the state constructors, and each kernel's array path to its
 float path.
 """
 
+import dataclasses
 import math
+import pickle
 import struct
 from collections import Counter
 
@@ -23,6 +25,8 @@ from splitloop import (AmplitudePair, ConvergenceCriterion, InteractionMode,
                        amplitudes_from_left_weight, converging_record,
                        iterate, maps, stable_fixed_point, steps_to_converge,
                        sweep_initial_conditions, trajectory, weights_of)
+from splitloop.states import amplitude_pair, normalize_pair, weight_pair
+from splitloop.trajectory import TrajectoryRecord
 
 FIXED = InteractionMode.FIXED_SPLITTER
 MOVABLE = InteractionMode.MOVABLE_SPLITTER
@@ -326,3 +330,79 @@ def test_a_pass_gone_bad_fails_alike_in_every_scan(
         failures.append((type(info.value), str(info.value), len(calls)))
     assert failures[0][2] == bad_pass - 1
     assert failures == failures[:1] * 3
+
+
+# hand-entered pairs off their unit norm and sum, so both corrections are set
+RAW_AMPLITUDES = (0.6, 0.8005)
+RAW_WEIGHTS = (0.3, 0.7 + 3e-10)
+
+
+def fast_and_checked(kind):
+    """(fast-built, constructor-built) objects of one per-pass type."""
+    amplitudes = normalize_pair(*RAW_AMPLITUDES, True)
+    weights = normalize_pair(*RAW_WEIGHTS, False)
+    if kind == "amplitudes":
+        return amplitude_pair(*amplitudes), AmplitudePair(*RAW_AMPLITUDES)
+    if kind == "weights":
+        return weight_pair(*weights), WeightPair(*RAW_WEIGHTS)
+    mode = FIXED if kind == "coherent record" else MOVABLE
+    scenario = Scenario(mode, Topology.BOTH_CONNECTED,
+                        SplitterCoefficients.from_reflectance(0.7),
+                        initial_state(mode, 0.7), max_steps=9, period=0.25)
+    state = amplitudes if mode is FIXED else weights
+    (record,) = trajectory._records(
+        scenario, ((9, Topology.LEFT_HALF_CONNECTED, state, weights),))
+    checked = AmplitudePair(*RAW_AMPLITUDES) if mode is FIXED else None
+    return record, TrajectoryRecord(9, 9 * 0.25, Topology.LEFT_HALF_CONNECTED,
+                                    checked, WeightPair(*RAW_WEIGHTS))
+
+
+PER_PASS_KINDS = ["amplitudes", "weights", "coherent record",
+                  "measuring record"]
+
+
+def slot_values(obj):
+    """Every slot of obj, floats as their bytes and the pairs a record
+    holds as their own slot_values; an unset slot raises AttributeError."""
+    values = []
+    for name in type(obj).__slots__:
+        value = getattr(obj, name)
+        if isinstance(value, float):
+            value = bits(value)
+        elif isinstance(value, (AmplitudePair, WeightPair)):
+            value = slot_values(value)
+        values.append((name, value))
+    return values
+
+
+@pytest.mark.parametrize("kind", PER_PASS_KINDS)
+def test_fast_built_per_pass_objects_are_slotted_and_complete(kind):
+    fast, checked = fast_and_checked(kind)
+    fields = tuple(f.name for f in dataclasses.fields(checked))
+    assert type(fast) is type(checked)
+    assert type(fast).__slots__ == fields
+    assert not hasattr(fast, "__dict__")
+    # every slot set, the corrections too, which equality skips
+    assert normalize_pair(*RAW_AMPLITUDES, True)[2] != 0.0
+    assert normalize_pair(*RAW_WEIGHTS, False)[2] != 0.0
+    assert slot_values(fast) == slot_values(checked)
+    for name in fields:  # no class default stands in for an unset slot
+        with pytest.raises(AttributeError):
+            getattr(object.__new__(type(fast)), name)
+
+
+@pytest.mark.parametrize("kind", PER_PASS_KINDS)
+def test_slotted_per_pass_objects_stay_frozen_values(kind):
+    fast, checked = fast_and_checked(kind)
+    assert dataclasses.replace(fast) == checked
+    for f in dataclasses.fields(fast):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fast, f.name, getattr(fast, f.name))
+    if isinstance(fast, TrajectoryRecord):
+        moved = dataclasses.replace(fast, n=4)
+        assert moved.n == 4
+        assert slot_values(moved)[1:] == slot_values(fast)[1:]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copied = pickle.loads(pickle.dumps(fast, protocol))
+        assert type(copied) is type(fast)
+        assert slot_values(copied) == slot_values(fast)

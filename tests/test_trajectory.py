@@ -1,6 +1,8 @@
 """Trajectory engine: stepping, schedules, convergence, switching runs."""
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -125,6 +127,28 @@ class TestIterate:
     def test_measure_records_have_no_amplitudes(self):
         trajectory = iterate(measure_scenario(0.9, 3))
         assert all(r.amplitudes is None for r in trajectory.records)
+
+    @pytest.mark.parametrize("mode,limit", [
+        (InteractionMode.FIXED_SPLITTER, 420),
+        (InteractionMode.MOVABLE_SPLITTER, 290),
+    ])
+    def test_bytes_held_per_record(self, mode, limit):
+        # slotted records and pairs hold 392 and 264 B on CPython 3.11;
+        # the same types with a __dict__ hold 512 and 344 B
+        scenario = (unitary_scenario if mode is InteractionMode.FIXED_SPLITTER
+                    else measure_scenario)(0.7, 20_000)
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = iterate(scenario).records
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert held / len(records) <= limit
 
     def test_known_orbit_values(self):
         series = iterate(unitary_scenario(0.9, 5)).w_left_series()
