@@ -15,7 +15,14 @@ draws from the stream keyed base_seed + i, and a path is fully determined
 by its seed. One uniform is consumed per step whether or not the topology
 leaves a choice, so paths of equal length always consume equal randomness.
 Keys are 128-bit, so every seed of an ensemble must be below 2**128.
-Ensembles are drawn, walked and counted a chunk of paths at a time.
+
+Paths are drawn a block at a time, and each block is compared with a1^2 and
+b1^2 and packed 8 paths to a byte as soon as it is drawn. The packed rows
+are walked with bitwise operations (multi-spin coding, Jacobs & Rebbi 1981)
+and counted a chunk of paths at a time, and a path longer than one time
+slice a slice at a time: its stream restarts at the slice's Philox block
+counter, and the walk carries the chunk's last packed row. Memory stays
+bounded in paths and in steps.
 """
 
 from __future__ import annotations
@@ -68,27 +75,36 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
-#: Paths of up to this many steps are drawn by the key-vectorized Philox,
-#: longer ones by one numpy Philox re-keyed per path. On a 2 vCPU Xeon the
-#: vectorized draw costs about 40 ns per step plus about 270 us a call, the
-#: re-keyed one about 4 us per path plus 7 ns per step; whole ensembles
-#: cross between 128 and 160 steps.
+#: A draw of up to this many steps, a path's or a time slice's, is made by
+#: the key-vectorized Philox, a longer one by one numpy Philox re-keyed per
+#: path. On a 2 vCPU Xeon the vectorized draw cost about 40 ns per step plus
+#: about 270 us a call, the re-keyed one about 4 us per path plus 7 ns per
+#: step, and whole ensembles crossed between 128 and 160 steps. Re-keying
+#: with Python ints has since made the re-keyed draw of a 2**16-double
+#: block faster from about 48 steps on.
 VECTOR_MAX_STEPS = 128
-#: A chunk holds CHUNK_PATH_STEPS path steps, but at least CHUNK_MIN_PATHS
-#: paths (a floor that binds only above VECTOR_MAX_STEPS); memory stays at
-#: one chunk however many paths an ensemble has. Measured end to
-#: end on the same machine: short-path ensembles run fastest near 2**16 path
-#: steps a chunk, and 2**20 is 1.4-1.8x slower, since the vectorized draw's
-#: uint64 temporaries (up to 48 bytes a path step) then leave the cache.
-#: The walk pays about 2 us per step per chunk, so long paths want wide
-#: chunks: from 150 to 20000 steps, 512 paths ran as fast as 1024, and 256
-#: up to 1.6x slower.
+#: A draw block holds at most CHUNK_PATH_STEPS doubles, a whole number of
+#: bytes of 8 paths, and a time slice CHUNK_PATH_STEPS // 8 steps, so that a
+#: block of a slice holds at least 8 paths. Each block is compared with
+#: a1^2 and b1^2 and packed 8 paths a byte as soon as it is drawn, so no
+#: float array outlives its block. Measured end to end on the same machine:
+#: short-path ensembles ran fastest near 2**16 path steps a block, and 2**20
+#: was 1.4-1.8x slower, since the vectorized draw's uint64 temporaries (up
+#: to 48 bytes a path step) then leave the cache. Turning a block of 32
+#: paths of 2000 steps time-major, comparing and packing it takes about
+#: 90 us, a fifth of its draw.
 CHUNK_PATH_STEPS = 2 ** 16
-CHUNK_MIN_PATHS = 512
+#: The walk and the count take the packed choices of up to this many path
+#: steps at once, 2 MB per packed array. The walk pays about 1 us a step in
+#: Python whatever the width of its rows, so a chunk is wide: 2500 paths of
+#: 2000 steps make one, walked in about 2 ms.
+_WALK_PATH_STEPS = 2 ** 24
 
 
-def _chunk_paths(steps: int) -> int:
-    return max(CHUNK_PATH_STEPS // steps, CHUNK_MIN_PATHS)
+def _paths_within(path_steps: int, steps: int) -> int:
+    """The most paths of `steps` steps that fit in path_steps, rounded down
+    to whole bytes of 8 paths, but at least 8."""
+    return max(path_steps // steps // 8 * 8, 8)
 
 
 def _key_words(base_seed: int, n_paths: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,16 +133,18 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x * np.uint64(m)
 
 
-def _philox_uniforms(base_seed: int, n_paths: int, steps: int) -> np.ndarray:
-    """Philox4x64-10 over the keys base_seed + i at once, one row per key.
+def _philox_uniforms(base_seed: int, n_paths: int, t0: int,
+                     steps: int) -> np.ndarray:
+    """Philox4x64-10 over the keys base_seed + i at once, one row per key,
+    from block counter t0 / 4 + 1.
 
     Blocks run down the first axis and keys along the second, so every
     array operation has a long contiguous inner loop; the rows come back as
     a transposed view of that step-major layout.
     """
     k0, k1 = _key_words(base_seed, n_paths)
-    blocks = -(-steps // 4)
-    x0 = np.arange(1, blocks + 1, dtype=np.uint64).reshape(-1, 1)
+    first, blocks = t0 // 4 + 1, -(-steps // 4)
+    x0 = np.arange(first, first + blocks, dtype=np.uint64).reshape(-1, 1)
     x1 = x2 = x3 = np.zeros_like(x0)
     for r in range(10):
         if r:
@@ -142,32 +160,60 @@ def _philox_uniforms(base_seed: int, n_paths: int, steps: int) -> np.ndarray:
     return (words * 2.0 ** -53).T
 
 
-def _rekeyed_uniforms(base_seed: int, n_paths: int, steps: int) -> np.ndarray:
-    """One numpy Philox, re-keyed to base_seed + i before drawing row i."""
-    bit_generator = np.random.Philox(key=0)
+def _rekeyed_uniforms(base_seed: int, n_paths: int, t0: int,
+                      steps: int) -> np.ndarray:
+    """One numpy Philox, re-keyed to base_seed + i at block counter t0 / 4
+    before drawing row i."""
+    bit_generator = np.random.Philox(0)  # seeded: reads no OS entropy
     generator = np.random.Generator(bit_generator)
-    keys = np.stack(_key_words(base_seed, n_paths), axis=1)
-    fresh = np.zeros(4, dtype=np.uint64)  # counter and buffer of a new key
-    state = {"bit_generator": "Philox",
-             "state": {"counter": fresh, "key": keys[0]},
-             "buffer": fresh, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    # With its buffer spent at counter c, a Philox next draws block c + 1:
+    # words 4c .. 4c + 3 of the stream, numbering from 0.
+    keyed = {"counter": [t0 // 4, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": keyed,
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
     out = np.empty((n_paths, steps))
     for i in range(n_paths):
-        state["state"]["key"] = keys[i]
+        key = base_seed + i
+        keyed["key"] = [key % 2 ** 64, key >> 64]
         bit_generator.state = state
         generator.random(out=out[i])
     return out
 
 
-def _uniforms(base_seed: int, n_paths: int, steps: int) -> np.ndarray:
-    """Row i: the first `steps` doubles of the Philox stream keyed base_seed + i.
+def _uniforms(base_seed: int, n_paths: int, t0: int, steps: int) -> np.ndarray:
+    """Row i: doubles t0 .. t0 + steps - 1 of the Philox stream keyed
+    base_seed + i, t0 a multiple of 4.
 
     Bit for bit what a numpy Generator on a Philox keyed base_seed + i
-    returns from .random(steps).
+    returns from .random(t0 + steps)[t0:].
     """
     if steps <= VECTOR_MAX_STEPS:
-        return _philox_uniforms(base_seed, n_paths, steps)
-    return _rekeyed_uniforms(base_seed, n_paths, steps)
+        return _philox_uniforms(base_seed, n_paths, t0, steps)
+    return _rekeyed_uniforms(base_seed, n_paths, t0, steps)
+
+
+def _packed_choices(base_seed: int, n_paths: int, t0: int, steps: int,
+                    a1_squared: float,
+                    b1_squared: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b), each steps x ceil(n_paths / 8) uint8: bit j of row t (the high
+    bit of a byte first) is set where double t0 + t of path j is below
+    a1^2, in a, or b1^2, in b. Drawn and packed a block at a time."""
+    block = _paths_within(CHUNK_PATH_STEPS, steps)
+    a = np.empty((steps, -(-n_paths // 8)), dtype=np.uint8)
+    b = np.empty_like(a)
+    for start in range(0, n_paths, block):
+        # time-major: a view of the vectorized draw, a copy of the re-keyed
+        uniforms = np.ascontiguousarray(_uniforms(
+            base_seed + start, min(block, n_paths - start), t0, steps).T)
+        columns = slice(start // 8, (start + block) // 8)
+        for packed, p in ((a, a1_squared), (b, b1_squared)):
+            bits = uniforms < p
+            if bits.shape[1] % 8:  # the last block's partial byte
+                packed[:, columns] = np.packbits(bits, axis=1)
+            else:  # rows of whole bytes pack as one run, 6x faster
+                packed[:, columns] = np.packbits(bits).reshape(steps, -1)
+    return a, b
 
 
 # Per wiring, the step rule in_left = (prev & keep) ^ flip as (keep, flip)
@@ -175,28 +221,53 @@ def _uniforms(base_seed: int, n_paths: int, steps: int) -> np.ndarray:
 # both connected gives a where prev is set and b elsewhere; a right loop
 # cut open absorbs (flip is nothing); a left loop cut open absorbs, since
 # (prev & b) ^ ~b is prev | ~b. The walk turns keep into its result in
-# place, so keep may be a or b itself but must not be flip.
+# place, so keep may be a or b itself, or overwrite one, but must not be
+# flip.
 _TRANSITIONS = {
-    Topology.BOTH_CONNECTED: lambda a, b: (a ^ b, b),
+    Topology.BOTH_CONNECTED: lambda a, b: (np.bitwise_xor(a, b, out=a), b),
     Topology.RIGHT_HALF_CONNECTED: lambda a, b: (a, None),
     Topology.LEFT_HALF_CONNECTED: lambda a, b: (b, ~b),
 }
 
 
-def _walk(uniforms: np.ndarray, a1_squared: float, b1_squared: float,
-          topology: Topology) -> np.ndarray:
-    """Walk the paths whose uniforms are the rows; returns steps x paths,
-    True where the photon is in the left loop after that pass."""
-    a = (uniforms < a1_squared).T.copy()
-    b = (uniforms < b1_squared).T.copy()
+def _walk(a: np.ndarray, b: np.ndarray, topology: Topology,
+          prev: np.ndarray | None) -> np.ndarray:
+    """Walk the paths whose packed choices are a and b on from the packed
+    row prev of the step before, or from pass 1 when prev is None.
+
+    Returns rows packed as a and b are, in the memory of one of them, a bit
+    set where the photon is in the left loop after that pass.
+    """
+    first = a[0].copy() if prev is None else None
     in_left, flip = _TRANSITIONS[topology](a, b)
-    in_left[0] = a[0]  # first reflection choice, every wiring
-    for t in range(1, len(in_left)):
+    if first is not None:  # the first reflection choice, every wiring
+        in_left[0] = prev = first
+    for t in range(0 if first is None else 1, len(in_left)):
         row = in_left[t]
-        row &= in_left[t - 1]
+        row &= prev
         if flip is not None:
             row ^= flip[t]
+        prev = row
     return in_left
+
+
+def _count_rows(packed: np.ndarray) -> np.ndarray:
+    """Set bits in each row of a uint8 array, counted in place.
+
+    A 256-entry table would cast every byte to an 8-byte index first, 5 MB
+    for 2500 paths of 2000 steps, and took twice as long.
+    """
+    spare = packed >> 1  # sum the bits in pairs, then nibbles, then bytes
+    spare &= 0x55
+    packed -= spare
+    np.right_shift(packed, 2, out=spare)
+    spare &= 0x33
+    packed &= 0x33
+    packed += spare
+    np.right_shift(packed, 4, out=spare)
+    packed += spare
+    packed &= 0x0F
+    return packed.sum(axis=1, dtype=np.int64)
 
 
 def ensemble_frequencies(splitter: SplitterCoefficients, topology: Topology,
@@ -210,25 +281,33 @@ def ensemble_frequencies(splitter: SplitterCoefficients, topology: Topology,
     in the left loop stays there when u_t < a1^2 (always, in the left-half
     wiring); one in the right loop moves left when u_t < b1^2 in the
     both-connected wiring, never in the right-half one, and when
-    u_t >= b1^2 in the left-half one. Paths are counted a chunk at a time.
+    u_t >= b1^2 in the left-half one. Paths are walked and counted a chunk
+    at a time, and each chunk a time slice at a time.
     """
     steps, base_seed, n_paths = _check_sampling(steps, base_seed, n_paths)
     # names a bad splitter or topology before any draw
     raw_step(InteractionMode.MOVABLE_SPLITTER, topology, splitter)
-    chunk = _chunk_paths(steps)
+    span = min(steps, CHUNK_PATH_STEPS // 8)  # a multiple of 4 when < steps
+    chunk = _paths_within(_WALK_PATH_STEPS, span)
     counts = np.zeros(steps, dtype=np.int64)
     for start in range(0, n_paths, chunk):
-        # one expression, so no chunk outlives its iteration
-        counts += np.count_nonzero(_walk(
-            _uniforms(base_seed + start, min(chunk, n_paths - start), steps),
-            splitter.a1_squared, splitter.b1_squared, topology), axis=1)
+        paths = min(chunk, n_paths - start)
+        last = None  # the chunk's packed row at the end of the slice before
+        for t0 in range(0, steps, span):
+            in_left = _walk(*_packed_choices(
+                base_seed + start, paths, t0, min(span, steps - t0),
+                splitter.a1_squared, splitter.b1_squared), topology, last)
+            last = in_left[-1].copy()
+            if paths % 8:  # clear the bits past the last path, which ~b sets
+                in_left[:, -1] &= (0xFF << (8 - paths % 8)) & 0xFF
+            counts[t0:t0 + len(in_left)] += _count_rows(in_left)
+            del in_left  # freed before the next slice is drawn
     w_left = counts / n_paths  # the same bits as the mean of the 0/1 rows
     w_right = 1.0 - w_left
     stderr = np.sqrt(w_left * w_right / n_paths)
-    return EnsembleEstimate(tuple(float(x) for x in w_left),
-                            tuple(float(x) for x in w_right),
-                            tuple(float(x) for x in stderr),
-                            n_paths, splitter, topology, base_seed)
+    return EnsembleEstimate(tuple(w_left.tolist()), tuple(w_right.tolist()),
+                            tuple(stderr.tolist()), n_paths, splitter,
+                            topology, base_seed)
 
 
 def agreement_report(estimate: EnsembleEstimate,

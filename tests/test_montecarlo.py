@@ -63,23 +63,48 @@ def path_of(sides):
 
 @contextlib.contextmanager
 def small_chunks():
-    """Chunk sizes shrunk so that a chunk boundary is a few paths away."""
+    """Sizes shrunk so that a draw block (8 paths of a 64-step slice), a walk
+    chunk (16 such paths) and a time slice (64 steps) end a few paths or
+    steps away, and both draws run within a slice: the vectorized one for a
+    slice of up to 16 steps, the re-keyed one for a longer slice."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "CHUNK_PATH_STEPS", 2 ** 9)
-        patch.setattr(montecarlo, "CHUNK_MIN_PATHS", 4)
+        patch.setattr(montecarlo, "_WALK_PATH_STEPS", 2 ** 10)
+        patch.setattr(montecarlo, "VECTOR_MAX_STEPS", 16)
         yield
+
+
+def walk_chunk_paths(steps):
+    """Paths in one walk chunk of an ensemble of `steps` steps."""
+    span = min(steps, montecarlo.CHUNK_PATH_STEPS // 8)
+    return montecarlo._paths_within(montecarlo._WALK_PATH_STEPS, span)
+
+
+def traced_peak(*args):
+    """The tracemalloc peak, in bytes, of ensemble_frequencies(*args)."""
+    tracemalloc.start()
+    try:
+        ensemble_frequencies(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @st.composite
 def sampling_cases(draw):
-    """Steps on both sides of the draw crossover, ensembles on both sides of
-    a small_chunks() boundary, and base seeds low, just below 2**64 (the key
-    carry) and at the top of the key range."""
-    cross = montecarlo.VECTOR_MAX_STEPS
-    steps = draw(st.one_of(st.sampled_from([1, 2, 4, 5, cross, cross + 1]),
-                           st.integers(1, 2 * cross)))
+    """Under small_chunks(): steps on both sides of the draw crossover and of
+    one and two time slices, with a short or a long last slice; ensembles on
+    both sides of a walk chunk; and base seeds low, just below 2**64 (the
+    key carry) and at the top of the key range. Draw blocks and 8-path bytes
+    end inside most ensembles."""
     with small_chunks():
-        chunk = montecarlo._chunk_paths(steps)
+        cross = montecarlo.VECTOR_MAX_STEPS
+        span = montecarlo.CHUNK_PATH_STEPS // 8
+        steps = draw(st.one_of(
+            st.sampled_from([1, 2, 4, 5, cross, cross + 1, span, span + 1,
+                             span + cross + 1, 2 * span + 1]),
+            st.integers(1, 4 * span)))
+        chunk = walk_chunk_paths(steps)
     n_paths = draw(st.one_of(
         st.sampled_from([1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]),
         st.integers(1, 3 * chunk)))
@@ -191,10 +216,27 @@ class TestEnsemble:
             float(x) for x in np.sqrt(w_left * (1.0 - w_left) / n_paths))
         assert first.w_left == tuple(float(x) for x in in_left[0])
 
-    @pytest.mark.parametrize("steps", [5, montecarlo.VECTOR_MAX_STEPS + 1])
-    def test_matches_reference_across_a_full_size_chunk(self, steps):
-        # the real chunk sizes, straddling the 2**64 key carry
-        n_paths = montecarlo._chunk_paths(steps) + 1
+    @pytest.mark.parametrize("n_paths", [1, 7, 13, 21])
+    def test_bits_past_the_last_path_are_not_counted(self, n_paths):
+        # the left-half wiring's ~b sets the padding bits of the last byte
+        splitter = SplitterCoefficients.from_reflectance(0.3)
+        wiring = Topology.LEFT_HALF_CONNECTED
+        estimate = ensemble_frequencies(splitter, wiring, 6, n_paths, 5)
+        in_left = reference_walk(splitter, wiring, 6, n_paths, 5)
+        assert estimate.w_left == tuple(float(x)
+                                        for x in in_left.mean(axis=0))
+
+    @pytest.mark.parametrize("steps,n_paths", [
+        (5, None), (montecarlo.VECTOR_MAX_STEPS + 1, None),
+        (montecarlo.CHUNK_PATH_STEPS // 8 + 5, 9)])
+    def test_matches_reference_across_a_full_size_chunk(self, steps,
+                                                        n_paths):
+        # the real sizes, straddling the 2**64 key carry: one path more than
+        # a draw block, or a path a few steps longer than a time slice, whose
+        # last slice the vectorized draw makes
+        if n_paths is None:
+            n_paths = montecarlo._paths_within(montecarlo.CHUNK_PATH_STEPS,
+                                               steps) + 1
         seed = 2 ** 64 - n_paths // 2
         estimate = ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, steps,
                                         n_paths, seed)
@@ -215,18 +257,26 @@ class TestEnsemble:
     @pytest.mark.parametrize("steps", [100, 1000])
     def test_memory_is_bounded_by_one_chunk(self, steps):
         n_paths = 13_000_000 // steps  # 104 MB of float64 if held at once
-        # the vectorized draw's uint64 temporaries take up to 48 bytes a
-        # path step, the re-keyed draw and the walk about 14
-        chunk_bytes = 48 * steps * montecarlo._chunk_paths(steps)
-        tracemalloc.start()
-        try:
-            ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, steps,
-                                 n_paths, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # At most three packed arrays of one walk chunk are alive at once,
+        # 1 bit a path step each (a, b and ~b, or the count's spare), and one
+        # draw block of CHUNK_PATH_STEPS doubles, whose vectorized draw's
+        # uint64 temporaries take up to 48 bytes a double.
+        walked = min(n_paths, walk_chunk_paths(steps)) * steps
+        bound = 3 * walked // 8 + 48 * montecarlo.CHUNK_PATH_STEPS
+        peak = traced_peak(SP9, Topology.BOTH_CONNECTED, steps, n_paths, 1)
         assert n_paths * steps * 8 > 100e6
-        assert peak < chunk_bytes < 100e6 / 4
+        assert peak < bound < n_paths * steps  # under a byte a path step
+
+    def test_memory_does_not_grow_with_steps_past_one_slice(self):
+        # Past one slice, 1024 paths take no more memory per step than 8
+        # paths do: only the per-step counts and the outputs grow.
+        span = montecarlo.CHUNK_PATH_STEPS // 8
+        one, three = (
+            {n_paths: traced_peak(SP9, Topology.BOTH_CONNECTED, steps,
+                                  n_paths, 1) for n_paths in (8, 1024)}
+            for steps in (span, 3 * span))
+        assert three[1024] - one[1024] <= three[8] - one[8]
+        assert one[1024] - one[8] > 1024 * span // 8  # the paths' own bytes
 
     def test_path_count_validation(self):
         with pytest.raises(OutOfRangeError):
