@@ -77,12 +77,13 @@ _SHIFT32 = np.uint64(32)
 
 #: A draw of up to this many steps, a path's or a time slice's, is made by
 #: the key-vectorized Philox, a longer one by one numpy Philox re-keyed per
-#: path. On a 2 vCPU Xeon the vectorized draw cost about 40 ns per step plus
-#: about 270 us a call, the re-keyed one about 4 us per path plus 7 ns per
-#: step, and whole ensembles crossed between 128 and 160 steps. Re-keying
-#: with Python ints has since made the re-keyed draw of a 2**16-double
-#: block faster from about 48 steps on.
-VECTOR_MAX_STEPS = 128
+#: path. Whole ensemble_frequencies calls on a 2 vCPU Xeon (medians of 9
+#: interleaved timings, both loops connected) cross near 48 steps: the
+#: re-keyed draw took 1.17-1.26x the vectorized one's time at 32 steps,
+#: 0.90-1.08x at 48 and 0.50-0.66x at 112, over 500 to 20000 paths. With
+#: under about 500 paths a call the re-keyed draw is faster at any length
+#: from 32 steps (0.44x at 64 paths).
+VECTOR_MAX_STEPS = 48
 #: A draw block holds at most CHUNK_PATH_STEPS doubles, a whole number of
 #: bytes of 8 paths, and a time slice CHUNK_PATH_STEPS // 8 steps, so that a
 #: block of a slice holds at least 8 paths. Each block is compared with

@@ -12,16 +12,24 @@ The initial state is validated once, where it is built. `Scenario` builds
 `maps.raw_step`, the one check of mode, topology and splitter, and calls
 `maps._check_state`, the state-type rule. From there `_passes` runs the
 schedule on plain floats through `maps.raw_step`, which keeps every
-per-pass check, and yields each pass's state and weights as float tuples.
+per-pass check, one segment of passes between two switches at a time. It
+yields runs of equal passes, each run's state and weights as float tuples.
+Repeated passes make a run degenerate to a limit, which in floats is
+often reached exactly: a pass that gives back its own input, bit for bit,
+is a fixed point of the segment's map, so it and every later pass of the
+segment form one run, and no more passes are computed there.
 `_records` builds every record, without validating it again: `iterate`'s
-for each pass, and `converging_record`'s one, after it has tested the
-floats against the criterion. A record is slotted like its pairs, and
-`_records` fills it through the slot setters of `_RECORD_SETTERS`.
+for each pass, the records of a run sharing one pair of pairs, and
+`converging_record`'s one. A scan tests each run against the criterion
+once, so one stuck on a fixed point outside epsilon skips to max_steps. A
+record is slotted like its pairs, and `_records` fills it through the slot
+setters of `_RECORD_SETTERS`.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -104,6 +112,7 @@ class TrajectoryRecord:
 
 _RECORD_SETTERS = _setters(TrajectoryRecord, "n", "time", "topology",
                            "amplitudes", "weights")
+_PAIR = struct.Struct("<2d")
 
 
 @dataclass(frozen=True)
@@ -150,12 +159,22 @@ class NotConverged:
 
 def _passes(scenario: Scenario,
             schedule: StepSchedule | None) -> Iterator[tuple]:
-    """Each pass of the run as (n, topology, state, weights) on floats.
+    """Each run of equal passes as (first, last, topology, state, weights)
+    on floats: passes first to last all have this topology, state and
+    weights.
 
     state is the state's (x, y, correction): (a_left, b_right,
     norm_correction) or (w_left, w_right, sum_correction). weights is
     (w_left, w_right, sum_correction), the state itself in a
     movable-splitter run.
+
+    The schedule is walked a segment at a time, the passes from one switch
+    to the next under one map. A pass whose (x, y) is its input's, bit for
+    bit, is a fixed point of that map: every later pass of the segment
+    repeats it, correction and weights too, so it ends a run that reaches
+    the segment's end and no more passes are computed there. The pass
+    before it can carry another correction, so the run starts at the
+    repeating pass.
     """
     if schedule is not None:
         _check_type("schedule", schedule, StepSchedule, ScheduleConflictError)
@@ -164,43 +183,62 @@ def _passes(scenario: Scenario,
         raise ScheduleConflictError(
             f"switch at step {_shown(switches[-1][0])} exceeds max_steps "
             f"{_shown(scenario.max_steps)}")
-    switch_at = dict(switches)
     mode, splitter = scenario.mode, scenario.splitter
-    topology = scenario.initial_topology
-    step = maps.raw_step(mode, topology, splitter)
     unitary = mode is InteractionMode.FIXED_SPLITTER
     initial, pair = scenario.initial, weights_of(scenario.initial)
     weights = state = (pair.w_left, pair.w_right, pair.sum_correction)
     if unitary:
         state = (initial.a_left, initial.b_right, initial.norm_correction)
     x, y, _ = state
-    for n in range(1, scenario.max_steps + 1):
-        if n in switch_at:
-            topology = switch_at[n]
+    # a segment runs from step 1 or a switch to the step before the next
+    first, topology = 1, scenario.initial_topology
+    for end, after in (*switches, (scenario.max_steps + 1, None)):
+        if first < end:  # not so when a switch at step 1 relabels the start
             step = maps.raw_step(mode, topology, splitter)
-        if n > 1:
-            state = step(x, y)
-            x, y, _ = state
-            # the weights of an amplitude pair, as states.weights_of has them
-            weights = normalize_pair(x * x, y * y, False) if unitary else state
-        yield n, topology, state, weights
+            if first == 1:
+                yield 1, 1, topology, state, weights
+                first = 2
+            for n in range(first, end):
+                u, v, _ = state = step(x, y)
+                repeats = u == x and v == y and _same_bits(x, y, u, v)
+                x, y = u, v
+                # the weights of an amplitude pair, as weights_of has them
+                weights = (normalize_pair(x * x, y * y, False) if unitary
+                           else state)
+                if repeats:
+                    yield n, end - 1, topology, state, weights
+                    break
+                yield n, n, topology, state, weights
+        first, topology = end, after
+
+
+def _same_bits(x: float, y: float, u: float, v: float) -> bool:
+    """Whether (x, y) and (u, v) are the same floats bit for bit; == alone
+    takes -0.0 for 0.0."""
+    return _PAIR.pack(x, y) == _PAIR.pack(u, v)
 
 
 def _records(scenario: Scenario, passes) -> tuple[TrajectoryRecord, ...]:
-    """Each (n, topology, state, weights) pass as a record, unvalidated."""
+    """A record for each pass of each (first, last, topology, state,
+    weights) run, unvalidated; a run's records share its pairs."""
     period = scenario.period
     unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
     (set_n, set_time, set_topology, set_amplitudes,
      set_weights) = _RECORD_SETTERS
     records = []
-    for n, topology, state, weights in passes:
-        record = _new(TrajectoryRecord)  # filled through its slot setters
-        set_n(record, n)
-        set_time(record, n * period)
-        set_topology(record, topology)
-        set_amplitudes(record, amplitude_pair(*state) if unitary else None)
-        set_weights(record, weight_pair(*weights))
-        records.append(record)
+    for first, last, topology, state, weights in passes:
+        amplitudes = amplitude_pair(*state) if unitary else None
+        weights = weight_pair(*weights)
+        n = first
+        while n <= last:  # cheaper than a range for a one-pass run
+            record = _new(TrajectoryRecord)  # filled through its slot setters
+            set_n(record, n)
+            set_time(record, n * period)
+            set_topology(record, topology)
+            set_amplitudes(record, amplitudes)
+            set_weights(record, weights)
+            records.append(record)
+            n += 1
     return tuple(records)
 
 
@@ -222,19 +260,23 @@ def converging_record(scenario: Scenario,
     """First record that meets the criterion, and whether one did.
 
     Scans the run lazily and stops at the first satisfying record; when
-    max_steps runs out first, returns the final record and False. Only the
-    returned record is built, by the builder `iterate` uses.
+    max_steps runs out first, returns the final record and False. Each run
+    of equal passes is tested once, at its first pass. Only the returned
+    record is built, by the builder `iterate` uses.
     """
     _check_type("scenario", scenario, Scenario)
     _check_type("criterion", criterion, ConvergenceCriterion)
     distance, epsilon = criterion._distance, criterion.epsilon
-    for n, topology, state, (w_left, w_right, correction) in _passes(
-            scenario, schedule):
+    for first, last, topology, state, (w_left, w_right, correction) in (
+            _passes(scenario, schedule)):
         if distance(w_left, w_right) < epsilon:
+            last, converged = first, True
             break
-    (record,) = _records(
-        scenario, ((n, topology, state, (w_left, w_right, correction)),))
-    return record, distance(w_left, w_right) < epsilon
+    else:
+        converged = False
+    (record,) = _records(scenario, (
+        (last, last, topology, state, (w_left, w_right, correction)),))
+    return record, converged
 
 
 def steps_to_converge(scenario: Scenario,

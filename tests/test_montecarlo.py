@@ -126,7 +126,8 @@ class TestOnePath:
         assert GENERATOR_NAME == "philox"
 
     def test_frozen_rekeyed_draw(self):
-        steps = montecarlo.VECTOR_MAX_STEPS + 1
+        steps = 129  # the pinned path's length, drawn re-keyed
+        assert steps > montecarlo.VECTOR_MAX_STEPS
         estimate = ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, steps,
                                         1, 0)
         assert estimate.w_left == path_of(

@@ -11,11 +11,12 @@ import dataclasses
 import math
 import pickle
 import struct
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitloop import (AmplitudePair, ConvergenceCriterion, InteractionMode,
@@ -23,7 +24,7 @@ from splitloop import (AmplitudePair, ConvergenceCriterion, InteractionMode,
                        OutOfRangeError, Scenario, SplitterCoefficients,
                        StepMap, StepSchedule, Topology, WeightPair,
                        amplitudes_from_left_weight, converging_record,
-                       iterate, maps, stable_fixed_point, steps_to_converge,
+                       fixed_points, iterate, maps, stable_fixed_point, steps_to_converge,
                        sweep_initial_conditions, trajectory, weights_of)
 from splitloop.states import amplitude_pair, normalize_pair, weight_pair
 from splitloop.trajectory import TrajectoryRecord
@@ -116,6 +117,111 @@ def test_iterate_equals_the_typed_chain_bit_for_bit(run):
 def record_bits(record):
     return (record.n, record.topology, bits(record.time),
             state_bits(record.amplitudes), state_bits(record.weights))
+
+
+# hand-entered starts on a signed zero, which == does not tell from 0.0
+SIGNED_ZERO_STARTS = {
+    FIXED: (AmplitudePair(-0.0, 1.0), AmplitudePair(1.0, -0.0)),
+    MOVABLE: (WeightPair(-0.0, 1.0), WeightPair(1.0, -0.0)),
+}
+
+
+@st.composite
+def long_runs(draw):
+    """Runs of up to 3000 passes, long enough for most measuring runs to
+    reach a fixed point of the float map. They start on a fixed point, on
+    a signed zero or anywhere, and switch at step 1, on the pass after a
+    fixed run begins, or anywhere."""
+    mode = draw(st.sampled_from(InteractionMode))
+    topology = draw(st.sampled_from(Topology))
+    steps = draw(st.sampled_from([1, 2, 3000]) | st.integers(1, 3000))
+    start = draw(st.sampled_from(["fixed point", "signed zero", "anywhere"]))
+    if start == "fixed point":
+        state = draw(st.sampled_from(
+            [p.point for t in Topology for p in fixed_points(mode, t)]))
+    elif start == "signed zero":
+        state = draw(st.sampled_from(SIGNED_ZERO_STARTS[mode]))
+    else:
+        state = initial_state(mode, draw(st.floats(0.0, 1.0)))
+    scenario = Scenario(
+        mode, topology,
+        SplitterCoefficients.from_reflectance(draw(st.floats(0.0, 1.0))),
+        state, max_steps=steps)
+    switches = dict(draw(st.lists(
+        st.tuples(st.integers(1, steps), st.sampled_from(Topology)),
+        max_size=3)))
+    if draw(st.booleans()):
+        switches[1] = draw(st.sampled_from(Topology))
+    if draw(st.booleans()):
+        schedule = StepSchedule(tuple(sorted(switches.items())))
+        fixed = next((first for first, last, *_ in trajectory._passes(
+            scenario, schedule) if first < last), steps)
+        if fixed < steps:
+            switches[fixed + 1] = draw(st.sampled_from(Topology))
+    return scenario, StepSchedule(tuple(sorted(switches.items())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_runs())
+def test_runs_to_a_fixed_point_equal_the_typed_chain_bit_for_bit(run):
+    scenario, schedule = run
+    records = iterate(scenario, schedule).records
+    expected = typed_chain(scenario, schedule)
+    assert [record_bits(r) for r in records] == [
+        (n, topology, bits(time), state_bits(amplitudes), state_bits(weights))
+        for n, time, topology, amplitudes, weights in expected]
+
+
+def test_a_zero_that_changes_sign_is_not_a_repeat():
+    # the right-half kernel sends a_left -0.0 to 0.0, which == takes for a
+    # repeat; the fixed run starts only on the next pass
+    scenario = Scenario(FIXED, Topology.RIGHT_HALF_CONNECTED, None,
+                        AmplitudePair(-0.0, 1.0), max_steps=6)
+    runs = [(first, last, bits(*state[:2])) for first, last, _, state, _
+            in trajectory._passes(scenario, None)]
+    assert runs == [(1, 1, bits(-0.0, 1.0)), (2, 2, bits(0.0, 1.0)),
+                    (3, 6, bits(0.0, 1.0))]
+
+
+def test_iterate_computes_no_pass_past_a_fixed_point(monkeypatch):
+    calls = []
+
+    def counted(*args, kernel=maps.unitary_both_kernel):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(maps, "unitary_both_kernel", counted)
+    scenario = Scenario(FIXED, Topology.BOTH_CONNECTED, None,
+                        initial_state(FIXED, 0.7), max_steps=10 ** 5)
+    records = iterate(scenario).records
+    assert [r.n for r in records[-2:]] == [10 ** 5 - 1, 10 ** 5]
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("mode", InteractionMode)
+def test_a_scan_stuck_on_a_fixed_point_skips_to_its_end(mode):
+    # right half-connected runs settle on (0, 1), outside epsilon of 1/2
+    splitter = SplitterCoefficients.from_reflectance(0.1)
+    criterion = ConvergenceCriterion(WeightPair(0.5, 0.5), 1e-3)
+
+    def scans(max_steps):
+        scenario = Scenario(mode, Topology.RIGHT_HALF_CONNECTED, splitter,
+                            initial_state(mode, 0.7), max_steps=max_steps)
+        return (converging_record(scenario, criterion),
+                steps_to_converge(scenario, criterion))
+
+    (short, converged), not_converged = scans(10 ** 3)
+    started = time.perf_counter()
+    (record, long_converged), long_not_converged = scans(10 ** 15)
+    assert time.perf_counter() - started < 1.0
+    assert converged is long_converged is False
+    assert (short.n, not_converged.steps) == (10 ** 3, 10 ** 3)
+    assert (record.n, long_not_converged.steps) == (10 ** 15, 10 ** 15)
+    assert bits(record.time) == bits(1e15)
+    assert record_bits(record)[3:] == record_bits(short)[3:]
+    assert record.topology is short.topology
+    assert bits(long_not_converged.final_distance) == bits(
+        not_converged.final_distance)
 
 
 @given(run=runs(), target=st.floats(0.0, 1.0),
@@ -351,7 +457,7 @@ def fast_and_checked(kind):
                         initial_state(mode, 0.7), max_steps=9, period=0.25)
     state = amplitudes if mode is FIXED else weights
     (record,) = trajectory._records(
-        scenario, ((9, Topology.LEFT_HALF_CONNECTED, state, weights),))
+        scenario, ((9, 9, Topology.LEFT_HALF_CONNECTED, state, weights),))
     checked = AmplitudePair(*RAW_AMPLITUDES) if mode is FIXED else None
     return record, TrajectoryRecord(9, 9 * 0.25, Topology.LEFT_HALF_CONNECTED,
                                     checked, WeightPair(*RAW_WEIGHTS))

@@ -32,6 +32,28 @@ def measure_scenario(w1: float, steps: int,
                     WeightPair(w1, 1.0 - w1), max_steps=steps)
 
 
+def scenario_of(mode: InteractionMode, w1: float, steps: int) -> Scenario:
+    return (unitary_scenario if mode is InteractionMode.FIXED_SPLITTER
+            else measure_scenario)(w1, steps)
+
+
+def held_per_record(scenario: Scenario, schedule=None):
+    """Bytes that iterate's records hold per record, under tracemalloc,
+    and the records."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = iterate(scenario, schedule).records
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return held / len(records), records
+
+
 class TestScenarioValidation:
     def test_mode_and_state_must_match(self):
         with pytest.raises(ModeMismatchError):
@@ -133,22 +155,50 @@ class TestIterate:
         (InteractionMode.MOVABLE_SPLITTER, 290),
     ])
     def test_bytes_held_per_record(self, mode, limit):
-        # slotted records and pairs hold 392 and 264 B on CPython 3.11;
-        # the same types with a __dict__ hold 512 and 344 B
-        scenario = (unitary_scenario if mode is InteractionMode.FIXED_SPLITTER
-                    else measure_scenario)(0.7, 20_000)
-        gc.collect()
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            records = iterate(scenario).records
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert held / len(records) <= limit
+        # most of these records share their pairs, on a fixed point; the
+        # caps are those of records with pairs of their own, tested below
+        held, _ = held_per_record(scenario_of(mode, 0.7, 20_000))
+        assert held <= limit
+
+    @pytest.mark.parametrize("mode,limit", [
+        (InteractionMode.FIXED_SPLITTER, 420),
+        (InteractionMode.MOVABLE_SPLITTER, 290),
+    ])
+    def test_bytes_held_per_record_off_any_fixed_point(self, mode, limit):
+        # a switch every pass makes every run one pass long, so each record
+        # holds pairs of its own: 392 and 264 B on CPython 3.11, slotted, and
+        # 512 and 344 B for the same types with a __dict__
+        halves = (Topology.LEFT_HALF_CONNECTED, Topology.RIGHT_HALF_CONNECTED)
+        schedule = StepSchedule(tuple((n, halves[n % 2])
+                                      for n in range(1, 20_001)))
+        held, records = held_per_record(scenario_of(mode, 0.7, 20_000),
+                                        schedule)
+        assert len({id(r.weights) for r in records}) == len(records)
+        assert held <= limit
+
+    @pytest.mark.parametrize("mode", list(InteractionMode))
+    def test_bytes_held_per_record_on_a_fixed_point(self, mode):
+        # the record, its time and its step index, about 136 B; the run's
+        # one pair of pairs is shared
+        held, records = held_per_record(scenario_of(mode, 0.7, 20_000))
+        assert len({id(r.weights) for r in records}) < 50
+        assert held <= 150
+
+    @pytest.mark.parametrize("mode", list(InteractionMode))
+    def test_a_fixed_run_shares_its_pairs_and_a_switch_starts_new_ones(
+            self, mode):
+        # to the same wiring, so the switch pass repeats the fixed point
+        schedule = StepSchedule(((80, Topology.BOTH_CONNECTED),))
+        records = iterate(scenario_of(mode, 0.7, 100), schedule).records
+        before, after = records[60:79], records[79:]
+        for run in (before, after):
+            assert all(r.weights is run[0].weights for r in run)
+            assert all(r.amplitudes is run[0].amplitudes for r in run)
+        assert after[0].weights is not before[-1].weights
+        assert after[0].weights == before[-1].weights
+        if mode is InteractionMode.FIXED_SPLITTER:
+            assert after[0].amplitudes is not before[-1].amplitudes
+        assert [r.n for r in records] == list(range(1, 101))
 
     def test_known_orbit_values(self):
         series = iterate(unitary_scenario(0.9, 5)).w_left_series()
