@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitloop import montecarlo
@@ -74,6 +74,34 @@ def small_chunks():
         yield
 
 
+def calls_to(name, *args):
+    """(base seed, key offsets, t0, steps) of each call that
+    ensemble_frequencies(*args) makes to montecarlo.<name>, a draw that
+    takes those four first: _packed_choices draws a slice of paths,
+    _uniforms a block of one. The offsets are a range where the keys came
+    as a count, and a list where they came as an array."""
+    calls = []
+    draw = getattr(montecarlo, name)
+
+    def record(base_seed, keys, t0, steps, *rest):
+        offsets = range(keys) if isinstance(keys, int) else keys.tolist()
+        calls.append((base_seed, offsets, t0, steps))
+        return draw(base_seed, keys, t0, steps, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, name, record)
+        ensemble_frequencies(*args)
+    return calls
+
+
+def absorbed_at(in_left, topology):
+    """Per path of a reference walk, the first step index on the absorbing
+    side (the walk's length if it never gets there): the left side in the
+    left-half wiring, the right side in the right-half one."""
+    on = in_left == (topology is Topology.LEFT_HALF_CONNECTED)
+    return np.where(on.any(axis=1), on.argmax(axis=1), on.shape[1])
+
+
 def walk_chunk_paths(steps):
     """Paths in one walk chunk of an ensemble of `steps` steps."""
     span = min(steps, montecarlo.CHUNK_PATH_STEPS // 8)
@@ -115,6 +143,42 @@ def sampling_cases(draw):
     return steps, n_paths, seed
 
 
+RIGHT, LEFT = Topology.RIGHT_HALF_CONNECTED, Topology.LEFT_HALF_CONNECTED
+# Absorbing ensembles for small_chunks(), as (topology, reflectance, (steps,
+# n_paths, seed)) rows of test_matches_independent_reference: 13 paths, in
+# one walk chunk, or 21, a chunk of 16 and 5 more; never whole bytes.
+# The reflectances that never absorb, absorb every path at pass 1, or all
+# but never: 1 - 2**-10 in the right-half wiring, whose first slice is a
+# whole time slice, and where one path of the first chunk, keyed across
+# 2**64, is absorbed at step 75, in the second slice.
+EXTREMES = [(wiring, reflectance, (150, 13, 3))
+            for wiring in (RIGHT, LEFT) for reflectance in (0.0, 1.0)] + [
+    (RIGHT, 1 - 2 ** -10, (150, 21, 2 ** 64 - 13)),
+    (LEFT, 1 - 2 ** -10, (150, 21, 3))]
+# The last path absorbed on the first step of a slice (seeds 10 and 760) or
+# on its last (1000 and 6114), so that no later slice is drawn: the first
+# slice is steps 0-51, the second 52-115.
+AT_A_SLICE_END = {(wiring, reflectance, (200, 13, seed)): on
+                  for wiring, reflectance in ((RIGHT, 0.95), (LEFT, 0.05))
+                  for seed, on in ((10, "first"), (760, "first"),
+                                   (1000, "last"), (6114, "last"))}
+# Two survivors of the first slice, keyed 2**64 - 1 and 2**64 + 6.
+ACROSS_THE_CARRY = [(RIGHT, 0.8, (150, 13, 2 ** 64 - 1)),
+                    (LEFT, 0.2, (150, 13, 2 ** 64 - 1))]
+# Survivors in each of four slices, in both walk chunks of 21 paths.
+PAST_TWO_SLICES = [(RIGHT, 0.99, (197, 21, 25)), (LEFT, 0.01, (197, 21, 25))]
+ABSORBING_ROWS = [*EXTREMES, *AT_A_SLICE_END, *ACROSS_THE_CARRY,
+                  *PAST_TWO_SLICES]
+
+
+def absorbing_examples(test):
+    """test_matches_independent_reference, given every absorbing row."""
+    for topology, reflectance, case in ABSORBING_ROWS:
+        test = example(topology=topology, reflectance=reflectance,
+                       case=case)(test)
+    return test
+
+
 class TestOnePath:
     """A single path is an ensemble of one: w_left is 1.0 or 0.0 per pass."""
 
@@ -139,24 +203,6 @@ class TestOnePath:
     def test_argument_validation(self, steps, seed):
         with pytest.raises(OutOfRangeError):
             ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, steps, 1, seed)
-
-    @settings(max_examples=40)
-    @given(seed=st.integers(0, 10_000))
-    def test_right_half_absorbs_into_right(self, seed):
-        w_left = ensemble_frequencies(SP9, Topology.RIGHT_HALF_CONNECTED, 24,
-                                      1, seed).w_left
-        if 0.0 in w_left:
-            first = w_left.index(0.0)
-            assert all(w == 0.0 for w in w_left[first:])
-
-    @settings(max_examples=40)
-    @given(seed=st.integers(0, 10_000))
-    def test_left_half_absorbs_into_left(self, seed):
-        w_left = ensemble_frequencies(SP9, Topology.LEFT_HALF_CONNECTED, 24,
-                                      1, seed).w_left
-        if 1.0 in w_left:
-            first = w_left.index(1.0)
-            assert all(w == 1.0 for w in w_left[first:])
 
     def test_degenerate_splitter_never_leaves_left(self):
         mirror = SplitterCoefficients.from_reflectance(1.0)
@@ -202,6 +248,7 @@ class TestEnsemble:
     @settings(max_examples=150, deadline=None)
     @given(topology=st.sampled_from(list(Topology)),
            reflectance=st.floats(0.0, 1.0), case=sampling_cases())
+    @absorbing_examples
     def test_matches_independent_reference(self, topology, reflectance,
                                            case):
         splitter = SplitterCoefficients.from_reflectance(reflectance)
@@ -216,6 +263,96 @@ class TestEnsemble:
         assert estimate.stderr == tuple(
             float(x) for x in np.sqrt(w_left * (1.0 - w_left) / n_paths))
         assert first.w_left == tuple(float(x) for x in in_left[0])
+
+    @staticmethod
+    def slices_of(row):
+        """The slices the ensemble of an absorbing row draws, and its
+        reference walk."""
+        topology, reflectance, (steps, n_paths, seed) = row
+        splitter = SplitterCoefficients.from_reflectance(reflectance)
+        with small_chunks():
+            slices = calls_to("_packed_choices", splitter, topology, steps,
+                              n_paths, seed)
+        return slices, reference_walk(splitter, topology, steps, n_paths,
+                                      seed)
+
+    @pytest.mark.parametrize("row", EXTREMES)
+    def test_rows_that_never_absorb_or_absorb_at_once(self, row):
+        slices, in_left = self.slices_of(row)
+        at = absorbed_at(in_left, row[0])
+        if (at == 0).all():  # at pass 1: nothing is left after one slice
+            assert {t0 for _, _, t0, _ in slices} == {0}
+        elif (at == in_left.shape[1]).all():  # never: all, every slice
+            assert [keys for _, keys, _, _ in slices] == [range(len(at))] * 3
+        else:  # a later slice of a chunk draws fewer paths than its first
+            width = {seed: len(keys) for seed, keys, t0, _ in slices
+                     if not t0}
+            assert any(len(keys) < width[seed]
+                       for seed, keys, t0, _ in slices if t0)
+
+    @pytest.mark.parametrize("row", AT_A_SLICE_END)
+    def test_rows_whose_last_absorption_ends_a_slice(self, row):
+        slices, in_left = self.slices_of(row)
+        _, _, t0, steps = slices[-1]
+        last = absorbed_at(in_left, row[0]).max()
+        assert last == (t0 if AT_A_SLICE_END[row] == "first"
+                        else t0 + steps - 1)
+        assert t0 + steps < row[2][0]  # the slices after it are not drawn
+
+    @pytest.mark.parametrize("row", ACROSS_THE_CARRY)
+    def test_rows_whose_survivors_straddle_the_key_carry(self, row):
+        slices, _ = self.slices_of(row)
+        narrowed = [[seed + k for k in keys] for seed, keys, t0, _ in slices
+                    if t0]
+        assert narrowed and all(
+            min(keys) < 2 ** 64 <= max(keys) and len(keys) >= 2
+            and max(keys) - min(keys) >= len(keys) for keys in narrowed)
+
+    @pytest.mark.parametrize("row", PAST_TWO_SLICES)
+    def test_rows_with_survivors_past_two_slices(self, row):
+        slices, _ = self.slices_of(row)
+        seed = row[2][2]
+        for chunk in (seed, seed + 16):
+            starts = [t0 for base, keys, t0, _ in slices
+                      if base == chunk and keys]
+            assert starts == [0, 64, 128, 192]
+
+    @settings(max_examples=40, deadline=None)
+    @given(topology=st.sampled_from([RIGHT, LEFT]),
+           a1_squared=st.floats(0.0, 1.0, exclude_min=True,
+                                exclude_max=True),
+           n_paths=st.integers(1, 40), extra=st.integers(0, 64),
+           data=st.data())
+    def test_half_wirings_absorb_across_the_ensemble(
+            self, topology, a1_squared, n_paths, extra, data):
+        # Under small_chunks() a first slice ends by step 64, so these
+        # ensembles run at least two more slices after it.
+        seed = data.draw(st.integers(0, KEYS - n_paths))
+        splitter = SplitterCoefficients.from_reflectance(a1_squared)
+        with small_chunks():
+            steps = 3 * montecarlo.CHUNK_PATH_STEPS // 8 + extra
+            w_left = ensemble_frequencies(splitter, topology, steps,
+                                          n_paths, seed).w_left
+        pairs = list(zip(w_left, w_left[1:]))
+        if topology is RIGHT:  # never up, and 0.0 for good once reached
+            assert all(w >= later for w, later in pairs)
+            absorbed = 0.0
+        else:  # never down, and 1.0 for good once reached
+            assert all(w <= later for w, later in pairs)
+            absorbed = 1.0
+        if absorbed in w_left:
+            assert set(w_left[w_left.index(absorbed):]) == {absorbed}
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 5, KEYS - 40])
+    def test_scattered_keys_draw_their_own_streams(self, seed):
+        # survivors of a narrowed slice: key offsets with gaps, from t0 = 8
+        offsets = np.array([0, 3, 4, 9, 30, 31, 39], dtype=np.uint32)
+        expected = np.array([
+            np.random.Generator(np.random.Philox(key=seed + k)).random(12)[8:]
+            for k in offsets.tolist()])
+        for draw in (montecarlo._philox_uniforms,
+                     montecarlo._rekeyed_uniforms):
+            assert np.array_equal(draw(seed, offsets, 8, 4), expected)
 
     @pytest.mark.parametrize("n_paths", [1, 7, 13, 21])
     def test_bits_past_the_last_path_are_not_counted(self, n_paths):
@@ -255,16 +392,18 @@ class TestEnsemble:
             ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, 3, 2,
                                  KEYS - 1)
 
+    @pytest.mark.parametrize("topology", list(Topology))
     @pytest.mark.parametrize("steps", [100, 1000])
-    def test_memory_is_bounded_by_one_chunk(self, steps):
+    def test_memory_is_bounded_by_one_chunk(self, steps, topology):
         n_paths = 13_000_000 // steps  # 104 MB of float64 if held at once
         # At most three packed arrays of one walk chunk are alive at once,
         # 1 bit a path step each (a, b and ~b, or the count's spare), and one
         # draw block of CHUNK_PATH_STEPS doubles, whose vectorized draw's
-        # uint64 temporaries take up to 48 bytes a double.
+        # uint64 temporaries take up to 48 bytes a double. A half wiring's
+        # survivor index must fit in the same bound.
         walked = min(n_paths, walk_chunk_paths(steps)) * steps
         bound = 3 * walked // 8 + 48 * montecarlo.CHUNK_PATH_STEPS
-        peak = traced_peak(SP9, Topology.BOTH_CONNECTED, steps, n_paths, 1)
+        peak = traced_peak(SP9, topology, steps, n_paths, 1)
         assert n_paths * steps * 8 > 100e6
         assert peak < bound < n_paths * steps  # under a byte a path step
 
@@ -295,6 +434,42 @@ class TestEnsemble:
         monkeypatch.setattr(montecarlo, "_rekeyed_uniforms", refuse)
         with pytest.raises(ModeMismatchError):
             ensemble_frequencies(splitter, topology, 4, 10, 1)
+
+
+class TestDrawCount:
+    """The doubles ensemble_frequencies draws, counted at _uniforms."""
+
+    @pytest.mark.parametrize("topology", [RIGHT, LEFT])
+    def test_absorbing_ensembles_draw_a_small_share(self, topology):
+        # a1^2 = b1^2 = 0.5: about 2500 * 0.5**t paths are left after t steps
+        splitter = SplitterCoefficients.from_reflectance(0.5)
+        calls = calls_to("_uniforms", splitter, topology, 2000, 2500, 7)
+        drawn = sum(steps * len(keys) for _, keys, _, steps in calls)
+        assert drawn < 0.05 * 2500 * 2000
+
+    @pytest.mark.parametrize("topology,reflectance", [(RIGHT, 1.0),
+                                                      (LEFT, 0.0)])
+    def test_never_absorbing_ensembles_draw_each_double_once(
+            self, topology, reflectance):
+        splitter = SplitterCoefficients.from_reflectance(reflectance)
+        seed, n_paths, steps = 2 ** 64 - 1000, 2500, 2000
+        drawn = np.zeros((n_paths, steps), dtype=np.int8)
+        for base, keys, t0, length in calls_to(
+                "_uniforms", splitter, topology, steps, n_paths, seed):
+            drawn[np.add(keys, base - seed), t0:t0 + length] += 1
+        assert (drawn == 1).all()
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    @pytest.mark.parametrize("steps,n_paths", [
+        (5, 5000), (montecarlo.VECTOR_MAX_STEPS, 30001), (1, 9)])
+    def test_short_ensembles_draw_as_before(self, topology, steps, n_paths):
+        # one slice, drawn a block at a time from the chunk's first key
+        assert steps <= montecarlo.VECTOR_MAX_STEPS
+        splitter = SplitterCoefficients.from_reflectance(0.5)
+        calls = calls_to("_uniforms", splitter, topology, steps, n_paths, 11)
+        block = montecarlo._paths_within(montecarlo.CHUNK_PATH_STEPS, steps)
+        assert calls == [(11 + start, range(min(block, n_paths - start)), 0,
+                          steps) for start in range(0, n_paths, block)]
 
 
 class TestAgreement:
