@@ -6,16 +6,13 @@ the fibers behind it). The package simulates trajectories bit for bit,
 classifies fixed points, measures convergence, and cross-checks the
 movable-splitter dynamics against a seeded stochastic ensemble.
 
-The Monte Carlo names load `montecarlo`, and numpy with it, on first
-access, so a process that never samples never imports numpy.
+The analysis names load `analysis` on first access, and the Monte Carlo
+names `montecarlo`, and numpy with it, so a process that never samples
+never imports numpy, and one that only iterates never imports `analysis`.
 """
 
 import importlib
 
-from .analysis import (ReferenceReport, SequenceComparison, SpeedComparison,
-                       SweepCell, SweepResult, compare_modes,
-                       convergence_order, reference_sequences,
-                       sweep_initial_conditions)
 from .errors import (DegenerateInitialError, InvalidStepError,
                      LengthMismatchError, ModeMismatchError,
                      NormalizationError, NumericDomainError, OutOfRangeError,
@@ -38,19 +35,28 @@ from .trajectory import (ConvergenceCriterion, NotConverged, Scenario,
 __version__ = "0.1.0"
 
 
-# The names of __all__ that no import above binds are served by
-# `montecarlo`, which loads on first access (PEP 562).
+_ANALYSIS_NAMES = frozenset({
+    "ReferenceReport", "SequenceComparison", "SpeedComparison", "SweepCell",
+    "SweepResult", "compare_modes", "convergence_order",
+    "reference_sequences", "sweep_initial_conditions"})
+_LAZY_MODULES = ("analysis", "montecarlo")
+
+
+# The names of __all__ that no import above binds are served by `analysis`
+# or `montecarlo`, which load on first access (PEP 562).
 def __getattr__(name: str):
-    if name != "montecarlo" and name not in __all__:
+    if name in _LAZY_MODULES:
+        # not `from . import analysis`: that looks the submodule up on this
+        # package first, which would come back here
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # not `from . import montecarlo`: that looks the submodule up on this
-    # package first, which would come back here
-    montecarlo = importlib.import_module(f"{__name__}.montecarlo")
-    return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+    owner = "analysis" if name in _ANALYSIS_NAMES else "montecarlo"
+    return getattr(importlib.import_module(f"{__name__}.{owner}"), name)
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | set(__all__) | {"montecarlo"})
+    return sorted(globals().keys() | set(__all__) | set(_LAZY_MODULES))
 
 __all__ = [
     "AMPLITUDE_NORM_TOL",

@@ -15,26 +15,24 @@ byte for byte given the same flags (mc included, its seeding is explicit).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
-import json
 import math
 import os
 import sys
-from pathlib import Path
+from array import array
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 import click
 
-from .analysis import (compare_modes, reference_sequences,
-                       sweep_initial_conditions)
 from .errors import (NumericDomainError, OutOfRangeError,
                      ScheduleConflictError, SplitLoopError,
                      UnsupportedModeError)
 from .states import (InteractionMode, SplitterCoefficients, Topology,
                      _check_positive_finite, _check_sampling, _check_unit,
                      _state_from_left_weight)
-from .trajectory import NotConverged, Scenario, StepSchedule, iterate
+from .trajectory import (NotConverged, Scenario, StepSchedule, _passes,
+                         iterate)
 
 EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
@@ -61,13 +59,16 @@ _format_option = click.option(
     show_default=True)
 
 
-def _emit(text: str, out: str | None) -> None:
-    """The one place output is written, to --out or else to stdout."""
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """The one place output is written, chunk by chunk, to --out or else to
+    stdout."""
     try:
         if out is None:
-            click.echo(text, nl=False)
+            for chunk in chunks:
+                click.echo(chunk, nl=False)
         else:
-            Path(out).write_text(text)
+            with open(out, "w") as file:
+                file.writelines(chunks)
     except OSError as exc:
         target = f"--out {out!r}"
         if out is None:
@@ -89,6 +90,9 @@ def _write_table(fmt: str, out: str | None, config: dict, key: str,
                  rows: list[dict], summary: dict | None = None) -> None:
     """Emit rows as CSV (header from the dict keys) or as a JSON document."""
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(rows[0])
@@ -96,11 +100,86 @@ def _write_table(fmt: str, out: str | None, config: dict, key: str,
             writer.writerow([_csv_cell(v) for v in row.values()])
         text = buf.getvalue()
     else:
+        import json
+
         payload = {"config": config, key: rows}
         if summary is not None:
             payload["summary"] = summary
         text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, out)
+    _emit([text], out)
+
+
+# `run` writes its rows from the runs of equal passes that
+# `trajectory._passes` yields, computed in full before a byte is written, so
+# that a run failing mid-way prints nothing. A run is held as columns: its
+# wiring as an index into _WIRINGS, its floats (a, b, w_left, w_right, or
+# w_left, w_right without amplitudes) and, for a run of more than one pass,
+# its last pass. That is 17 or 33 B a computed pass and none a repeated one.
+_WIRINGS = tuple(Topology)
+_CHUNK_ROWS = 4096
+_CSV_HEADER = "n,time,topology,a,b,w_left,w_right\n"
+# A row in each format, as csv.writer and json.dumps(indent=2) write it: n,
+# time, then the run's cells, floats by repr and None as an empty cell or
+# null. Every float is finite, as every validated pass is. The head takes n
+# and time; the tail, filled once a run, takes the wiring and the floats.
+_ROW_HEADS = {"csv": "%d,%r", "json": '    {\n      "n": %d,\n      "time": %r'}
+_ROW_TAILS = {
+    ("csv", True): ",%s,%r,%r,%r,%r\n",
+    ("csv", False): ",%s,,,%r,%r\n",
+    ("json", True): (',\n      "topology": "%s",\n      "a": %r,\n      "b": %r,'
+                     '\n      "w_left": %r,\n      "w_right": %r\n    }'),
+    ("json", False): (',\n      "topology": "%s",\n      "a": null,\n      '
+                      '"b": null,\n      "w_left": %r,\n      "w_right": %r'
+                      '\n    }'),
+}
+
+
+def _run_columns(scenario: Scenario, schedule: StepSchedule):
+    """The (wirings, floats, lasts) columns of every run of the scenario;
+    lasts maps the index of each run longer than one pass to its last pass."""
+    unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
+    code = {topology: i for i, topology in enumerate(_WIRINGS)}
+    wirings, floats, lasts = array("b"), array("d"), {}
+    add = floats.append
+    for first, last, topology, (x, y, _), (w_left, w_right, _) in _passes(
+            scenario, schedule):
+        if last != first:
+            lasts[len(wirings)] = last
+        wirings.append(code[topology])
+        if unitary:
+            add(x)
+            add(y)
+        add(w_left)
+        add(w_right)
+    return wirings, floats, lasts
+
+
+def _run_rows(fmt: str, columns, period: float,
+              unitary: bool) -> Iterator[str]:
+    """Every pass's row, the row of a run longer than one pass formatted once
+    but for n and n * period."""
+    wirings, floats, lasts = columns
+    head, tail = _ROW_HEADS[fmt], _ROW_TAILS[fmt, unitary]
+    whole = head + tail
+    names = [topology.value for topology in _WIRINGS]
+    runs = zip(wirings, zip(*[iter(floats)] * (4 if unitary else 2)))
+    n = 1
+    for i, (wiring, values) in enumerate(runs):
+        last = lasts.get(i, n)
+        if last == n:
+            yield whole % (n, n * period, names[wiring], *values)
+        else:
+            row = head + tail % (names[wiring], *values)
+            yield from (row % (k, k * period) for k in range(n, last + 1))
+        n = last + 1
+
+
+def _chunks(rows: Iterator[str], sep: str) -> Iterator[str]:
+    """The rows joined by sep, _CHUNK_ROWS of them to a string."""
+    lead = ""
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield lead + sep.join(chunk)
+        lead = sep
 
 
 def _splitter(a1sq: float | None) -> SplitterCoefficients | None:
@@ -216,30 +295,36 @@ def run(mode, topology, wl1, a1sq, steps, period, switches, fmt, out):
     schedule = _parse_switches(switches)
     scenario = Scenario(mode_obj, _TOPOLOGIES[topology], splitter, initial,
                         max_steps=steps, period=period)
-    trajectory = iterate(scenario, schedule)
-    rows = [{
-        "n": r.n,
-        "time": r.time,
-        "topology": r.topology.value,
-        "a": r.amplitudes.a_left if r.amplitudes else None,
-        "b": r.amplitudes.b_right if r.amplitudes else None,
-        "w_left": r.weights.w_left,
-        "w_right": r.weights.w_right,
-    } for r in trajectory.records]
-    final = trajectory.final
-    _write_table(fmt, out, {
-        "mode": mode,
-        "topology": topology,
-        "w_left_initial": wl1_val,
-        "a1_squared": a1sq_val,
-        "steps": steps,
-        "period": period,
-        "switches": [[s, t.value] for s, t in schedule.switches],
-    }, "records", rows, {
-        "final_w_left": final.weights.w_left,
-        "final_w_right": final.weights.w_right,
-        "final_topology": final.topology.value,
-    })
+    columns = _run_columns(scenario, schedule)
+    wirings, floats, _ = columns
+    unitary = mode_obj is InteractionMode.FIXED_SPLITTER
+    rows = _run_rows(fmt, columns, period, unitary)
+    if fmt == "csv":
+        _emit(chain([_CSV_HEADER], _chunks(rows, "")), out)
+        return
+    import json
+
+    # the rows are spliced into the document json.dumps lays out around them
+    head, _, tail = json.dumps({
+        "config": {
+            "mode": mode,
+            "topology": topology,
+            "w_left_initial": wl1_val,
+            "a1_squared": a1sq_val,
+            "steps": steps,
+            "period": period,
+            "switches": [[s, t.value] for s, t in schedule.switches],
+        },
+        "records": [],
+        "summary": {
+            "final_w_left": floats[-2],
+            "final_w_right": floats[-1],
+            "final_topology": _WIRINGS[wirings[-1]].value,
+        },
+    }, indent=2).partition('"records": []')
+    # as json.dumps(indent=2) joins list items
+    _emit(chain([head, '"records": [\n'], _chunks(rows, ",\n"),
+                ["\n  ]" + tail + "\n"]), out)
 
 
 @main.command()
@@ -248,8 +333,12 @@ def run(mode, topology, wl1, a1sq, steps, period, switches, fmt, out):
 @_out_option
 def paper(fmt, out):
     """Recompute the tabulated reference runs; exit 3 on any mismatch."""
-    report = reference_sequences()
+    from . import analysis  # only the commands that call it load it
+
+    report = analysis.reference_sequences()
     if fmt == "json":
+        import json
+
         payload = {
             "sequences": [{
                 "name": s.name,
@@ -283,7 +372,7 @@ def paper(fmt, out):
                      if report.all_within_tolerance
                      else "reference mismatch detected")
         text = "\n".join(lines) + "\n"
-    _emit(text, out)
+    _emit([text], out)
     if not report.all_within_tolerance:
         sys.exit(EXIT_REFERENCE)
 
@@ -299,7 +388,10 @@ def paper(fmt, out):
 def compare(wl1, eps, max_steps, a1sq):
     """Steps to balance under each interaction mode, from the same start."""
     _check_unit("--wl1: w_left_initial", wl1)
-    result = compare_modes(wl1, eps, max_steps, _splitter(a1sq))
+    splitter = _splitter(a1sq)
+    from . import analysis
+
+    result = analysis.compare_modes(wl1, eps, max_steps, splitter)
 
     def describe(steps):
         if isinstance(steps, NotConverged):
@@ -316,7 +408,7 @@ def compare(wl1, eps, max_steps, a1sq):
     ]
     if result.ratio is not None:
         lines.append(f"ratio measurement / unitary: {result.ratio:.3g}")
-    _emit("\n".join(lines) + "\n", None)
+    _emit(["\n".join(lines) + "\n"], None)
 
 
 @main.command()
@@ -337,9 +429,12 @@ def sweep(mode, topology, grid, eps, max_steps, a1sq, fmt, out):
     grid_values = _parse_grid(grid)
     if mode_obj is InteractionMode.MOVABLE_SPLITTER and a1sq is None:
         raise SplitLoopError("need --a1sq for measure mode")
-    result = sweep_initial_conditions(mode_obj, _TOPOLOGIES[topology],
-                                      grid_values, eps, max_steps,
-                                      _splitter(a1sq))
+    splitter = _splitter(a1sq)
+    from . import analysis
+
+    result = analysis.sweep_initial_conditions(
+        mode_obj, _TOPOLOGIES[topology], grid_values, eps, max_steps,
+        splitter)
     rows = [dataclasses.asdict(c) for c in result.cells]
     _write_table(fmt, out, {
         "mode": mode,

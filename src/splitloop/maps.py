@@ -354,7 +354,10 @@ def closed_form_measure(topology: Topology, w_left_initial: float,
     connected, which swaps the sides) its mirror 2 w* - w_L(1). Both terms
     are non-negative, so no start near 0 or 1 is lost to cancellation, and
     w* stays exactly w*. The parity comes from the integer n - 1, so it is
-    exact for any n.
+    exact for any n. Where |r|^(n - 1) is near 1, 1 - |r|^(n - 1) is taken
+    as -expm1((n - 1) log1p(|r| - 1)), which subtracting a rounded power
+    from 1 would leave with a relative error up to 1e-8. Past 2^53, n - 1
+    is split into two exponents that are exact floats.
     """
     n = _check_count("step index", n, InvalidStepError)
     w_left_initial = _check_unit("w_left_initial", w_left_initial)
@@ -362,11 +365,15 @@ def closed_form_measure(topology: Topology, w_left_initial: float,
     _, points, rate = _spec(_MOVABLE, topology)
     fixed = points[0].point.w_left
     r = rate(splitter.a1_squared, splitter.b1_squared)
-    power = abs(r) ** min(n - 1, 2 ** 1023)  # n - 1 as a float overflows
+    k = min(n - 1, 2 ** 1023)  # n - 1 as a float overflows
+    low = k & ((1 << max(k.bit_length() - 53, 0)) - 1)
+    power = abs(r) ** (k - low) * abs(r) ** low
+    rest = (-math.expm1(k * math.log1p(abs(r) - 1.0))
+            if 0.5 < power < 1.0 else 1.0 - power)
     start = w_left_initial
     if r < 0.0 and (n - 1) % 2:  # and loses its parity past 2**53
         start = 2.0 * fixed - start
-    return fixed * (1.0 - power) + start * power
+    return fixed * rest + start * power
 
 
 closed_form_measure_both = partial(closed_form_measure,

@@ -1,8 +1,10 @@
-"""Imports: numpy loads only where arrays are used, and none is unused.
+"""Imports: numpy loads only where arrays are used, `analysis` and json
+only where a command needs them, and no import is unused.
 
 Every CLI command but `mc` works on floats, and `import numpy` used to be
-most of a cold start. These checks run in fresh interpreters, because the
-test session itself has long since imported numpy.
+most of a cold start. `run` and `mc` call nothing in `analysis`, and a CSV
+writes no JSON. These checks run in fresh interpreters, because the test
+session itself has long since imported numpy, `analysis` and json.
 """
 
 import ast
@@ -20,16 +22,22 @@ ENV = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
 
 LAZY_NAMES = ("GENERATOR_NAME", "EnsembleEstimate", "StepAgreement",
               "agreement_report", "ensemble_frequencies")
+ANALYSIS_NAMES = ("ReferenceReport", "SequenceComparison", "SpeedComparison",
+                  "SweepCell", "SweepResult", "compare_modes",
+                  "convergence_order", "reference_sequences",
+                  "sweep_initial_conditions")
+WATCHED = ("json", "numpy", "splitloop.analysis")
 
-# Runs the CLI on its arguments, then reports on stderr whether numpy is
-# loaded; `finally` runs before click's sys.exit ends the process.
-CLI_PROBE = """\
+# Runs the CLI on its arguments, then reports on stderr which WATCHED modules
+# are loaded; `finally` runs before click's sys.exit ends the process.
+CLI_PROBE = f"""\
 import sys
 from splitloop.cli import main
 try:
     main(sys.argv[1:])
 finally:
-    print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+    print("loaded:", *sorted({WATCHED!r} & sys.modules.keys()),
+          file=sys.stderr)
 """
 
 
@@ -40,12 +48,13 @@ def python(code, *argv):
 
 
 def run_cli(argv):
-    """(exit code, stdout, stderr without the probe line, numpy loaded)."""
+    """(exit code, stdout, stderr without the probe line, the WATCHED
+    modules loaded)."""
     proc = python(CLI_PROBE, *argv)
     *stderr, probe = proc.stderr.splitlines(keepends=True)
-    assert probe.startswith("numpy loaded: "), proc.stderr[-500:]
+    assert probe.startswith("loaded:"), proc.stderr[-500:]
     return (proc.returncode, proc.stdout, "".join(stderr),
-            probe.strip() == "numpy loaded: True")
+            set(probe.split()[1:]))
 
 
 @pytest.mark.parametrize("statement", ["import splitloop",
@@ -74,10 +83,57 @@ def test_import_leaves_numpy_unloaded(statement):
         "sweep-no-a1sq", "run-flag-range", "compare-flag-range",
         "sweep-flag-range"])
 def test_non_mc_commands_leave_numpy_unloaded(argv, code):
-    exit_code, stdout, stderr, numpy_loaded = run_cli(argv)
+    exit_code, stdout, stderr, loaded = run_cli(argv)
     assert exit_code == code, stderr[-500:]
     assert "Traceback" not in stderr
-    assert not numpy_loaded
+    assert "numpy" not in loaded
+
+
+# `run` and `mc` call nothing in `analysis`, and their configuration errors
+# are found before anything is computed; only a JSON document loads json.
+@pytest.mark.parametrize("argv,code,modules", [
+    (["run", "--mode", "unitary", "--wl1", "0.9", "--steps", "4"], 0, set()),
+    (["run", "--mode", "measure", "--a1sq", "0.7", "--steps", "4",
+      "--switch", "2:right-half"], 0, set()),
+    (["run", "--mode", "measure", "--a1sq", "0.7", "--steps", "4",
+      "--format", "json"], 0, {"json"}),
+    (["mc", "--a1sq", "0.9", "--steps", "3", "--paths", "50", "--seed", "5"],
+     0, {"numpy"}),
+    (["mc", "--a1sq", "0.9", "--steps", "3", "--paths", "50", "--seed", "5",
+      "--format", "json"], 0, {"json", "numpy"}),
+    (["run", "--mode", "unitary"], 2, set()),
+    (["run", "--mode", "unitary", "--wl1", "1.5"], 2, set()),
+    (["run", "--mode", "unitary", "--wl1", "0.5", "--switch", "3:bogus"], 2,
+     set()),
+    (["run", "--mode", "measure", "--wl1", "0.5", "--steps", "5",
+      "--switch", "9:both"], 2, set()),
+    (["run", "--mode", "measure", "--wl1", "0.5", "--period", "inf",
+      "--format", "json"], 2, set()),
+    (["mc", "--mode", "unitary", "--a1sq", "0.5", "--paths", "10",
+      "--seed", "1"], 2, set()),
+    (["mc", "--a1sq", "0.9", "--paths", "0", "--seed", "1"], 2, set()),
+], ids=["run-csv", "run-csv-switch", "run-json", "mc-csv", "mc-json",
+        "run-no-start", "run-flag-range", "run-bad-switch",
+        "run-late-switch", "run-json-period", "mc-mode", "mc-paths"])
+def test_run_and_mc_leave_analysis_unloaded(argv, code, modules):
+    exit_code, stdout, stderr, loaded = run_cli(argv)
+    assert exit_code == code, stderr[-500:]
+    assert "Traceback" not in stderr
+    assert loaded == modules
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["paper"], "all reference sequences reproduced\n"),
+    (["paper", "--format", "json"], '  "all_within_tolerance": true\n}\n'),
+    (["compare", "--wl1", "0.9"], "ratio measurement / unitary: 5.6\n"),
+    (["sweep", "--mode", "unitary", "--grid", "0.2:0.8:0.2"],
+     "0.8,true,4,0.5001524157867352,0.4998475842132648\n"),
+], ids=["paper", "paper-json", "compare", "sweep"])
+def test_analysis_commands_load_it_and_still_work(argv, expected):
+    exit_code, stdout, stderr, loaded = run_cli(argv)
+    assert exit_code == 0, stderr[-500:]
+    assert expected in stdout
+    assert "splitloop.analysis" in loaded
 
 
 # The flags come last, so that they override the default --paths and --seed.
@@ -91,12 +147,12 @@ def test_non_mc_commands_leave_numpy_unloaded(argv, code):
     ["--a1sq", "0.9", "--seed", str(2 ** 128 - 1), "--paths", "2"],
 ], ids=["mode", "sigma", "a1sq", "steps", "paths", "seed", "key-range"])
 def test_mc_config_errors_leave_numpy_unloaded(flags):
-    exit_code, stdout, stderr, numpy_loaded = run_cli(
+    exit_code, stdout, stderr, loaded = run_cli(
         ["mc", "--paths", "10", "--seed", "1", *flags])
     assert exit_code == 2
     assert stdout == ""
     assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
-    assert not numpy_loaded
+    assert loaded == set()
 
 
 # Imports the CLI, runs it on its arguments if there are any, then reports
@@ -123,13 +179,13 @@ def test_decimal_stays_unloaded(argv):
 
 
 def test_mc_loads_numpy_and_still_works():
-    exit_code, stdout, stderr, numpy_loaded = run_cli(
+    exit_code, stdout, stderr, loaded = run_cli(
         ["mc", "--a1sq", "0.9", "--steps", "3", "--paths", "50",
          "--seed", "5"])
     assert exit_code == 0, stderr[-500:]
     assert stdout.startswith("step,empirical_w_left,analytic_w_left,")
     assert len(stdout.splitlines()) == 1 + 3
-    assert numpy_loaded
+    assert "numpy" in loaded
 
 
 def test_montecarlo_names_load_on_first_access():
@@ -141,6 +197,24 @@ for name in {LAZY_NAMES!r}:
     value = getattr(splitloop, name)
     assert value is getattr(splitloop.montecarlo, name), name
 assert "numpy" in sys.modules
+""")
+    assert proc.returncode == 0, proc.stderr[-500:]
+
+
+@pytest.mark.parametrize("statement", ["import splitloop",
+                                       "import splitloop.cli"])
+def test_analysis_names_load_on_first_access(statement):
+    proc = python(f"""\
+import sys
+{statement}
+import splitloop
+assert "splitloop.analysis" not in sys.modules
+assert {{"analysis", *{ANALYSIS_NAMES!r}}} <= set(dir(splitloop))
+for name in {ANALYSIS_NAMES!r}:
+    value = getattr(splitloop, name)
+    assert value is getattr(sys.modules["splitloop.analysis"], name), name
+assert splitloop.analysis is sys.modules["splitloop.analysis"]
+assert "numpy" not in sys.modules
 """)
     assert proc.returncode == 0, proc.stderr[-500:]
 
@@ -160,12 +234,14 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from splitloop import *", namespace)
     assert set(splitloop.__all__) <= namespace.keys()
-    assert set(LAZY_NAMES) <= set(splitloop.__all__)
+    assert set(LAZY_NAMES + ANALYSIS_NAMES) <= set(splitloop.__all__)
+    for name in ANALYSIS_NAMES:
+        assert namespace[name] is getattr(splitloop.analysis, name)
 
 
 def test_dir_lists_the_lazy_names():
     listed = dir(splitloop)
-    assert set(LAZY_NAMES) <= set(listed)
+    assert set(LAZY_NAMES + ANALYSIS_NAMES) <= set(listed)
     assert {"iterate", "maps", "__version__"} <= set(listed)
 
 

@@ -6,12 +6,13 @@ they do not; the engine must land within a few double-precision ulps.
 """
 
 import math
+from decimal import Context, Decimal
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitloop import (AmplitudePair, InteractionMode, InvalidStepError,
@@ -335,11 +336,15 @@ class TestClosedForms:
     def test_bindings_keep_the_written_out_forms_bit_for_bit(self, w, a1sq,
                                                              n):
         # written out here, so no edit of the shared formula can move them;
-        # an odd power of the negative rate mirrors the start to 1 - w
+        # an odd power of the negative rate mirrors the start to 1 - w, and
+        # 1 - q near q = 1 comes from log1p and expm1
         splitter = SplitterCoefficients.from_reflectance(a1sq)
         a, b = splitter.a1_squared, splitter.b1_squared
         p = (a - b) ** (n - 1)
-        both = 0.5 * (1.0 - abs(p)) + (1.0 - w if p < 0.0 else w) * abs(p)
+        q = abs(p)
+        rest = (-math.expm1((n - 1) * math.log1p(abs(a - b) - 1.0))
+                if 0.5 < q < 1.0 else 1.0 - q)
+        both = 0.5 * rest + (1.0 - w if p < 0.0 else w) * q
         right = w * a ** (n - 1)
         assert closed_form_measure_both(w, splitter, n).hex() == both.hex()
         assert (closed_form_measure_right_half(w, splitter, n).hex()
@@ -355,27 +360,36 @@ class TestClosedForms:
         assert w.w_left == 1e-17
         assert closed_form_measure_both(1e-17, splitter, 5) == 1e-17
 
+    @settings(max_examples=300)
     @given(topology=st.sampled_from(Topology), w=st.floats(0.0, 1.0),
-           a1sq=st.floats(0.0, 1.0), n=st.integers(1, 400))
+           a1sq=st.floats(0.0, 1.0),
+           n=st.integers(1, 400) | st.integers(1, 2 ** 70)
+           | st.integers(1, 2 ** 1100))
+    @example(topology=Topology.BOTH_CONNECTED, w=6.77809528244747e-15,
+             a1sq=0.9999999999555773, n=121)  # once off by 5.1e-9 relative
+    @example(topology=Topology.RIGHT_HALF_CONNECTED, w=0.5,
+             a1sq=1 - 2 ** -50, n=2 ** 58 + 999)  # n - 1 is no float
     def test_error_against_exact_arithmetic(self, topology, w, a1sq, n):
-        # The reference is w* + (s - w*) q in exact rationals, from the
-        # float power q = |r|^(n - 1) (pow's own rounding of it is not this
-        # formula's) and the start s, mirrored about w* where r^(n - 1) < 0.
-        # Budget: 3 * 2^-53 relative (three roundings of non-negative
-        # terms) plus one subnormal step. w* + (w1 - w*) r^(n - 1)
-        # evaluated as written misses it by factors up to 3e15.
+        # The reference is w* + (s - w*) |r|^(n - 1) in exact rationals, the
+        # start s mirrored about w* where r^(n - 1) < 0, and the power to 80
+        # digits (flushed to 0 below 1e-1100, far under the float range).
+        # Budget: 4 ulps of the exact value, over every n. Near |r| = 1,
+        # 1 - |r|^(n - 1) from the rounded power is off by up to 3e7 ulps.
         splitter = SplitterCoefficients.from_reflectance(a1sq)
         _, points, rate = maps._SPECS[InteractionMode.MOVABLE_SPLITTER,
                                      topology]
         fixed = Fraction(points[0].point.w_left)
         r = rate(splitter.a1_squared, splitter.b1_squared)
-        q = Fraction(abs(r) ** (n - 1))
+        q = Fraction(1)
+        if n > 1:
+            q = Fraction(Context(prec=80, Emin=-1100).power(Decimal(abs(r)),
+                                                             n - 1))
         start = Fraction(w)
         if r < 0.0 and (n - 1) % 2:
             start = 2 * fixed - start
-        exact = fixed + (start - fixed) * q
+        exact = fixed * (1 - q) + start * q
         got = Fraction(closed_form_measure(topology, w, splitter, n))
-        assert abs(got - exact) <= (3 * exact + Fraction(2) ** -1021) / 2 ** 53
+        assert abs(got - exact) <= 4 * Fraction(math.ulp(float(exact)))
 
     @pytest.mark.parametrize("n,expected", [
         (2 ** 53 + 2, 0.09999999999999998), (2 ** 53 + 3, 0.9),
