@@ -15,13 +15,12 @@ byte for byte given the same flags (mc included, its seeding is explicit).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import sys
 from array import array
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import click
 
@@ -79,34 +78,68 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
                              f"{exc.strerror or exc}") from None
 
 
-def _csv_cell(value):
-    # csv writes None as an empty cell and floats as their repr
+def _cell(fmt: str, value):
+    """What a row template's `%s` takes for a cell: a finite float or an int
+    as it is, which %s writes by repr, else the text json.dumps or
+    csv.writer writes, but a bool is true or false in both formats."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return value
+    if type(value) in (int, float) and value - value == 0:
+        return value
+    if fmt == "csv":
+        return "" if value is None else str(value)
+    import json
+
+    return json.dumps(value)
+
+
+def _row_template(fmt: str, names: Sequence[str],
+                  empty: Sequence[str] = ()) -> str:
+    """A `%` template of a row of the columns names: a `%s` for each cell,
+    but for the columns in empty, whose cells are None in every row and
+    filled in already."""
+    cells = [_cell(fmt, None) if name in empty else "%s" for name in names]
+    if fmt == "csv":
+        return ",".join(cells) + "\n"
+    return "    {\n%s\n    }" % ",\n".join(
+        f'      "{name}": {cell}' for name, cell in zip(names, cells))
+
+
+def _text_rows(fmt: str, names: Sequence[str],
+               rows: Iterable[tuple]) -> Iterator[str]:
+    """Rows of cell values, in the order of names, as text."""
+    template = _row_template(fmt, names)
+    return (template % tuple(_cell(fmt, value) for value in row)
+            for row in rows)
+
+
+def _chunks(rows: Iterator[str], sep: str) -> Iterator[str]:
+    """The rows joined by sep, _CHUNK_ROWS of them to a string."""
+    lead = ""
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield lead + sep.join(chunk)
+        lead = sep
 
 
 def _write_table(fmt: str, out: str | None, config: dict, key: str,
-                 rows: list[dict], summary: dict | None = None) -> None:
-    """Emit rows as CSV (header from the dict keys) or as a JSON document."""
+                 names: Sequence[str], rows: Iterator[str],
+                 summary: dict | None = None) -> None:
+    """Emit the rows, text from templates of the columns names, as CSV (a
+    header of the names, then a line a row) or as the JSON document
+    json.dumps(indent=2) lays out for config, the rows under key and
+    summary. The rows are read as they are written, a chunk at a time."""
     if fmt == "csv":
-        import csv
-        import io
+        _emit(chain([",".join(names) + "\n"], _chunks(rows, "")), out)
+        return
+    import json
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0])
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row.values()])
-        text = buf.getvalue()
-    else:
-        import json
-
-        payload = {"config": config, key: rows}
-        if summary is not None:
-            payload["summary"] = summary
-        text = json.dumps(payload, indent=2) + "\n"
-    _emit([text], out)
+    document = {"config": config, key: []}
+    if summary is not None:
+        document["summary"] = summary
+    head, _, tail = json.dumps(document, indent=2).partition(f'"{key}": []')
+    # as json.dumps(indent=2) joins list items
+    _emit(chain([head, f'"{key}": [\n'], _chunks(rows, ",\n"),
+                ["\n  ]" + tail + "\n"]), out)
 
 
 # `run` writes its rows from the runs of equal passes that
@@ -115,23 +148,11 @@ def _write_table(fmt: str, out: str | None, config: dict, key: str,
 # wiring as an index into _WIRINGS, its floats (a, b, w_left, w_right, or
 # w_left, w_right without amplitudes) and, for a run of more than one pass,
 # its last pass. That is 17 or 33 B a computed pass and none a repeated one.
+# Every float is finite, as every validated pass is, so it fills its `%s` as
+# it is.
 _WIRINGS = tuple(Topology)
 _CHUNK_ROWS = 4096
-_CSV_HEADER = "n,time,topology,a,b,w_left,w_right\n"
-# A row in each format, as csv.writer and json.dumps(indent=2) write it: n,
-# time, then the run's cells, floats by repr and None as an empty cell or
-# null. Every float is finite, as every validated pass is. The head takes n
-# and time; the tail, filled once a run, takes the wiring and the floats.
-_ROW_HEADS = {"csv": "%d,%r", "json": '    {\n      "n": %d,\n      "time": %r'}
-_ROW_TAILS = {
-    ("csv", True): ",%s,%r,%r,%r,%r\n",
-    ("csv", False): ",%s,,,%r,%r\n",
-    ("json", True): (',\n      "topology": "%s",\n      "a": %r,\n      "b": %r,'
-                     '\n      "w_left": %r,\n      "w_right": %r\n    }'),
-    ("json", False): (',\n      "topology": "%s",\n      "a": null,\n      '
-                      '"b": null,\n      "w_left": %r,\n      "w_right": %r'
-                      '\n    }'),
-}
+_RUN_COLUMNS = ("n", "time", "topology", "a", "b", "w_left", "w_right")
 
 
 def _run_columns(scenario: Scenario, schedule: StepSchedule):
@@ -156,30 +177,21 @@ def _run_columns(scenario: Scenario, schedule: StepSchedule):
 
 def _run_rows(fmt: str, columns, period: float,
               unitary: bool) -> Iterator[str]:
-    """Every pass's row, the row of a run longer than one pass formatted once
-    but for n and n * period."""
+    """Every pass's row, the row of a run longer than one pass filled in
+    once but for n and n * period."""
     wirings, floats, lasts = columns
-    head, tail = _ROW_HEADS[fmt], _ROW_TAILS[fmt, unitary]
-    whole = head + tail
-    names = [topology.value for topology in _WIRINGS]
+    template = _row_template(fmt, _RUN_COLUMNS, () if unitary else ("a", "b"))
+    names = [_cell(fmt, topology.value) for topology in _WIRINGS]
     runs = zip(wirings, zip(*[iter(floats)] * (4 if unitary else 2)))
     n = 1
     for i, (wiring, values) in enumerate(runs):
         last = lasts.get(i, n)
         if last == n:
-            yield whole % (n, n * period, names[wiring], *values)
+            yield template % (n, n * period, names[wiring], *values)
         else:
-            row = head + tail % (names[wiring], *values)
+            row = template % ("%s", "%s", names[wiring], *values)
             yield from (row % (k, k * period) for k in range(n, last + 1))
         n = last + 1
-
-
-def _chunks(rows: Iterator[str], sep: str) -> Iterator[str]:
-    """The rows joined by sep, _CHUNK_ROWS of them to a string."""
-    lead = ""
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        yield lead + sep.join(chunk)
-        lead = sep
 
 
 def _splitter(a1sq: float | None) -> SplitterCoefficients | None:
@@ -298,33 +310,19 @@ def run(mode, topology, wl1, a1sq, steps, period, switches, fmt, out):
     columns = _run_columns(scenario, schedule)
     wirings, floats, _ = columns
     unitary = mode_obj is InteractionMode.FIXED_SPLITTER
-    rows = _run_rows(fmt, columns, period, unitary)
-    if fmt == "csv":
-        _emit(chain([_CSV_HEADER], _chunks(rows, "")), out)
-        return
-    import json
-
-    # the rows are spliced into the document json.dumps lays out around them
-    head, _, tail = json.dumps({
-        "config": {
-            "mode": mode,
-            "topology": topology,
-            "w_left_initial": wl1_val,
-            "a1_squared": a1sq_val,
-            "steps": steps,
-            "period": period,
-            "switches": [[s, t.value] for s, t in schedule.switches],
-        },
-        "records": [],
-        "summary": {
-            "final_w_left": floats[-2],
-            "final_w_right": floats[-1],
-            "final_topology": _WIRINGS[wirings[-1]].value,
-        },
-    }, indent=2).partition('"records": []')
-    # as json.dumps(indent=2) joins list items
-    _emit(chain([head, '"records": [\n'], _chunks(rows, ",\n"),
-                ["\n  ]" + tail + "\n"]), out)
+    _write_table(fmt, out, {
+        "mode": mode,
+        "topology": topology,
+        "w_left_initial": wl1_val,
+        "a1_squared": a1sq_val,
+        "steps": steps,
+        "period": period,
+        "switches": [[s, t.value] for s, t in schedule.switches],
+    }, "records", _RUN_COLUMNS, _run_rows(fmt, columns, period, unitary), {
+        "final_w_left": floats[-2],
+        "final_w_right": floats[-1],
+        "final_topology": _WIRINGS[wirings[-1]].value,
+    })
 
 
 @main.command()
@@ -435,7 +433,11 @@ def sweep(mode, topology, grid, eps, max_steps, a1sq, fmt, out):
     result = analysis.sweep_initial_conditions(
         mode_obj, _TOPOLOGIES[topology], grid_values, eps, max_steps,
         splitter)
-    rows = [dataclasses.asdict(c) for c in result.cells]
+    names = ("w_initial", "converged", "steps", "final_w_left",
+             "final_w_right")
+    rows = _text_rows(fmt, names, (
+        (c.w_initial, c.converged, c.steps, c.final_w_left, c.final_w_right)
+        for c in result.cells))
     _write_table(fmt, out, {
         "mode": mode,
         "topology": topology,
@@ -445,7 +447,7 @@ def sweep(mode, topology, grid, eps, max_steps, a1sq, fmt, out):
         "a1_squared": a1sq,
         "target_w_left": result.target.w_left,
         "target_w_right": result.target.w_right,
-    }, "cells", rows)
+    }, "cells", names, rows)
 
 
 @main.command()
@@ -484,9 +486,10 @@ def mc(mode, topology, a1sq, steps, paths, seed, sigma, fmt, out):
                                 max_steps=steps))
     report = montecarlo.agreement_report(
         estimate, [r.weights for r in analytic.records], sigma_bound=sigma)
-    rows = [{"step": r.step, "empirical_w_left": r.empirical,
-             "analytic_w_left": r.analytic, "stderr": r.stderr, "z": r.z,
-             "passed": r.passed} for r in report]
+    names = ("step", "empirical_w_left", "analytic_w_left", "stderr", "z",
+             "passed")
+    rows = _text_rows(fmt, names, ((r.step, r.empirical, r.analytic,
+                                    r.stderr, r.z, r.passed) for r in report))
     _write_table(fmt, out, {
         "topology": topology,
         "a1_squared": a1sq,
@@ -495,7 +498,8 @@ def mc(mode, topology, a1sq, steps, paths, seed, sigma, fmt, out):
         "base_seed": seed,
         "generator": montecarlo.GENERATOR_NAME,
         "sigma_bound": sigma,
-    }, "steps", rows, {"all_within_sigma": all(r.passed for r in report)})
+    }, "steps", names, rows, {
+        "all_within_sigma": all(r.passed for r in report)})
 
 
 if __name__ == "__main__":

@@ -82,29 +82,20 @@ _SHIFT32 = np.uint64(32)
 
 #: A draw of up to this many steps, a path's or a time slice's, is made by
 #: the key-vectorized Philox, a longer one by one numpy Philox re-keyed per
-#: path. Whole ensemble_frequencies calls on a 2 vCPU Xeon (medians of 9
-#: interleaved timings, both loops connected) cross near 48 steps: the
-#: re-keyed draw took 1.17-1.26x the vectorized one's time at 32 steps,
-#: 0.90-1.08x at 48 and 0.50-0.66x at 112, over 500 to 20000 paths. With
-#: under about 500 paths a call the re-keyed draw is faster at any length
-#: from 32 steps (0.44x at 64 paths).
+#: path: whole ensembles are as fast either way near 48 steps. Timings: the
+#: CHANGES entry of BENCH_pr24.json.
 VECTOR_MAX_STEPS = 48
 #: A draw block holds at most CHUNK_PATH_STEPS doubles, a whole number of
 #: bytes of 8 paths, and a time slice CHUNK_PATH_STEPS // 8 steps, so that a
-#: block of a slice holds at least 8 paths. Each block is compared with
-#: a1^2 and b1^2 and packed 8 paths a byte as soon as it is drawn, so no
-#: float array outlives its block. Measured end to end on the same machine:
-#: short-path ensembles ran fastest near 2**16 path steps a block, and 2**20
-#: was 1.4-1.8x slower, since the vectorized draw's uint64 temporaries (up
-#: to 48 bytes a path step) then leave the cache. Turning a block of 32
-#: paths of 2000 steps time-major, comparing and packing it takes about
-#: 90 us, a fifth of its draw.
+#: block of a slice holds at least 8 paths. Each block is packed as soon as
+#: it is drawn, so no float array outlives it; past 2**16 the vectorized
+#: draw's uint64 temporaries leave the cache. Timings: the CHANGES entry of
+#: BENCH_pr23.json.
 CHUNK_PATH_STEPS = 2 ** 16
 #: The walk and the count take the packed choices of up to this many path
-#: steps at once, 2 MB per packed array. With both loops connected the walk
-#: pays about 1 us a step in Python whatever the width of its rows, so a
-#: chunk is wide: 2500 paths of 2000 steps make one, walked in about 2 ms
-#: (a half wiring's running reduction takes 0.14 ms).
+#: steps at once, 2 MB per packed array: the both-connected walk pays a
+#: Python step per row whatever its width, so a chunk is wide. Timings: the
+#: CHANGES entry of BENCH_pr23.json.
 _WALK_PATH_STEPS = 2 ** 24
 
 
@@ -118,25 +109,6 @@ def _packed_width(n_paths: int) -> int:
     """Bytes in a packed row of n_paths paths: whole 8-byte words, so that
     a running reduction can take the rows as uint64."""
     return -(-n_paths // 64) * 8
-
-
-# Draws take the keys of their paths as `keys`: an int n for the keys
-# base_seed .. base_seed + n - 1, so a contiguous run of paths needs no index
-# array, or a uint32 array of offsets for the keys base_seed + offset.
-def _key_count(keys: int | np.ndarray) -> int:
-    return keys if isinstance(keys, int) else len(keys)
-
-
-def _key_words(base_seed: int,
-               keys: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Philox key words (k mod 2**64, k >> 64) of the keys of `keys`."""
-    lo = np.uint64(base_seed % 2 ** 64)
-    if isinstance(keys, int):
-        k0 = np.arange(keys, dtype=np.uint64) + lo
-    else:
-        k0 = keys.astype(np.uint64) + lo
-    k1 = (k0 < lo).astype(np.uint64) + np.uint64(base_seed >> 64)  # carry
-    return k0, k1
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +129,9 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x * np.uint64(m)
 
 
-def _philox_uniforms(base_seed: int, keys: int | np.ndarray, t0: int,
+# Draws take the keys of their paths as `keys`, a uint32 array of offsets:
+# row i draws from the stream keyed base_seed + keys[i].
+def _philox_uniforms(base_seed: int, keys: np.ndarray, t0: int,
                      steps: int) -> np.ndarray:
     """Philox4x64-10 over all keys at once, one row per key, from block
     counter t0 / 4 + 1.
@@ -166,7 +140,9 @@ def _philox_uniforms(base_seed: int, keys: int | np.ndarray, t0: int,
     array operation has a long contiguous inner loop; the rows come back as
     a transposed view of that step-major layout.
     """
-    k0, k1 = _key_words(base_seed, keys)
+    lo = np.uint64(base_seed % 2 ** 64)  # key words (k mod 2**64, k >> 64)
+    k0 = keys.astype(np.uint64) + lo
+    k1 = (k0 < lo).astype(np.uint64) + np.uint64(base_seed >> 64)  # carry
     first, blocks = t0 // 4 + 1, -(-steps // 4)
     x0 = np.arange(first, first + blocks, dtype=np.uint64).reshape(-1, 1)
     x1 = x2 = x3 = np.zeros_like(x0)
@@ -184,7 +160,7 @@ def _philox_uniforms(base_seed: int, keys: int | np.ndarray, t0: int,
     return (words * 2.0 ** -53).T
 
 
-def _rekeyed_uniforms(base_seed: int, keys: int | np.ndarray, t0: int,
+def _rekeyed_uniforms(base_seed: int, keys: np.ndarray, t0: int,
                       steps: int) -> np.ndarray:
     """One numpy Philox, re-keyed to row i's key at block counter t0 / 4
     before drawing row i."""
@@ -196,9 +172,8 @@ def _rekeyed_uniforms(base_seed: int, keys: int | np.ndarray, t0: int,
     state = {"bit_generator": "Philox", "state": keyed,
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
              "uinteger": 0}
-    offsets = range(keys) if isinstance(keys, int) else keys.tolist()
-    out = np.empty((len(offsets), steps))
-    for i, offset in enumerate(offsets):
+    out = np.empty((len(keys), steps))
+    for i, offset in enumerate(keys.tolist()):
         key = base_seed + offset
         keyed["key"] = [key % 2 ** 64, key >> 64]
         bit_generator.state = state
@@ -206,7 +181,7 @@ def _rekeyed_uniforms(base_seed: int, keys: int | np.ndarray, t0: int,
     return out
 
 
-def _uniforms(base_seed: int, keys: int | np.ndarray, t0: int,
+def _uniforms(base_seed: int, keys: np.ndarray, t0: int,
               steps: int) -> np.ndarray:
     """Row i: doubles t0 .. t0 + steps - 1 of the Philox stream of the i-th
     key of `keys`, t0 a multiple of 4.
@@ -219,24 +194,22 @@ def _uniforms(base_seed: int, keys: int | np.ndarray, t0: int,
     return _rekeyed_uniforms(base_seed, keys, t0, steps)
 
 
-def _packed_choices(base_seed: int, keys: int | np.ndarray, t0: int,
+def _packed_choices(base_seed: int, keys: np.ndarray, t0: int,
                     steps: int, a1_squared: float,
                     b1_squared: float) -> tuple[np.ndarray, np.ndarray]:
     """(a, b), each steps x _packed_width(n) uint8 for n keys: bit j of row
     t (the high bit of a byte first) is set where double t0 + t of the j-th
     key's path is below a1^2, in a, or b1^2, in b, and the bits past the
     last path are clear. Drawn and packed a block at a time."""
-    n_paths = _key_count(keys)
+    n_paths = len(keys)
     block = _paths_within(CHUNK_PATH_STEPS, steps)
     a = np.zeros((steps, _packed_width(n_paths)), dtype=np.uint8)
     b = np.zeros_like(a)
     for start in range(0, n_paths, block):
         stop = min(start + block, n_paths)
-        seed, part = ((base_seed + start, stop - start)
-                      if isinstance(keys, int)
-                      else (base_seed, keys[start:stop]))
         # time-major: a view of the vectorized draw, a copy of the re-keyed
-        uniforms = np.ascontiguousarray(_uniforms(seed, part, t0, steps).T)
+        uniforms = np.ascontiguousarray(
+            _uniforms(base_seed, keys[start:stop], t0, steps).T)
         columns = slice(start // 8, -(-stop // 8))
         for packed, p in ((a, a1_squared), (b, b1_squared)):
             bits = uniforms < p
@@ -329,18 +302,8 @@ def _first_slice(survival: float, paths: int, span: int) -> int:
     Later slices draw only the paths still off that side. A shorter first
     slice would leave more of them to draw one by one, and a longer one
     would draw more steps of paths already absorbed. Ensembles that never or
-    barely absorb keep one slice, with no extra draw or re-key. Whole calls
-    on a 2 vCPU Xeon, medians of 15 interleaved timings in one process, in
-    ms, of 2500 paths of 2000 steps unless noted; first a sampler that
-    draws every step of every path and walks them step by step, then this
-    one:
-
-        right half, a1^2 = 1.0        47.3 -> 46.4
-        right half, a1^2 = 0.9999     46.5 -> 45.6
-        left half,  a1^2 = 0.0        48.9 -> 45.5
-        right half, a1^2 = 0.5        46.3 ->  2.2
-        left half,  a1^2 = 0.5        47.3 ->  2.4
-        right half, a1^2 = 0.9, 100 paths of 20000 steps   31.0 -> 2.3
+    barely absorb keep one slice, with no extra draw or re-key. Timings: the
+    CHANGES entry of BENCH_pr25.json.
     """
     if survival >= 1.0:
         return span
@@ -348,18 +311,15 @@ def _first_slice(survival: float, paths: int, span: int) -> int:
     return min(max(4, -(-math.ceil(t) // 4) * 4), span)
 
 
-def _survivors(keys: int | np.ndarray, last: np.ndarray,
-               absorbed: int) -> tuple[int | np.ndarray, np.ndarray]:
+def _survivors(keys: np.ndarray, last: np.ndarray,
+               absorbed: int) -> tuple[np.ndarray, np.ndarray]:
     """(keys, packed row) of the paths of `keys` whose bit in the packed row
     `last` is not the absorbing bit; the row carries every survivor's bit,
     1 - absorbed. Both come back as they are when no path is absorbed."""
-    n_paths = _key_count(keys)
-    alive = np.flatnonzero(np.unpackbits(last, count=n_paths) != absorbed)
-    if len(alive) == n_paths:
+    alive = np.flatnonzero(np.unpackbits(last, count=len(keys)) != absorbed)
+    if len(alive) == len(keys):
         return keys, last
-    if not isinstance(keys, int):
-        alive = keys[alive]
-    return alive.astype(np.uint32), np.full(
+    return keys[alive], np.full(
         _packed_width(len(alive)), 0xFF * (1 - absorbed), dtype=np.uint8)
 
 
@@ -387,10 +347,12 @@ def ensemble_frequencies(splitter: SplitterCoefficients, topology: Topology,
     absorbing = _ABSORBING.get(topology)
     counts = np.zeros(steps, dtype=np.int64)
     for start in range(0, n_paths, chunk):
-        keys = min(chunk, n_paths - start)  # the chunk's paths, in order
+        # the chunk's paths, in order, keyed from base_seed + start
+        keys = np.arange(min(chunk, n_paths - start), dtype=np.uint32)
         first = span
         if absorbing is not None and steps > VECTOR_MAX_STEPS:
-            first = _first_slice(absorbing.survival(splitter), keys, span)
+            first = _first_slice(absorbing.survival(splitter), len(keys),
+                                 span)
         ends = [*range(first, steps, span), steps]
         last = None  # the packed row at the end of the slice before
         for t0, t1 in zip([0, *ends], ends):
@@ -398,7 +360,7 @@ def ensemble_frequencies(splitter: SplitterCoefficients, topology: Topology,
                 base_seed + start, keys, t0, t1 - t0, splitter.a1_squared,
                 splitter.b1_squared), topology, last)
             last = in_left[-1].copy()
-            paths = _key_count(keys)
+            paths = len(keys)
             # clear the bits past the last path, which ~b sets
             in_left[:, -(-paths // 8):] = 0
             if paths % 8:
@@ -408,8 +370,8 @@ def ensemble_frequencies(splitter: SplitterCoefficients, topology: Topology,
             if absorbing is not None and t1 < steps:
                 keys, last = _survivors(keys, last, absorbing.side)
                 if absorbing.side:  # one absorbed on the left counts from now
-                    counts[t1:] += paths - _key_count(keys)
-                if not _key_count(keys):
+                    counts[t1:] += paths - len(keys)
+                if not len(keys):
                     break
     w_left = counts / n_paths  # the same bits as the mean of the 0/1 rows
     w_right = 1.0 - w_left

@@ -1,10 +1,11 @@
 """Imports: numpy loads only where arrays are used, `analysis` and json
-only where a command needs them, and no import is unused.
+only where a command needs them, csv nowhere, and no import is unused.
 
 Every CLI command but `mc` works on floats, and `import numpy` used to be
-most of a cold start. `run` and `mc` call nothing in `analysis`, and a CSV
-writes no JSON. These checks run in fresh interpreters, because the test
-session itself has long since imported numpy, `analysis` and json.
+most of a cold start. `run` and `mc` call nothing in `analysis`, a CSV
+writes no JSON, and the one table writer formats its own CSV. These checks
+run in fresh interpreters, because the test session itself has long since
+imported numpy, `analysis`, json and csv.
 """
 
 import ast
@@ -26,7 +27,7 @@ ANALYSIS_NAMES = ("ReferenceReport", "SequenceComparison", "SpeedComparison",
                   "SweepCell", "SweepResult", "compare_modes",
                   "convergence_order", "reference_sequences",
                   "sweep_initial_conditions")
-WATCHED = ("json", "numpy", "splitloop.analysis")
+WATCHED = ("csv", "json", "numpy", "splitloop.analysis")
 
 # Runs the CLI on its arguments, then reports on stderr which WATCHED modules
 # are loaded; `finally` runs before click's sys.exit ends the process.
@@ -55,6 +56,24 @@ def run_cli(argv):
     assert probe.startswith("loaded:"), proc.stderr[-500:]
     return (proc.returncode, proc.stdout, "".join(stderr),
             set(probe.split()[1:]))
+
+
+# One command of each kind; the exact sets of
+# test_run_and_mc_leave_analysis_unloaded cover the rest of run and mc.
+@pytest.mark.parametrize("argv", [
+    ["run", "--mode", "unitary", "--wl1", "0.9", "--steps", "4"],
+    ["sweep", "--mode", "unitary", "--grid", "0.2:0.8:0.2"],
+    ["sweep", "--mode", "unitary", "--grid", "0.2:0.8:0.2", "--format",
+     "json"],
+    ["mc", "--a1sq", "0.9", "--steps", "3", "--paths", "50", "--seed", "5"],
+    ["paper"],
+    ["compare", "--wl1", "0.9"],
+], ids=["run", "sweep-csv", "sweep-json", "mc-csv", "paper", "compare"])
+def test_no_command_loads_csv(argv):
+    exit_code, stdout, stderr, loaded = run_cli(argv)
+    assert exit_code == 0, stderr[-500:]
+    assert stdout
+    assert "csv" not in loaded
 
 
 @pytest.mark.parametrize("statement", ["import splitloop",

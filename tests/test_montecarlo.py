@@ -78,14 +78,12 @@ def calls_to(name, *args):
     """(base seed, key offsets, t0, steps) of each call that
     ensemble_frequencies(*args) makes to montecarlo.<name>, a draw that
     takes those four first: _packed_choices draws a slice of paths,
-    _uniforms a block of one. The offsets are a range where the keys came
-    as a count, and a list where they came as an array."""
+    _uniforms a block of one. The offsets come as a list."""
     calls = []
     draw = getattr(montecarlo, name)
 
     def record(base_seed, keys, t0, steps, *rest):
-        offsets = range(keys) if isinstance(keys, int) else keys.tolist()
-        calls.append((base_seed, offsets, t0, steps))
+        calls.append((base_seed, keys.tolist(), t0, steps))
         return draw(base_seed, keys, t0, steps, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -283,7 +281,8 @@ class TestEnsemble:
         if (at == 0).all():  # at pass 1: nothing is left after one slice
             assert {t0 for _, _, t0, _ in slices} == {0}
         elif (at == in_left.shape[1]).all():  # never: all, every slice
-            assert [keys for _, keys, _, _ in slices] == [range(len(at))] * 3
+            assert [keys for _, keys, _, _ in slices] == [
+                list(range(len(at)))] * 3
         else:  # a later slice of a chunk draws fewer paths than its first
             width = {seed: len(keys) for seed, keys, t0, _ in slices
                      if not t0}
@@ -468,8 +467,8 @@ class TestDrawCount:
         splitter = SplitterCoefficients.from_reflectance(0.5)
         calls = calls_to("_uniforms", splitter, topology, steps, n_paths, 11)
         block = montecarlo._paths_within(montecarlo.CHUNK_PATH_STEPS, steps)
-        assert calls == [(11 + start, range(min(block, n_paths - start)), 0,
-                          steps) for start in range(0, n_paths, block)]
+        assert calls == [(11, list(range(start, min(start + block, n_paths))),
+                          0, steps) for start in range(0, n_paths, block)]
 
 
 class TestAgreement:

@@ -1,28 +1,72 @@
-"""`run`'s writer: the bytes of the table writer over `iterate`, from runs of
-equal passes, with memory that grows with computed passes only."""
+"""The one table writer: the bytes of `run`, `sweep` and `mc` against the
+csv.writer and json.dumps table code they used before it, and `run`'s
+memory, which grows with computed passes only."""
 
+import csv
+import io
+import json
 import os
 import subprocess
 import sys
-import tempfile
 from unittest import mock
 
 from click.testing import CliRunner
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from splitloop import cli
+from splitloop import analysis, cli, montecarlo
 from splitloop.errors import SplitLoopError
+from splitloop.states import InteractionMode, _state_from_left_weight
 from splitloop.trajectory import Scenario, iterate
 
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 TOPOLOGIES = ["both", "right-half", "left-half"]
 
 
+def _csv_cell(value):
+    # csv writes None as an empty cell and floats as their repr
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
+
+
+def reference_table(fmt, config, key, rows, summary=None):
+    """Rows as CSV (header from the dict keys) or as a JSON document."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow([_csv_cell(v) for v in row.values()])
+        text = buf.getvalue()
+    else:
+        payload = {"config": config, key: rows}
+        if summary is not None:
+            payload["summary"] = summary
+        text = json.dumps(payload, indent=2) + "\n"
+    return text.encode()
+
+
+def prints_as(argv, reference):
+    """Assert that the command argv prints the bytes reference() returns,
+    or refuses as reference() does, printing nothing; return the bytes."""
+    result = CliRunner().invoke(cli.main, argv)
+    try:
+        expected = reference()
+    except SplitLoopError as exc:
+        assert result.exit_code in (1, 2)
+        assert result.stderr == f"error: {exc}\n"
+        assert result.stdout_bytes == b""
+        return b""
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == expected
+    return expected
+
+
 def table_writer_bytes(mode, topology, wl1, a1sq, steps, period, switches,
                        fmt):
     """What `run` printed before it wrote from runs: a record per pass from
-    `iterate`, a row dict per record and `_write_table` over the rows."""
+    `iterate`, a row dict per record and reference_table over the rows."""
     mode_obj = cli._MODES[mode]
     initial, splitter, wl1_val, a1sq_val = cli._resolve_setup(mode_obj, wl1,
                                                               a1sq)
@@ -40,23 +84,19 @@ def table_writer_bytes(mode, topology, wl1, a1sq, steps, period, switches,
         "w_right": r.weights.w_right,
     } for r in trajectory.records]
     final = trajectory.final
-    with tempfile.TemporaryDirectory() as folder:
-        out = os.path.join(folder, "table")
-        cli._write_table(fmt, out, {
-            "mode": mode,
-            "topology": topology,
-            "w_left_initial": wl1_val,
-            "a1_squared": a1sq_val,
-            "steps": steps,
-            "period": period,
-            "switches": [[s, t.value] for s, t in schedule.switches],
-        }, "records", rows, {
-            "final_w_left": final.weights.w_left,
-            "final_w_right": final.weights.w_right,
-            "final_topology": final.topology.value,
-        })
-        with open(out, "rb") as written:
-            return written.read()
+    return reference_table(fmt, {
+        "mode": mode,
+        "topology": topology,
+        "w_left_initial": wl1_val,
+        "a1_squared": a1sq_val,
+        "steps": steps,
+        "period": period,
+        "switches": [[s, t.value] for s, t in schedule.switches],
+    }, "records", rows, {
+        "final_w_left": final.weights.w_left,
+        "final_w_right": final.weights.w_right,
+        "final_topology": final.topology.value,
+    })
 
 
 unit = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1 - 2 ** -53,
@@ -106,16 +146,127 @@ def argv_of(flags):
 def test_run_prints_the_table_writer_bytes_over_iterate(case):
     flags, chunk_rows = case
     with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
-        result = CliRunner().invoke(cli.main, argv_of(flags))
-    try:
-        expected = table_writer_bytes(**flags)
-    except SplitLoopError as exc:  # the same refusal, and nothing printed
-        assert result.exit_code in (1, 2)
-        assert result.stderr == f"error: {exc}\n"
-        assert result.stdout_bytes == b""
-        return
-    assert result.exit_code == 0, result.output
-    assert result.stdout_bytes == expected
+        prints_as(argv_of(flags), lambda: table_writer_bytes(**flags))
+
+
+def sweep_bytes(mode, topology, grid, eps, max_steps, a1sq, fmt):
+    """What `sweep` printed before the one table writer: a row dict per
+    cell and reference_table over the rows."""
+    mode_obj = cli._MODES[mode]
+    grid_values = cli._parse_grid(grid)
+    if mode_obj is InteractionMode.MOVABLE_SPLITTER and a1sq is None:
+        raise SplitLoopError("need --a1sq for measure mode")
+    splitter = cli._splitter(a1sq)
+    result = analysis.sweep_initial_conditions(
+        mode_obj, cli._TOPOLOGIES[topology], grid_values, eps, max_steps,
+        splitter)
+    rows = [{"w_initial": c.w_initial, "converged": c.converged,
+             "steps": c.steps, "final_w_left": c.final_w_left,
+             "final_w_right": c.final_w_right} for c in result.cells]
+    return reference_table(fmt, {
+        "mode": mode,
+        "topology": topology,
+        "grid": list(grid_values),
+        "epsilon": eps,
+        "max_steps": max_steps,
+        "a1_squared": a1sq,
+        "target_w_left": result.target.w_left,
+        "target_w_right": result.target.w_right,
+    }, "cells", rows)
+
+
+def sweep_argv(mode, topology, grid, eps, max_steps, a1sq, fmt):
+    argv = ["sweep", "--mode", mode, "--topology", topology, "--grid", grid,
+            "--eps", repr(eps), "--max-steps", str(max_steps),
+            "--format", fmt]
+    return argv if a1sq is None else argv + ["--a1sq", repr(a1sq)]
+
+
+@st.composite
+def sweep_flags(draw):
+    """Keyword arguments of sweep_bytes: a few cells, some of them refused
+    or left unconverged by a small --max-steps."""
+    start = draw(unit)
+    step = draw(st.floats(min_value=1e-3, max_value=0.25))
+    stop = start + draw(st.integers(0, 3)) * step
+    return dict(mode=draw(st.sampled_from(["unitary", "measure"])),
+                topology=draw(st.sampled_from(TOPOLOGIES)),
+                grid=f"{start!r}:{stop!r}:{step!r}",
+                eps=draw(st.sampled_from([1e-3, 0.3]) | st.floats(1e-12, 0.4)),
+                max_steps=draw(st.integers(1, 60)),
+                a1sq=draw(st.none() | unit),
+                fmt=draw(st.sampled_from(["csv", "json"])))
+
+
+UNCONVERGED = dict(mode="unitary", topology="right-half",
+                   grid="0.1:0.9:0.2", eps=1e-3, max_steps=3, a1sq=None)
+
+
+@seed(27)
+@settings(max_examples=100, deadline=None)
+@given(sweep_flags())
+@example(dict(UNCONVERGED, fmt="csv"))
+@example(dict(UNCONVERGED, fmt="json"))
+def test_sweep_prints_the_reference_bytes(flags):
+    prints_as(sweep_argv(**flags), lambda: sweep_bytes(**flags))
+
+
+def mc_bytes(topology, a1sq, steps, paths, seed, sigma, fmt):
+    """What `mc` printed before the one table writer: a row dict per step
+    and reference_table over the rows."""
+    mode = InteractionMode.MOVABLE_SPLITTER
+    splitter = cli._splitter(a1sq)
+    topo_obj = cli._TOPOLOGIES[topology]
+    estimate = montecarlo.ensemble_frequencies(splitter, topo_obj, steps,
+                                               paths, seed)
+    analytic = iterate(Scenario(mode, topo_obj, splitter,
+                                _state_from_left_weight(mode, a1sq),
+                                max_steps=steps))
+    report = montecarlo.agreement_report(
+        estimate, [r.weights for r in analytic.records], sigma_bound=sigma)
+    rows = [{"step": r.step, "empirical_w_left": r.empirical,
+             "analytic_w_left": r.analytic, "stderr": r.stderr, "z": r.z,
+             "passed": r.passed} for r in report]
+    return reference_table(fmt, {
+        "topology": topology,
+        "a1_squared": a1sq,
+        "steps": steps,
+        "n_paths": paths,
+        "base_seed": seed,
+        "generator": montecarlo.GENERATOR_NAME,
+        "sigma_bound": sigma,
+    }, "steps", rows, {"all_within_sigma": all(r.passed for r in report)})
+
+
+def mc_argv(topology, a1sq, steps, paths, seed, sigma, fmt):
+    return ["mc", "--topology", topology, "--a1sq", repr(a1sq),
+            "--steps", str(steps), "--paths", str(paths), "--seed", str(seed),
+            "--sigma", repr(sigma), "--format", fmt]
+
+
+INFINITE_Z = dict(topology="both", a1sq=0.9, steps=3, paths=2, seed=1,
+                  sigma=4.0, fmt="json")
+
+
+@seed(27)
+@settings(max_examples=60, deadline=None)
+@given(topology=st.sampled_from(TOPOLOGIES), a1sq=unit,
+       steps=st.integers(1, 60), paths=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 64), sigma=st.sampled_from([4.0, 0.5, 1e-3]),
+       fmt=st.sampled_from(["csv", "json"]))
+@example(**INFINITE_Z)
+@example(**dict(INFINITE_Z, fmt="csv"))
+def test_mc_prints_the_reference_bytes(**flags):
+    prints_as(mc_argv(**flags), lambda: mc_bytes(**flags))
+
+
+def test_unconverged_sweep_cells_and_infinite_z_print_as_before():
+    for fmt, cell in (("csv", b",false,,"), ("json", b'"steps": null')):
+        flags = dict(UNCONVERGED, fmt=fmt)
+        assert cell in prints_as(sweep_argv(**flags),
+                                 lambda: sweep_bytes(**flags))
+    printed = prints_as(mc_argv(**INFINITE_Z), lambda: mc_bytes(**INFINITE_Z))
+    assert b'"z": Infinity' in printed
 
 
 # A child process whose address space is capped at 1 GiB, as in
