@@ -16,10 +16,10 @@ byte for byte given the same flags (mc included, its seeding is explicit).
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
-from array import array
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import click
@@ -30,8 +30,8 @@ from .errors import (NumericDomainError, OutOfRangeError,
 from .states import (InteractionMode, SplitterCoefficients, Topology,
                      _check_positive_finite, _check_sampling, _check_unit,
                      _state_from_left_weight)
-from .trajectory import (NotConverged, Scenario, StepSchedule, _passes,
-                         iterate)
+from .trajectory import (_WIRINGS, NotConverged, Scenario, StepSchedule,
+                         Trajectory, iterate)
 
 EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
@@ -142,56 +142,33 @@ def _write_table(fmt: str, out: str | None, config: dict, key: str,
                 ["\n  ]" + tail + "\n"]), out)
 
 
-# `run` writes its rows from the runs of equal passes that
-# `trajectory._passes` yields, computed in full before a byte is written, so
-# that a run failing mid-way prints nothing. A run is held as columns: its
-# wiring as an index into _WIRINGS, its floats (a, b, w_left, w_right, or
-# w_left, w_right without amplitudes) and, for a run of more than one pass,
-# its last pass. That is 17 or 33 B a computed pass and none a repeated one.
-# Every float is finite, as every validated pass is, so it fills its `%s` as
-# it is.
-_WIRINGS = tuple(Topology)
+# `run` writes its rows from the runs of equal passes that `iterate` holds
+# as columns, computed in full before a byte is written, so that a run
+# failing mid-way prints nothing. That is 33 or 57 B a computed pass and
+# none a repeated one. Every float is finite, as every validated pass is,
+# so it fills its `%s` as it is.
 _CHUNK_ROWS = 4096
 _RUN_COLUMNS = ("n", "time", "topology", "a", "b", "w_left", "w_right")
 
 
-def _run_columns(scenario: Scenario, schedule: StepSchedule):
-    """The (wirings, floats, lasts) columns of every run of the scenario;
-    lasts maps the index of each run longer than one pass to its last pass."""
-    unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
-    code = {topology: i for i, topology in enumerate(_WIRINGS)}
-    wirings, floats, lasts = array("b"), array("d"), {}
-    add = floats.append
-    for first, last, topology, (x, y, _), (w_left, w_right, _) in _passes(
-            scenario, schedule):
-        if last != first:
-            lasts[len(wirings)] = last
-        wirings.append(code[topology])
-        if unitary:
-            add(x)
-            add(y)
-        add(w_left)
-        add(w_right)
-    return wirings, floats, lasts
-
-
-def _run_rows(fmt: str, columns, period: float,
+def _run_rows(fmt: str, trajectory: Trajectory, period: float,
               unitary: bool) -> Iterator[str]:
     """Every pass's row, the row of a run longer than one pass filled in
     once but for n and n * period."""
-    wirings, floats, lasts = columns
     template = _row_template(fmt, _RUN_COLUMNS, () if unitary else ("a", "b"))
-    names = [_cell(fmt, topology.value) for topology in _WIRINGS]
-    runs = zip(wirings, zip(*[iter(floats)] * (4 if unitary else 2)))
-    n = 1
-    for i, (wiring, values) in enumerate(runs):
-        last = lasts.get(i, n)
-        if last == n:
-            yield template % (n, n * period, names[wiring], *values)
+    names = tuple(_cell(fmt, topology.value) for topology in _WIRINGS)
+    firsts, ends, wirings, *floats = trajectory.records._columns()
+    # a and b, then w_left and w_right, of the floats of a run
+    cells = [*floats[:2], *floats[-3:-1]] if unitary else floats[:2]
+    rows = zip(firsts, map(operator.mul, firsts, repeat(period)),
+               map(names.__getitem__, wirings), *cells)
+    for end, row in zip(ends, rows):
+        if end == row[0] + 1:
+            yield template % row
         else:
-            row = template % ("%s", "%s", names[wiring], *values)
-            yield from (row % (k, k * period) for k in range(n, last + 1))
-        n = last + 1
+            pattern = template % ("%s", "%s", *row[2:])
+            yield from (pattern % (n, n * period)
+                        for n in range(row[0], end))
 
 
 def _splitter(a1sq: float | None) -> SplitterCoefficients | None:
@@ -307,8 +284,8 @@ def run(mode, topology, wl1, a1sq, steps, period, switches, fmt, out):
     schedule = _parse_switches(switches)
     scenario = Scenario(mode_obj, _TOPOLOGIES[topology], splitter, initial,
                         max_steps=steps, period=period)
-    columns = _run_columns(scenario, schedule)
-    wirings, floats, _ = columns
+    trajectory = iterate(scenario, schedule)
+    final = trajectory.final
     unitary = mode_obj is InteractionMode.FIXED_SPLITTER
     _write_table(fmt, out, {
         "mode": mode,
@@ -318,10 +295,10 @@ def run(mode, topology, wl1, a1sq, steps, period, switches, fmt, out):
         "steps": steps,
         "period": period,
         "switches": [[s, t.value] for s, t in schedule.switches],
-    }, "records", _RUN_COLUMNS, _run_rows(fmt, columns, period, unitary), {
-        "final_w_left": floats[-2],
-        "final_w_right": floats[-1],
-        "final_topology": _WIRINGS[wirings[-1]].value,
+    }, "records", _RUN_COLUMNS, _run_rows(fmt, trajectory, period, unitary), {
+        "final_w_left": final.weights.w_left,
+        "final_w_right": final.weights.w_right,
+        "final_topology": final.topology.value,
     })
 
 

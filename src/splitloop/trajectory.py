@@ -18,19 +18,27 @@ Repeated passes make a run degenerate to a limit, which in floats is
 often reached exactly: a pass that gives back its own input, bit for bit,
 is a fixed point of the segment's map, so it and every later pass of the
 segment form one run, and no more passes are computed there.
-`_records` builds every record, without validating it again: `iterate`'s
-for each pass, the records of a run sharing one pair of pairs, and
-`converging_record`'s one. A scan tests each run against the criterion
-once, so one stuck on a fixed point outside epsilon skips to max_steps. A
-record is slotted like its pairs, and `_records` fills it through the slot
-setters of `_RECORD_SETTERS`.
+`iterate` keeps the runs as `_Records`, a lazy sequence that holds them
+as array columns, bytes a run rather than a record a pass, and builds
+records only when they are read. `_records` builds every record, without
+validating it again: those a `_Records` read gives, the records of a run
+in one read sharing one pair of pairs, and `converging_record`'s one. A
+scan tests each run against the criterion once, so one stuck on a fixed
+point outside epsilon skips to max_steps. A record is slotted like its
+pairs, and `_records` fills it through the slot setters of
+`_RECORD_SETTERS`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Iterator
 
 from . import maps
@@ -113,18 +121,34 @@ class TrajectoryRecord:
 _RECORD_SETTERS = _setters(TrajectoryRecord, "n", "time", "topology",
                            "amplitudes", "weights")
 _PAIR = struct.Struct("<2d")
+_WIRINGS = tuple(Topology)
+_CHUNK_RUNS = 4096
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    records: tuple[TrajectoryRecord, ...]
+    records: Sequence[TrajectoryRecord]
 
     @property
     def final(self) -> TrajectoryRecord:
         return self.records[-1]
 
     def w_left_series(self) -> list[float]:
-        return [r.weights.w_left for r in self.records]
+        records = self.records
+        if type(records) is not _Records:
+            return [r.weights.w_left for r in records]
+        # iterate's records, read from their weight column here rather
+        # than through a method: a short run's fixed cost is mostly calls
+        scenario, floats = records._scenario, records._floats
+        unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
+        w_lefts = floats[3::6] if unitary else floats[::3]
+        if len(w_lefts) == scenario.max_steps:  # one pass a run
+            return w_lefts.tolist()
+        firsts, ends, *_ = records._columns()
+        series = []
+        for first, end, w_left in zip(firsts, ends, w_lefts):
+            series += [w_left] * (end - first)
+        return series
 
 
 @dataclass(frozen=True)
@@ -218,14 +242,14 @@ def _same_bits(x: float, y: float, u: float, v: float) -> bool:
     return _PAIR.pack(x, y) == _PAIR.pack(u, v)
 
 
-def _records(scenario: Scenario, passes) -> tuple[TrajectoryRecord, ...]:
+def _records(scenario: Scenario, passes) -> Iterator[TrajectoryRecord]:
     """A record for each pass of each (first, last, topology, state,
-    weights) run, unvalidated; a run's records share its pairs."""
+    weights) run, unvalidated; a run's records share its pairs. state is
+    read in a fixed-splitter run only."""
     period = scenario.period
     unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
     (set_n, set_time, set_topology, set_amplitudes,
      set_weights) = _RECORD_SETTERS
-    records = []
     for first, last, topology, state, weights in passes:
         amplitudes = amplitude_pair(*state) if unitary else None
         weights = weight_pair(*weights)
@@ -237,9 +261,132 @@ def _records(scenario: Scenario, passes) -> tuple[TrajectoryRecord, ...]:
             set_topology(record, topology)
             set_amplitudes(record, amplitudes)
             set_weights(record, weights)
-            records.append(record)
+            yield record
             n += 1
-    return tuple(records)
+
+
+class _Records(Sequence):
+    """The records of a scenario's run, held as the columns of its runs of
+    equal passes and built when they are read.
+
+    A run is its first pass in `_firsts`, its wiring's index into
+    `_WIRINGS` in `_wirings`, and its floats in `_floats`: the state's
+    (x, y, correction) and then the weights' (w_left, w_right,
+    sum_correction) in a fixed-splitter run, the weights alone in a
+    movable-splitter one. A run ends where the next begins, the last one at
+    max_steps. Every read builds new records through `_records`, those of
+    one run in one read sharing its pairs, but for the final record, which
+    is built once.
+    """
+
+    __slots__ = ("_scenario", "_firsts", "_wirings", "_floats", "_final")
+
+    def __init__(self, scenario: Scenario, passes) -> None:
+        firsts, wirings, floats = array("q"), array("b"), array("d")
+        unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
+        passes = iter(passes)
+        # a chunk of runs at a time: lists take the values faster than
+        # arrays do, and a chunk bounds what they hold
+        while True:
+            starts, codes, values, last = [], [], [], None
+            for first, _, topology, state, weights in islice(passes,
+                                                             _CHUNK_RUNS):
+                starts.append(first)
+                if topology is not last:  # the wiring changed
+                    code, last = _WIRINGS.index(topology), topology
+                codes.append(code)
+                if unitary:
+                    values += state
+                values += weights
+            firsts.fromlist(starts)
+            wirings.fromlist(codes)
+            floats.fromlist(values)
+            if len(starts) < _CHUNK_RUNS:
+                break
+        self._scenario, self._firsts = scenario, firsts
+        self._wirings, self._floats, self._final = wirings, floats, None
+
+    def __getstate__(self) -> tuple:
+        return self._scenario, self._firsts, self._wirings, self._floats
+
+    def __setstate__(self, state: tuple) -> None:
+        self._scenario, self._firsts, self._wirings, self._floats = state
+        self._final = None
+
+    def _columns(self, start: int = 0, stop: int | None = None) -> tuple:
+        """The runs start to stop - 1 as columns, views with no copy:
+        their first passes, the passes after their last, their wirings'
+        indexes into `_WIRINGS`, and a column for each float of a run."""
+        firsts, n_runs = memoryview(self._firsts), len(self._firsts)
+        stop = n_runs if stop is None else stop
+        ends = chain(firsts[start + 1:stop], (
+            firsts[stop] if stop < n_runs else len(self) + 1,))
+        unitary = self._scenario.mode is InteractionMode.FIXED_SPLITTER
+        width = 6 if unitary else 3
+        floats = memoryview(self._floats)[width * start:width * stop]
+        return (firsts[start:stop], ends,
+                memoryview(self._wirings)[start:stop],
+                *(floats[i::width] for i in range(width)))
+
+    def _runs(self, start: int = 0, stop: int | None = None) -> Iterator:
+        """The runs start to stop - 1 as (first, last, topology, state,
+        weights), state () in a movable-splitter run."""
+        firsts, ends, wirings, *floats = self._columns(start, stop)
+        lasts = map(operator.sub, ends, repeat(1))
+        topologies = map(_WIRINGS.__getitem__, wirings)
+        if len(floats) == 6:
+            return zip(firsts, lasts, topologies, zip(*floats[:3]),
+                       zip(*floats[3:]))
+        return zip(firsts, lasts, topologies, repeat(()), zip(*floats))
+
+    def _span(self, first: int, last: int) -> tuple[TrajectoryRecord, ...]:
+        """The records of passes first to last."""
+        firsts = self._firsts
+        runs = self._runs(bisect_right(firsts, first) - 1,
+                          bisect_right(firsts, last))
+        return tuple(_records(self._scenario, (
+            (max(run_first, first), min(run_last, last), *rest)
+            for run_first, run_last, *rest in runs)))
+
+    def __len__(self) -> int:
+        return self._scenario.max_steps
+
+    def __iter__(self) -> Iterator[TrajectoryRecord]:
+        return _records(self._scenario, self._runs())
+
+    def __getitem__(self, index):
+        n_records = self._scenario.max_steps
+        if isinstance(index, slice):
+            indexes = range(n_records)[index]
+            if not indexes:
+                return ()
+            low, high = sorted((indexes[0], indexes[-1]))
+            return self._span(low + 1, high + 1)[::indexes.step]
+        try:
+            i = operator.index(index)
+        except TypeError:
+            raise TypeError("records indices must be integers or slices, "
+                            f"not {type(index).__name__}") from None
+        if i < 0:
+            i += n_records
+        if not 0 <= i < n_records:
+            raise IndexError("records index out of range")
+        if i < n_records - 1:
+            return self._span(i + 1, i + 1)[0]
+        if self._final is None:  # final and records[-1] are one object
+            self._final = self._span(n_records, n_records)[0]
+        return self._final
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Records)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def iterate(scenario: Scenario,
@@ -248,9 +395,10 @@ def iterate(scenario: Scenario,
 
     Pure and deterministic: the same arguments give bit-identical
     trajectories, and any prefix of a longer run matches the shorter run.
+    The passes are computed here, and the records built when read.
     """
     _check_type("scenario", scenario, Scenario)
-    return Trajectory(_records(scenario, _passes(scenario, schedule)))
+    return Trajectory(_Records(scenario, _passes(scenario, schedule)))
 
 
 def converging_record(scenario: Scenario,

@@ -2,16 +2,23 @@
 
 import gc
 import math
+import pickle
 import tracemalloc
+from itertools import pairwise
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from splitloop import (ConvergenceCriterion, InteractionMode,
                        ModeMismatchError, NotConverged, OutOfRangeError,
                        Scenario, ScheduleConflictError, SplitterCoefficients,
-                       StepSchedule, Topology, WeightPair,
-                       amplitudes_from_left_weight, iterate,
+                       StepSchedule, Topology, Trajectory, WeightPair,
+                       amplitudes_from_left_weight, fixed_points, iterate,
                        steps_to_converge)
+from splitloop.states import _new, amplitude_pair, weight_pair
+from splitloop.trajectory import (_RECORD_SETTERS, TrajectoryRecord,
+                                  _passes)
 
 BALANCED_TARGET = WeightPair(0.5, 0.5)
 SP9 = SplitterCoefficients.from_reflectance(0.9)
@@ -38,20 +45,22 @@ def scenario_of(mode: InteractionMode, w1: float, steps: int) -> Scenario:
 
 
 def held_per_record(scenario: Scenario, schedule=None):
-    """Bytes that iterate's records hold per record, under tracemalloc,
-    and the records."""
+    """Bytes held per record under tracemalloc, by iterate's Trajectory
+    and then by its records built into a tuple, and that tuple."""
     gc.collect()
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        records = iterate(scenario, schedule).records
-        held = tracemalloc.get_traced_memory()[0] - before
+        trajectory = iterate(scenario, schedule)
+        columns = tracemalloc.get_traced_memory()[0] - before
+        records = tuple(trajectory.records)
+        built = tracemalloc.get_traced_memory()[0] - before - columns
     finally:
         if not tracing:
             tracemalloc.stop()
-    return held / len(records), records
+    return columns / len(records), built / len(records), records
 
 
 class TestScenarioValidation:
@@ -157,32 +166,38 @@ class TestIterate:
     def test_bytes_held_per_record(self, mode, limit):
         # most of these records share their pairs, on a fixed point; the
         # caps are those of records with pairs of their own, tested below
-        held, _ = held_per_record(scenario_of(mode, 0.7, 20_000))
+        _, held, _ = held_per_record(scenario_of(mode, 0.7, 20_000))
         assert held <= limit
 
-    @pytest.mark.parametrize("mode,limit", [
-        (InteractionMode.FIXED_SPLITTER, 420),
-        (InteractionMode.MOVABLE_SPLITTER, 290),
+    @pytest.mark.parametrize("mode,limit,columns_limit", [
+        (InteractionMode.FIXED_SPLITTER, 420, 64),
+        (InteractionMode.MOVABLE_SPLITTER, 290, 40),
     ])
-    def test_bytes_held_per_record_off_any_fixed_point(self, mode, limit):
+    def test_bytes_held_per_record_off_any_fixed_point(self, mode, limit,
+                                                      columns_limit):
         # a switch every pass makes every run one pass long, so each record
         # holds pairs of its own: 392 and 264 B on CPython 3.11, slotted, and
-        # 512 and 344 B for the same types with a __dict__
+        # 512 and 344 B for the same types with a __dict__. The Trajectory
+        # holds each run's first pass, wiring and six or three floats: 57
+        # and 33 B, and the arrays' spare room
         halves = (Topology.LEFT_HALF_CONNECTED, Topology.RIGHT_HALF_CONNECTED)
         schedule = StepSchedule(tuple((n, halves[n % 2])
                                       for n in range(1, 20_001)))
-        held, records = held_per_record(scenario_of(mode, 0.7, 20_000),
-                                        schedule)
+        columns, held, records = held_per_record(
+            scenario_of(mode, 0.7, 20_000), schedule)
         assert len({id(r.weights) for r in records}) == len(records)
         assert held <= limit
+        assert columns <= columns_limit
 
     @pytest.mark.parametrize("mode", list(InteractionMode))
     def test_bytes_held_per_record_on_a_fixed_point(self, mode):
         # the record, its time and its step index, about 136 B; the run's
-        # one pair of pairs is shared
-        held, records = held_per_record(scenario_of(mode, 0.7, 20_000))
+        # one pair of pairs is shared. The Trajectory holds a few runs
+        columns, held, records = held_per_record(
+            scenario_of(mode, 0.7, 20_000))
         assert len({id(r.weights) for r in records}) < 50
         assert held <= 150
+        assert columns <= 1
 
     @pytest.mark.parametrize("mode", list(InteractionMode))
     def test_a_fixed_run_shares_its_pairs_and_a_switch_starts_new_ones(
@@ -222,6 +237,136 @@ class TestIterate:
         assert trajectory.final is trajectory.records[-1]
         assert trajectory.final.weights.w_left == pytest.approx(
             0.5536870912, abs=1e-12)
+
+
+def eager_records(scenario: Scenario, passes):
+    """The builder iterate ran over every pass before it held its runs as
+    columns: a record for each pass of each (first, last, topology, state,
+    weights) run, unvalidated; a run's records share its pairs."""
+    period = scenario.period
+    unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
+    (set_n, set_time, set_topology, set_amplitudes,
+     set_weights) = _RECORD_SETTERS
+    records = []
+    for first, last, topology, state, weights in passes:
+        amplitudes = amplitude_pair(*state) if unitary else None
+        weights = weight_pair(*weights)
+        n = first
+        while n <= last:  # cheaper than a range for a one-pass run
+            record = _new(TrajectoryRecord)  # filled through its slot setters
+            set_n(record, n)
+            set_time(record, n * period)
+            set_topology(record, topology)
+            set_amplitudes(record, amplitudes)
+            set_weights(record, weights)
+            records.append(record)
+            n += 1
+    return tuple(records)
+
+
+def pair_hex(pair):
+    """Every float slot of a pair, corrections included, as .hex()."""
+    if pair is None:
+        return None
+    return tuple(getattr(pair, name).hex() for name in type(pair).__slots__)
+
+
+def record_hex(record):
+    return (record.n, record.time.hex(), record.topology,
+            pair_hex(record.amplitudes), pair_hex(record.weights))
+
+
+@st.composite
+def lazy_runs(draw):
+    """A scenario and schedule in either mode, from any wiring, splitter
+    and period, starting on a fixed point or anywhere, with a switch at
+    every pass, one at step 1, a few anywhere, or none."""
+    mode = draw(st.sampled_from(InteractionMode))
+    steps = draw(st.integers(1, 80))
+    if draw(st.booleans()):  # the runs sit on a fixed point from pass 2
+        start = draw(st.sampled_from(
+            [p.point for t in Topology for p in fixed_points(mode, t)]))
+    else:
+        w = draw(st.floats(0.0, 1.0))
+        start = (amplitudes_from_left_weight(w)
+                 if mode is InteractionMode.FIXED_SPLITTER
+                 else WeightPair(w, 1.0 - w))
+    kind = draw(st.sampled_from(["every pass", "step 1", "anywhere",
+                                 "none"]))
+    switches = []
+    if kind == "every pass":
+        switches = list(enumerate(draw(st.lists(
+            st.sampled_from(Topology), min_size=steps, max_size=steps)), 1))
+    elif kind != "none" and steps > 1:
+        switches = draw(st.lists(
+            st.tuples(st.integers(2, steps), st.sampled_from(Topology)),
+            max_size=4, unique_by=lambda s: s[0]))
+    if kind == "step 1":
+        switches.append((1, draw(st.sampled_from(Topology))))
+    scenario = Scenario(
+        mode, draw(st.sampled_from(Topology)),
+        SplitterCoefficients.from_reflectance(draw(st.floats(0.0, 1.0))),
+        start, max_steps=steps,
+        period=draw(st.sampled_from([1.0, 0.25]) | st.floats(1e-6, 1e6)))
+    return scenario, StepSchedule(tuple(sorted(switches)))
+
+
+class TestRecordsBuiltOnRead:
+    @seed(4077)
+    @settings(max_examples=300, deadline=None)
+    @given(lazy_runs(), st.data())
+    def test_records_match_the_eager_builder(self, run, data):
+        scenario, schedule = run
+        trajectory = iterate(scenario, schedule)
+        records = trajectory.records
+        runs = list(_passes(scenario, schedule))
+        reference = eager_records(scenario, runs)
+        read = list(records)
+        assert [record_hex(r) for r in read] == [
+            record_hex(r) for r in reference]
+        # one run's records share its pairs, and no two runs share any
+        for pair in ("amplitudes", "weights"):
+            assert [getattr(a, pair) is getattr(b, pair)
+                    for a, b in pairwise(read)] == [
+                getattr(a, pair) is getattr(b, pair)
+                for a, b in pairwise(reference)]
+        n = scenario.max_steps
+        assert len(records) == len(reference) == n
+        assert record_hex(trajectory.final) == record_hex(reference[-1])
+        assert trajectory.final is records[-1]
+        assert [w.hex() for w in trajectory.w_left_series()] == [
+            r.weights.w_left.hex() for r in reference]
+        for i in {0, -1, *(first - 1 for first, *_ in runs)}:
+            assert record_hex(records[i]) == record_hex(reference[i])
+        if n > 1:  # every read but the final one builds a new record
+            assert records[0] is not records[0]
+        window = slice(*data.draw(st.tuples(
+            st.none() | st.integers(-n - 2, n + 2),
+            st.none() | st.integers(-n - 2, n + 2),
+            st.sampled_from([None, 1, 2, -1, -3]))))
+        assert isinstance(records[window], tuple)
+        assert [record_hex(r) for r in records[window]] == [
+            record_hex(r) for r in reference[window]]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                records[i]
+        for i in ("0", 1.0, None):
+            with pytest.raises(TypeError):
+                records[i]
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("mode", list(InteractionMode))
+    def test_an_iterate_result_round_trips_through_pickle(self, mode,
+                                                          protocol):
+        schedule = StepSchedule(((30, Topology.RIGHT_HALF_CONNECTED),))
+        trajectory = iterate(scenario_of(mode, 0.7, 60), schedule)
+        built = Trajectory(tuple(trajectory.records))
+        copy = pickle.loads(pickle.dumps(trajectory, protocol))
+        assert copy == trajectory == built
+        assert hash(copy) == hash(trajectory) == hash(built)
+        assert [record_hex(r) for r in copy.records] == [
+            record_hex(r) for r in built.records]
+        assert copy.final is copy.records[-1]
 
 
 class TestSchedules:
