@@ -23,10 +23,10 @@ as array columns, bytes a run rather than a record a pass, and builds
 records only when they are read. `_records` builds every record, without
 validating it again: those a `_Records` read gives, the records of a run
 in one read sharing one pair of pairs, and `converging_record`'s one. A
-scan tests each run against the criterion once, so one stuck on a fixed
-point outside epsilon skips to max_steps. A record is slotted like its
-pairs, and `_records` fills it through the slot setters of
-`_RECORD_SETTERS`.
+scan reads the criterion's target and epsilon once and tests each run's
+weights once, so one stuck on a fixed point outside epsilon skips to
+max_steps. A record is slotted like its pairs, and `_records` fills it
+through the slot setters of `_RECORD_SETTERS`.
 """
 
 from __future__ import annotations
@@ -153,7 +153,13 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ConvergenceCriterion:
-    """Max-abs distance of the weight pair from a target, strict epsilon."""
+    """Max-abs distance of the weight pair from a target, strict epsilon.
+
+    `distance` is the rule. A convergence scan reads the target and
+    epsilon once and tests each run's weights on both sides,
+    |w_left - target.w_left| < epsilon and |w_right - target.w_right| <
+    epsilon, which for finite weights is `distance(...) < epsilon`.
+    """
 
     target: WeightPair
     epsilon: float
@@ -164,13 +170,9 @@ class ConvergenceCriterion:
 
     def distance(self, weights: WeightPair) -> float:
         _check_type("weights", weights, WeightPair)
-        return self._distance(weights.w_left, weights.w_right)
-
-    def _distance(self, w_left: float, w_right: float) -> float:
-        """The distance of the weights (w_left, w_right) from the target."""
         target = self.target
-        return max(abs(w_left - target.w_left),
-                   abs(w_right - target.w_right))
+        return max(abs(weights.w_left - target.w_left),
+                   abs(weights.w_right - target.w_right))
 
 
 @dataclass(frozen=True)
@@ -408,16 +410,20 @@ def converging_record(scenario: Scenario,
     """First record that meets the criterion, and whether one did.
 
     Scans the run lazily and stops at the first satisfying record; when
-    max_steps runs out first, returns the final record and False. Each run
-    of equal passes is tested once, at its first pass. Only the returned
-    record is built, by the builder `iterate` uses.
+    max_steps runs out first, returns the final record and False. The
+    criterion's target and epsilon are read once; each run of equal passes
+    is tested once, at its first pass, on both weights inline, which for
+    the finite weights of a pass equals `criterion.distance(...) <
+    epsilon`. Only the returned record is built, by the builder `iterate`
+    uses.
     """
     _check_type("scenario", scenario, Scenario)
     _check_type("criterion", criterion, ConvergenceCriterion)
-    distance, epsilon = criterion._distance, criterion.epsilon
+    t_left, t_right = criterion.target.w_left, criterion.target.w_right
+    epsilon = criterion.epsilon
     for first, last, topology, state, (w_left, w_right, correction) in (
             _passes(scenario, schedule)):
-        if distance(w_left, w_right) < epsilon:
+        if abs(w_left - t_left) < epsilon and abs(w_right - t_right) < epsilon:
             last, converged = first, True
             break
     else:

@@ -493,7 +493,8 @@ def test_unused_import_check_sees_an_unused_name(tmp_path):
 # no C library's pow, exp or log decides a bit of a pass.
 PER_PASS = {"maps.py": {"raw_step", "_sqrt", "_check_denominator"},
             "states.py": {"normalize_pair", "_violation"},
-            "trajectory.py": {"_passes", "_same_bits", "_records"}}
+            "trajectory.py": {"_passes", "_same_bits", "_records",
+                              "converging_record"}}
 NOT_CORRECTLY_ROUNDED = {"pow", "float_power", "power", "exp", "exp2",
                          "expm1", "log", "log2", "log10", "log1p"}
 

@@ -16,7 +16,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitloop import (AmplitudePair, ConvergenceCriterion, InteractionMode,
@@ -224,8 +224,36 @@ def test_a_scan_stuck_on_a_fixed_point_skips_to_its_end(mode):
         not_converged.final_distance)
 
 
-@given(run=runs(), target=st.floats(0.0, 1.0),
-       epsilon=st.floats(-17.0, 0.0).map(lambda e: 10.0 ** e))
+def sides_at(scenario, n):
+    """|w_left - 1/2| and |w_right - 1/2| at pass n of the scenario."""
+    weights = iterate(scenario).records[n - 1].weights
+    return abs(weights.w_left - 0.5), abs(weights.w_right - 0.5)
+
+
+# runs whose distance from (1/2, 1/2) equals an epsilon exactly at a pass:
+# the test is strict, so that pass does not converge
+SIDES_RUN = (Scenario(FIXED, Topology.BOTH_CONNECTED, None,
+                      initial_state(FIXED, 0.7), max_steps=6), StepSchedule())
+SIDES = sides_at(SIDES_RUN[0], 2)  # the two sides differ by a few ulps here
+FALLING_RUN = (Scenario(FIXED, Topology.BOTH_CONNECTED, None,
+                        initial_state(FIXED, 0.9), max_steps=6),
+               StepSchedule())
+FINAL_RUN = (Scenario(MOVABLE, Topology.BOTH_CONNECTED,
+                      SplitterCoefficients.from_reflectance(0.9),
+                      initial_state(MOVABLE, 0.9), max_steps=5),
+             StepSchedule())
+
+
+@example(run=FALLING_RUN, target=0.5,
+         epsilon=max(sides_at(FALLING_RUN[0], 4)))
+@example(run=FINAL_RUN, target=0.5, epsilon=max(sides_at(FINAL_RUN[0], 5)))
+@example(run=SIDES_RUN, target=0.5, epsilon=max(SIDES))
+# one side strictly inside epsilon, the other outside: not converged
+@example(run=SIDES_RUN, target=0.5,
+         epsilon=math.nextafter(min(SIDES), math.inf))
+@given(run=runs(), target=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       epsilon=st.floats(5e-324, 1e308)
+       | st.floats(-17.0, 0.0).map(lambda e: 10.0 ** e))
 def test_a_scan_returns_the_record_iterate_has_there(run, target, epsilon):
     scenario, schedule = run
     target = WeightPair(target, 1.0 - target)
@@ -248,6 +276,34 @@ def test_a_scan_returns_the_record_iterate_has_there(run, target, epsilon):
         assert type(steps) is NotConverged
         assert steps.steps == scenario.max_steps
         assert bits(steps.final_distance) == bits(distance(expected))
+
+
+def test_the_one_sided_examples_split_their_pass():
+    # the SIDES_RUN @examples put epsilon on or between the two sides
+    assert min(SIDES) < math.nextafter(min(SIDES), math.inf) < max(SIDES)
+
+
+@pytest.mark.parametrize("mode", InteractionMode)
+def test_a_scan_calls_the_criterion_only_for_a_final_distance(monkeypatch,
+                                                              mode):
+    calls = Counter()
+    for name in ("distance", "_distance"):
+        def counted(self, *args, name=name,
+                    rule=getattr(ConvergenceCriterion, name, None)):
+            calls[name] += 1
+            return rule(self, *args)
+        monkeypatch.setattr(ConvergenceCriterion, name, counted,
+                            raising=False)
+    scenario = Scenario(mode, Topology.BOTH_CONNECTED,
+                        SplitterCoefficients.from_reflectance(0.999),
+                        initial_state(mode, 0.7), max_steps=2000)
+    never = ConvergenceCriterion(WeightPair(1.0, 0.0), 1e-3)  # it nears 1/2
+    record, converged = converging_record(scenario, never)
+    assert (record.n, converged) == (2000, False)
+    assert sum(calls.values()) == 0
+    result = steps_to_converge(scenario, never)
+    assert type(result) is NotConverged
+    assert calls == {"distance": 1}
 
 
 @pytest.mark.parametrize("mode", InteractionMode)

@@ -7,7 +7,7 @@ import tracemalloc
 from itertools import pairwise
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from splitloop import (ConvergenceCriterion, InteractionMode,
@@ -15,7 +15,7 @@ from splitloop import (ConvergenceCriterion, InteractionMode,
                        Scenario, ScheduleConflictError, SplitterCoefficients,
                        StepSchedule, Topology, Trajectory, WeightPair,
                        amplitudes_from_left_weight, fixed_points, iterate,
-                       steps_to_converge)
+                       steps_to_converge, sweep_initial_conditions)
 from splitloop.states import _new, amplitude_pair, weight_pair
 from splitloop.trajectory import (_RECORD_SETTERS, TrajectoryRecord,
                                   _passes)
@@ -445,6 +445,42 @@ class TestConvergence:
         d4 = criterion.distance(records[3].weights)
         strict = ConvergenceCriterion(BALANCED_TARGET, d4)
         assert steps_to_converge(unitary_scenario(0.9, 6), strict) == 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(w1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).filter(
+        lambda w: w != 0.5), eps=st.floats(1e-12, 1e-1))
+    def test_coherent_step_counts_match_the_closed_form(self, w1, eps):
+        # In ratio rho = a/b the coherent both-connected map is Newton's
+        # iteration for rho^2 = 1, which doubles s = artanh(min(rho, 1/rho))
+        # each pass: d_n = 1/(2 cosh(2^n s)), so the run converges at the
+        # smallest n >= 1 with 2^n s > arccosh(1/(2 eps)).
+        start = amplitudes_from_left_weight(w1)
+        rho = start.a_left / start.b_right
+        rho = min(rho, 1.0 / rho)
+        s = math.atanh(rho) if rho < 1.0 else math.inf
+        bound = math.acosh(1.0 / (2.0 * eps))
+        n = 1
+        while math.ldexp(s, n) <= bound:
+            n += 1
+
+        def closed_form(m):
+            x = math.ldexp(s, m)
+            return 0.5 / math.cosh(x) if x < 700.0 else 0.0
+
+        # skip draws a float pass could land on either side of: within a
+        # relative 1e-9 of the boundary, or within 1e-14, six times the
+        # float passes' largest measured drift from d_n (14 ulps of 1/2)
+        assume(all(abs(closed_form(m) - eps) > 1e-9 * eps + 1e-14
+                   for m in (n - 1, n) if m >= 1))
+        criterion = ConvergenceCriterion(BALANCED_TARGET, eps)
+        scenario = Scenario(InteractionMode.FIXED_SPLITTER,
+                            Topology.BOTH_CONNECTED, None, start,
+                            max_steps=1100)  # n <= 545 from w1 >= 5e-324
+        assert steps_to_converge(scenario, criterion) == n
+        (cell,) = sweep_initial_conditions(
+            InteractionMode.FIXED_SPLITTER, Topology.BOTH_CONNECTED, [w1],
+            eps, 1100).cells
+        assert (cell.converged, cell.steps) == (True, n)
 
     def test_not_converged_is_a_value(self):
         result = steps_to_converge(measure_scenario(0.9, 5),
