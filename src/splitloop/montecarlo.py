@@ -12,16 +12,19 @@ path is an ensemble of one, whose w_left is 1.0 or 0.0 at each pass.
 
 Randomness comes from counter-based Philox streams: path i of an ensemble
 draws from the stream keyed base_seed + i, and a path is fully determined
-by its seed. Double t of a stream is always step t's choice, whether or not
-the topology leaves one; an absorbed path's later doubles are never drawn.
+by its seed. Word t of a stream is always step t's choice, whether or not
+the topology leaves one; an absorbed path's later words are never drawn.
 Keys are 128-bit, so every seed of an ensemble must be below 2**128.
 
-Paths are drawn a block at a time, and each block is compared with a1^2 and
-b1^2 and packed 8 paths to a byte as soon as it is drawn. The packed rows
-are walked with bitwise operations (multi-spin coding, Jacobs & Rebbi 1981)
-and counted a chunk of paths at a time, and a path longer than one time
-slice a slice at a time: its stream restarts at the slice's Philox block
-counter, and the walk carries the chunk's last packed row. In the two
+Paths are drawn a block of raw uint64 words at a time. Each block is
+compared with the integer thresholds ceil(p * 2**53) * 2**11 of p = a1^2
+and b1^2, and packed 8 paths to a byte as soon as it is drawn. A word is
+below p's threshold exactly when the double numpy makes of it, (word >> 11)
+* 2**-53, is below p, so the choices are those of the doubles. The packed
+rows are walked with bitwise operations (multi-spin coding, Jacobs & Rebbi
+1981) and counted a chunk of paths at a time, and a path longer than one
+time slice a slice at a time: its stream restarts at the slice's Philox
+block counter, and the walk carries the chunk's last packed row. In the two
 half-connected wirings one side absorbs: after each slice the chunk is
 narrowed to the paths still off that side, and the first slice is sized so
 that about one path of the chunk outlives it. Memory stays bounded in paths
@@ -42,7 +45,7 @@ from .errors import LengthMismatchError, ModeMismatchError
 from .maps import raw_step
 from .states import (InteractionMode, SplitterCoefficients, Topology,
                      WeightPair, _check_positive_finite, _check_sampling,
-                     _check_type)
+                     _check_type, _new, _setters)
 
 GENERATOR_NAME = "philox"
 
@@ -61,7 +64,7 @@ class EnsembleEstimate:
     generator: str = GENERATOR_NAME
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepAgreement:
     step: int
     empirical: float
@@ -69,6 +72,10 @@ class StepAgreement:
     stderr: float
     z: float
     passed: bool
+
+
+_AGREEMENT_SETTERS = _setters(StepAgreement, "step", "empirical",
+                              "analytic", "stderr", "z", "passed")
 
 
 # Philox4x64-10 (Salmon et al., SC'11) exactly as numpy's Philox computes
@@ -85,10 +92,10 @@ _SHIFT32 = np.uint64(32)
 #: path: whole ensembles are as fast either way near 48 steps. Timings: the
 #: CHANGES entry of BENCH_pr24.json.
 VECTOR_MAX_STEPS = 48
-#: A draw block holds at most CHUNK_PATH_STEPS doubles, a whole number of
+#: A draw block holds at most CHUNK_PATH_STEPS words, a whole number of
 #: bytes of 8 paths, and a time slice CHUNK_PATH_STEPS // 8 steps, so that a
 #: block of a slice holds at least 8 paths. Each block is packed as soon as
-#: it is drawn, so no float array outlives it; past 2**16 the vectorized
+#: it is drawn, so no word array outlives it; past 2**16 the vectorized
 #: draw's uint64 temporaries leave the cache. Timings: the CHANGES entry of
 #: BENCH_pr23.json.
 CHUNK_PATH_STEPS = 2 ** 16
@@ -156,8 +163,7 @@ def _philox_uniforms(base_seed: int, keys: np.ndarray, t0: int,
         hi0 ^= x3
         x0, x1, x2, x3 = hi1 ^ k0, lo1, hi0 ^ k1, lo0
     words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=1)
-    words = words.reshape(4 * blocks, len(k0))[:steps] >> np.uint64(11)
-    return (words * 2.0 ** -53).T
+    return words.reshape(4 * blocks, len(k0))[:steps].T
 
 
 def _rekeyed_uniforms(base_seed: int, keys: np.ndarray, t0: int,
@@ -165,54 +171,63 @@ def _rekeyed_uniforms(base_seed: int, keys: np.ndarray, t0: int,
     """One numpy Philox, re-keyed to row i's key at block counter t0 / 4
     before drawing row i."""
     bit_generator = np.random.Philox(0)  # seeded: reads no OS entropy
-    generator = np.random.Generator(bit_generator)
     # With its buffer spent at counter c, a Philox next draws block c + 1:
     # words 4c .. 4c + 3 of the stream, numbering from 0.
     keyed = {"counter": [t0 // 4, 0, 0, 0], "key": None}
     state = {"bit_generator": "Philox", "state": keyed,
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
              "uinteger": 0}
-    out = np.empty((len(keys), steps))
+    out = np.empty((len(keys), steps), dtype=np.uint64)
     for i, offset in enumerate(keys.tolist()):
         key = base_seed + offset
         keyed["key"] = [key % 2 ** 64, key >> 64]
         bit_generator.state = state
-        generator.random(out=out[i])
+        out[i] = bit_generator.random_raw(steps)
     return out
 
 
 def _uniforms(base_seed: int, keys: np.ndarray, t0: int,
               steps: int) -> np.ndarray:
-    """Row i: doubles t0 .. t0 + steps - 1 of the Philox stream of the i-th
-    key of `keys`, t0 a multiple of 4.
+    """Row i: uint64 words t0 .. t0 + steps - 1 of the Philox stream of the
+    i-th key of `keys`, t0 a multiple of 4.
 
-    Bit for bit what a numpy Generator on a Philox keyed with that key
-    returns from .random(t0 + steps)[t0:].
+    Bit for bit what a numpy Philox keyed with that key returns from
+    .random_raw(t0 + steps)[t0:].
     """
     if steps <= VECTOR_MAX_STEPS:
         return _philox_uniforms(base_seed, keys, t0, steps)
     return _rekeyed_uniforms(base_seed, keys, t0, steps)
 
 
+def _threshold(p: float) -> int:
+    """The least word w whose double (w >> 11) * 2**-53 is not below p, p
+    in [0, 1]: 2**64 when p is 1. p * 2**53 is exact for every such float,
+    so w >> 11 is below it exactly when it is below its ceiling."""
+    return math.ceil(p * 2.0 ** 53) << 11
+
+
 def _packed_choices(base_seed: int, keys: np.ndarray, t0: int,
                     steps: int, a1_squared: float,
                     b1_squared: float) -> tuple[np.ndarray, np.ndarray]:
     """(a, b), each steps x _packed_width(n) uint8 for n keys: bit j of row
-    t (the high bit of a byte first) is set where double t0 + t of the j-th
-    key's path is below a1^2, in a, or b1^2, in b, and the bits past the
-    last path are clear. Drawn and packed a block at a time."""
+    t (the high bit of a byte first) is set where the double of word t0 + t
+    of the j-th key's path is below a1^2, in a, or b1^2, in b, and the bits
+    past the last path are clear. Drawn and packed a block at a time."""
     n_paths = len(keys)
     block = _paths_within(CHUNK_PATH_STEPS, steps)
     a = np.zeros((steps, _packed_width(n_paths)), dtype=np.uint8)
     b = np.zeros_like(a)
+    thresholds = ((a, _threshold(a1_squared)), (b, _threshold(b1_squared)))
     for start in range(0, n_paths, block):
         stop = min(start + block, n_paths)
         # time-major: a view of the vectorized draw, a copy of the re-keyed
-        uniforms = np.ascontiguousarray(
+        words = np.ascontiguousarray(
             _uniforms(base_seed, keys[start:stop], t0, steps).T)
         columns = slice(start // 8, -(-stop // 8))
-        for packed, p in ((a, a1_squared), (b, b1_squared)):
-            bits = uniforms < p
+        for packed, threshold in thresholds:
+            # p = 1 takes every word: its threshold, 2**64, is no uint64
+            bits = (words < np.uint64(threshold) if threshold < 2 ** 64
+                    else np.ones(words.shape, dtype=bool))
             if bits.shape[1] % 8:  # the last block's partial byte
                 packed[:, columns] = np.packbits(bits, axis=1)
             else:  # rows of whole bytes pack as one run, 6x faster
@@ -262,15 +277,14 @@ def _walk(a: np.ndarray, b: np.ndarray, topology: Topology,
         absorbing.reduce.accumulate(words, axis=0, out=words)
         return rows
     # Both loops connected: in_left = (prev & (a ^ b)) ^ b, that is a where
-    # prev is set and b elsewhere, a step at a time, in place in a.
-    first = a[0].copy() if prev is None else None
+    # prev is set and b elsewhere, a step at a time, in place in a. Pass 1
+    # goes on from a row of ones, which gives it a.
+    if prev is None:
+        prev = np.full(a.shape[1], 0xFF, dtype=np.uint8)
     in_left = np.bitwise_xor(a, b, out=a)
-    if first is not None:
-        in_left[0] = prev = first
-    for t in range(0 if first is None else 1, len(in_left)):
-        row = in_left[t]
+    for row, b_row in zip(in_left, b):
         row &= prev
-        row ^= b[t]
+        row ^= b_row
         prev = row
     return in_left
 
@@ -329,15 +343,15 @@ def ensemble_frequencies(splitter: SplitterCoefficients, topology: Topology,
     """Per-step left/right frequencies over paths seeded base_seed + i.
 
     Path i draws u_1 .. u_steps, the first `steps` doubles that a numpy
-    Generator on Philox(key=base_seed + i) returns from .random(steps). It
-    is in the left loop after pass 1 when u_1 < a1^2. After that, a photon
-    in the left loop stays there when u_t < a1^2 (always, in the left-half
-    wiring); one in the right loop moves left when u_t < b1^2 in the
-    both-connected wiring, never in the right-half one, and when
-    u_t >= b1^2 in the left-half one. Paths are walked and counted a chunk
-    at a time, and each chunk a time slice at a time. In a half wiring, a
-    slice draws only the paths that earlier slices left off the absorbing
-    side.
+    Generator on Philox(key=base_seed + i) returns from .random(steps),
+    compared as the words they are made of. It is in the left loop after
+    pass 1 when u_1 < a1^2. After that, a photon in the left loop stays
+    there when u_t < a1^2 (always, in the left-half wiring); one in the
+    right loop moves left when u_t < b1^2 in the both-connected wiring,
+    never in the right-half one, and when u_t >= b1^2 in the left-half one.
+    Paths are walked and counted a chunk at a time, and each chunk a time
+    slice at a time. In a half wiring, a slice draws only the paths that
+    earlier slices left off the absorbing side.
     """
     steps, base_seed, n_paths = _check_sampling(steps, base_seed, n_paths)
     # names a bad splitter or topology before any draw
@@ -384,7 +398,15 @@ def ensemble_frequencies(splitter: SplitterCoefficients, topology: Topology,
 def agreement_report(estimate: EnsembleEstimate,
                      analytic: Sequence[WeightPair],
                      sigma_bound: float = 4.0) -> list[StepAgreement]:
-    """Per-step z-scores of the ensemble against an analytic weight series."""
+    """Per-step z-scores of the ensemble against an analytic weight series.
+
+    Refuses, in this order: an estimate of another type, an `analytic`
+    with no length, a bad `sigma_bound`, a length other than the
+    estimate's, and then any entry that is not a WeightPair. A step's z is
+    |empirical - analytic| / stderr, 0 where the difference is 0 and inf
+    where only stderr is; it passes when z <= sigma_bound. z and passed are
+    computed over all steps at once, and the rows built last.
+    """
     _check_type("estimate", estimate, EnsembleEstimate)
     try:
         n_steps = len(analytic)
@@ -396,18 +418,18 @@ def agreement_report(estimate: EnsembleEstimate,
         raise LengthMismatchError(
             f"analytic series has {n_steps} steps, estimate has "
             f"{len(estimate.w_left)}")
-    report = []
-    for i, expected in enumerate(analytic):
-        _check_type("analytic entry", expected, WeightPair)
-        empirical = estimate.w_left[i]
-        stderr = estimate.stderr[i]
-        diff = abs(empirical - expected.w_left)
-        if diff == 0.0:
-            z = 0.0
-        elif stderr == 0.0:
-            z = math.inf
-        else:
-            z = diff / stderr
-        report.append(StepAgreement(i + 1, empirical, expected.w_left,
-                                    stderr, z, z <= sigma_bound))
+    for entry in analytic:
+        _check_type("analytic entry", entry, WeightPair)
+    expected = [pair.w_left for pair in analytic]
+    diff = np.abs(np.subtract(estimate.w_left, expected))
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf at stderr 0
+        z = np.where(diff == 0.0, 0.0, diff / estimate.stderr)
+    columns = (range(1, n_steps + 1), estimate.w_left, expected,
+               estimate.stderr, z.tolist(), (z <= sigma_bound).tolist())
+    # filled through the slot setters, strictly, so that an estimate whose
+    # tuples differ in length leaves no row with a field unset
+    report = [_new(StepAgreement) for _ in range(n_steps)]
+    for setter, column in zip(_AGREEMENT_SETTERS, columns):
+        for row, value in zip(report, column, strict=True):
+            setter(row, value)
     return report

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from splitloop import cli, maps, montecarlo
 from splitloop.cli import main
-from splitloop.errors import SplitLoopError
+from splitloop.errors import OutOfRangeError, SplitLoopError
 
 
 @pytest.fixture
@@ -301,6 +301,32 @@ class TestSweep:
                                         "--grid", "0.1:0.8:0.1"])
         assert accepted.exit_code == 0
         assert len(parse_csv(accepted.output)) == 1 + 8
+
+    # the last value may lie up to half a step past STOP, so a STOP that
+    # ends on a half step holds as many cells as one on the next whole step
+    @pytest.mark.parametrize("grid", ["0:99999:1", "0:99998.5:1"])
+    def test_grid_of_exactly_the_cap_is_parsed(self, grid):
+        assert cli.MAX_GRID_CELLS == 100_000
+        assert cli._parse_grid(grid) == tuple(
+            float(k) for k in range(100_000))
+
+    @pytest.mark.parametrize("grid", ["0:100000:1", "0:99999.5:1"])
+    def test_grid_one_cell_past_the_cap_is_refused(self, runner, grid):
+        with pytest.raises(OutOfRangeError,
+                           match="more than 100000 cells"):
+            cli._parse_grid(grid)
+        # refused before any cell is built or swept
+        result = runner.invoke(main, ["sweep", "--mode", "unitary",
+                                      "--grid", grid])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: bad --grid {grid!r}: more than 100000 cells\n")
+
+    @pytest.mark.parametrize("grid", ["0:0.65:0.25", "0:0.625:0.25"])
+    def test_last_value_within_half_a_step_past_stop_is_kept(self, grid):
+        # 0.75 lies between STOP + STEP/3 and STOP + STEP/2, or on the
+        # latter; the next value, 1.0, lies past it
+        assert cli._parse_grid(grid) == (0.0, 0.25, 0.5, 0.75)
 
 
 class TestMonteCarlo:

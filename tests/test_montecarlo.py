@@ -209,6 +209,58 @@ class TestOnePath:
         assert estimate.w_left == (1.0,) * 32
 
 
+def double_of(word):
+    """The double numpy's Generator.random makes of a Philox word."""
+    return (word >> 11) * 2.0 ** -53
+
+
+def packed_bits(words, p):
+    """_packed_choices' a-bits for p, one key per word, with the draw
+    replaced by `words`."""
+    column = np.array(words, dtype=np.uint64).reshape(-1, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_uniforms", lambda *args: column)
+        a, _ = montecarlo._packed_choices(
+            0, np.arange(len(words), dtype=np.uint32), 0, 1, p, 0.5)
+    return np.unpackbits(a[0], count=len(words)).astype(bool).tolist()
+
+
+THRESHOLD_EDGES = [0.0, 5e-324, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0]
+
+
+class TestWordThresholds:
+    """A word is compared with ceil(p * 2**53) * 2**11 where numpy would
+    compare its double with p: the two pick the same words."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(p=st.one_of(st.sampled_from(THRESHOLD_EDGES), st.floats(0.0, 1.0)),
+           word=st.integers(0, 2 ** 64 - 1))
+    @example(p=0.0, word=0)
+    @example(p=5e-324, word=2 ** 11 - 1)
+    @example(p=2.0 ** -53, word=2 ** 64 - 1)
+    @example(p=0.5, word=2 ** 63 - 1)
+    @example(p=1.0 - 2.0 ** -53, word=2 ** 64 - 2 ** 11 - 1)
+    @example(p=1.0, word=2 ** 64 - 1)
+    def test_a_word_is_below_the_threshold_when_its_double_is_below_p(
+            self, p, word):
+        threshold = montecarlo._threshold(p)
+        words = [word] + [w for w in (threshold - 1, threshold,
+                                      threshold + 2047) if 0 <= w < 2 ** 64]
+        below = [double_of(w) < p for w in words]
+        assert [w < threshold for w in words] == below
+        assert packed_bits(words, p) == below
+
+    def test_thresholds_of_the_edges(self):
+        assert [montecarlo._threshold(p) for p in THRESHOLD_EDGES] == [
+            0, 2 ** 11, 2 ** 11, 2 ** 63, 2 ** 64 - 2 ** 11, 2 ** 64]
+
+    @pytest.mark.parametrize("key", [0, 2 ** 64 - 1, KEYS - 1])
+    def test_the_doubles_of_the_words_are_the_generators(self, key):
+        words = np.random.Philox(key=key).random_raw(1000)
+        doubles = np.random.Generator(np.random.Philox(key=key)).random(1000)
+        assert np.array_equal((words >> np.uint64(11)) * 2.0 ** -53, doubles)
+
+
 class TestEnsemble:
     def test_frozen_small_ensemble(self):
         estimate = ensemble_frequencies(SP9, Topology.BOTH_CONNECTED, 5,
@@ -346,12 +398,13 @@ class TestEnsemble:
     def test_scattered_keys_draw_their_own_streams(self, seed):
         # survivors of a narrowed slice: key offsets with gaps, from t0 = 8
         offsets = np.array([0, 3, 4, 9, 30, 31, 39], dtype=np.uint32)
-        expected = np.array([
-            np.random.Generator(np.random.Philox(key=seed + k)).random(12)[8:]
-            for k in offsets.tolist()])
+        expected = np.array([np.random.Philox(key=seed + k).random_raw(12)[8:]
+                             for k in offsets.tolist()])
         for draw in (montecarlo._philox_uniforms,
                      montecarlo._rekeyed_uniforms):
-            assert np.array_equal(draw(seed, offsets, 8, 4), expected)
+            words = draw(seed, offsets, 8, 4)
+            assert words.dtype == np.uint64
+            assert np.array_equal(words, expected)
 
     @pytest.mark.parametrize("n_paths", [1, 7, 13, 21])
     def test_bits_past_the_last_path_are_not_counted(self, n_paths):
@@ -522,3 +575,71 @@ class TestAgreement:
             estimate,
             analytic_weights(SP9, Topology.RIGHT_HALF_CONNECTED, 6))
         assert all(row.passed for row in rows)
+
+    @staticmethod
+    def hand_built(w_left, stderr):
+        """An estimate with exactly these per-step w_left and stderr."""
+        return montecarlo.EnsembleEstimate(
+            tuple(w_left), tuple(1.0 - w for w in w_left), tuple(stderr),
+            100, SP9, Topology.BOTH_CONNECTED, 0)
+
+    def test_rows_carry_each_step_and_its_z(self):
+        # z = 0.28125 / 0.0625 = 4.5 exactly, then 4.0 exactly, 0, inf, 2.0
+        estimate = self.hand_built([0.75, 0.75, 0.5, 0.5, 0.25],
+                                   [0.0625, 0.0625, 0.0, 0.0, 0.125])
+        analytic = [WeightPair(w, 1.0 - w)
+                    for w in (0.46875, 0.5, 0.5, 0.25, 0.5)]
+        rows = agreement_report(estimate, analytic)
+        assert rows == [
+            montecarlo.StepAgreement(1, 0.75, 0.46875, 0.0625, 4.5, False),
+            montecarlo.StepAgreement(2, 0.75, 0.5, 0.0625, 4.0, True),
+            montecarlo.StepAgreement(3, 0.5, 0.5, 0.0, 0.0, True),
+            montecarlo.StepAgreement(4, 0.5, 0.25, 0.0, math.inf, False),
+            montecarlo.StepAgreement(5, 0.25, 0.5, 0.125, 2.0, True)]
+        assert all(type(row.z) is float and type(row.passed) is bool
+                   for row in rows)
+
+    @pytest.mark.parametrize("sigma,passed", [
+        (None, [False, True]), (4.0, [False, True]), (4.5, [True, True]),
+        (5.0, [True, True]), (3.999, [False, False])])
+    def test_a_step_passes_when_z_is_within_the_bound(self, sigma, passed):
+        # the default bound is 4.0, and z equal to the bound passes
+        estimate = self.hand_built([0.75, 0.75], [0.0625, 0.0625])
+        analytic = [WeightPair(0.46875, 0.53125), WeightPair(0.5, 0.5)]
+        kwargs = {} if sigma is None else {"sigma_bound": sigma}
+        rows = agreement_report(estimate, analytic, **kwargs)
+        assert [row.z for row in rows] == [4.5, 4.0]
+        assert [row.passed for row in rows] == passed
+
+    def test_every_entry_is_checked(self):
+        estimate = self.hand_built([0.5] * 3, [0.05] * 3)
+        analytic = [WeightPair(0.5, 0.5)] * 2 + [(0.5, 0.5)]
+        with pytest.raises(ModeMismatchError, match="analytic entry must be "
+                           "a WeightPair, got tuple"):
+            agreement_report(estimate, analytic)
+
+    def test_errors_come_in_order(self):
+        # each call has every fault of the next one too, and one more
+        estimate = self.hand_built([0.5] * 3, [0.05] * 3)
+        bad_entries = [None] * 2
+        cases = [
+            (("not an estimate", 7, math.nan), ModeMismatchError,
+             "estimate must be an EnsembleEstimate, got str"),
+            ((estimate, 7, math.nan), ModeMismatchError,
+             "analytic must be a sequence of WeightPair, got int"),
+            ((estimate, bad_entries, math.nan), OutOfRangeError,
+             "sigma_bound must be positive and finite, got nan"),
+            ((estimate, bad_entries, 4.0), LengthMismatchError,
+             "analytic series has 2 steps, estimate has 3"),
+            ((estimate, bad_entries + [None], 4.0), ModeMismatchError,
+             "analytic entry must be a WeightPair, got NoneType")]
+        for args, error, message in cases:
+            with pytest.raises(error) as raised:
+                agreement_report(*args)
+            assert str(raised.value) == message
+
+    def test_an_estimate_of_uneven_tuples_leaves_no_row_unfilled(self):
+        # one stderr for two steps broadcasts; no row is left without one
+        estimate = self.hand_built([0.5, 0.5], [0.05])
+        with pytest.raises(ValueError):
+            agreement_report(estimate, [WeightPair(0.5, 0.5)] * 2)
