@@ -30,8 +30,8 @@ from .errors import (NumericDomainError, OutOfRangeError,
 from .states import (InteractionMode, SplitterCoefficients, Topology,
                      _check_positive_finite, _check_sampling, _check_unit,
                      _state_from_left_weight)
-from .trajectory import (_WIRINGS, NotConverged, Scenario, StepSchedule,
-                         Trajectory, iterate)
+from .trajectory import (NotConverged, Scenario, StepSchedule, Trajectory,
+                         iterate)
 
 EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
@@ -151,17 +151,16 @@ _CHUNK_ROWS = 4096
 _RUN_COLUMNS = ("n", "time", "topology", "a", "b", "w_left", "w_right")
 
 
-def _run_rows(fmt: str, trajectory: Trajectory, period: float,
-              unitary: bool) -> Iterator[str]:
+def _run_rows(fmt: str, trajectory: Trajectory,
+              period: float) -> Iterator[str]:
     """Every pass's row, the row of a run longer than one pass filled in
     once but for n and n * period."""
-    template = _row_template(fmt, _RUN_COLUMNS, () if unitary else ("a", "b"))
-    names = tuple(_cell(fmt, topology.value) for topology in _WIRINGS)
-    firsts, ends, wirings, *floats = trajectory.records._columns()
-    # a and b, then w_left and w_right, of the floats of a run
-    cells = [*floats[:2], *floats[-3:-1]] if unitary else floats[:2]
+    firsts, ends, (wirings, topologies), state, weights = (
+        trajectory.records._columns())
+    template = _row_template(fmt, _RUN_COLUMNS, () if state else ("a", "b"))
+    names = tuple(_cell(fmt, topology.value) for topology in topologies)
     rows = zip(firsts, map(operator.mul, firsts, repeat(period)),
-               map(names.__getitem__, wirings), *cells)
+               map(names.__getitem__, wirings), *state[:2], *weights[:2])
     for end, row in zip(ends, rows):
         if end == row[0] + 1:
             yield template % row
@@ -286,7 +285,6 @@ def run(mode, topology, wl1, a1sq, steps, period, switches, fmt, out):
                         max_steps=steps, period=period)
     trajectory = iterate(scenario, schedule)
     final = trajectory.final
-    unitary = mode_obj is InteractionMode.FIXED_SPLITTER
     _write_table(fmt, out, {
         "mode": mode,
         "topology": topology,
@@ -295,7 +293,7 @@ def run(mode, topology, wl1, a1sq, steps, period, switches, fmt, out):
         "steps": steps,
         "period": period,
         "switches": [[s, t.value] for s, t in schedule.switches],
-    }, "records", _RUN_COLUMNS, _run_rows(fmt, trajectory, period, unitary), {
+    }, "records", _RUN_COLUMNS, _run_rows(fmt, trajectory, period), {
         "final_w_left": final.weights.w_left,
         "final_w_right": final.weights.w_right,
         "final_topology": final.topology.value,

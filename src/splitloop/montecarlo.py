@@ -402,7 +402,8 @@ def agreement_report(estimate: EnsembleEstimate,
 
     Refuses, in this order: an estimate of another type, an `analytic`
     with no length, a bad `sigma_bound`, a length other than the
-    estimate's, and then any entry that is not a WeightPair. A step's z is
+    estimate's, an estimate with a stderr count other than its step
+    count, and then any entry that is not a WeightPair. A step's z is
     |empirical - analytic| / stderr, 0 where the difference is 0 and inf
     where only stderr is; it passes when z <= sigma_bound. z and passed are
     computed over all steps at once, and the rows built last.
@@ -418,6 +419,9 @@ def agreement_report(estimate: EnsembleEstimate,
         raise LengthMismatchError(
             f"analytic series has {n_steps} steps, estimate has "
             f"{len(estimate.w_left)}")
+    if len(estimate.stderr) != n_steps:
+        raise LengthMismatchError(f"estimate has {n_steps} steps, its stderr "
+                                  f"{len(estimate.stderr)}")
     for entry in analytic:
         _check_type("analytic entry", entry, WeightPair)
     expected = [pair.w_left for pair in analytic]
@@ -426,10 +430,8 @@ def agreement_report(estimate: EnsembleEstimate,
         z = np.where(diff == 0.0, 0.0, diff / estimate.stderr)
     columns = (range(1, n_steps + 1), estimate.w_left, expected,
                estimate.stderr, z.tolist(), (z <= sigma_bound).tolist())
-    # filled through the slot setters, strictly, so that an estimate whose
-    # tuples differ in length leaves no row with a field unset
     report = [_new(StepAgreement) for _ in range(n_steps)]
     for setter, column in zip(_AGREEMENT_SETTERS, columns):
-        for row, value in zip(report, column, strict=True):
+        for row, value in zip(report, column):
             setter(row, value)
     return report

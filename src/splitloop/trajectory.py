@@ -20,7 +20,10 @@ is a fixed point of the segment's map, so it and every later pass of the
 segment form one run, and no more passes are computed there.
 `iterate` keeps the runs as `_Records`, a lazy sequence that holds them
 as array columns, bytes a run rather than a record a pass, and builds
-records only when they are read. `_records` builds every record, without
+records only when they are read. `_Records._columns` is the one reader of
+that layout: the records, `w_left_series` and the command line's `run`
+rows all read the runs through it, or, for the weights alone, through the
+`_weights` it calls. `_records` builds every record, without
 validating it again: those a `_Records` read gives, the records of a run
 in one read sharing one pair of pairs, and `converging_record`'s one. A
 scan reads the criterion's target and epsilon once and tests each run's
@@ -122,6 +125,12 @@ _RECORD_SETTERS = _setters(TrajectoryRecord, "n", "time", "topology",
                            "amplitudes", "weights")
 _PAIR = struct.Struct("<2d")
 _WIRINGS = tuple(Topology)
+# the state's and the weights' float columns of the runs in
+# `_Records._floats`, by the floats a run holds
+_STATE_COLUMNS = {3: lambda floats: (), 6: operator.itemgetter(
+    slice(0, None, 6), slice(1, None, 6), slice(2, None, 6))}
+_WEIGHT_COLUMNS = {width: operator.itemgetter(*(
+    slice(i, None, width) for i in range(width - 3, width))) for width in (3, 6)}
 _CHUNK_RUNS = 4096
 
 
@@ -137,18 +146,12 @@ class Trajectory:
         records = self.records
         if type(records) is not _Records:
             return [r.weights.w_left for r in records]
-        # iterate's records, read from their weight column here rather
-        # than through a method: a short run's fixed cost is mostly calls
-        scenario, floats = records._scenario, records._floats
-        unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
-        w_lefts = floats[3::6] if unitary else floats[::3]
-        if len(w_lefts) == scenario.max_steps:  # one pass a run
+        w_lefts, _, _ = records._weights()
+        if len(w_lefts) == records._scenario.max_steps:  # one pass a run
             return w_lefts.tolist()
         firsts, ends, *_ = records._columns()
-        series = []
-        for first, end, w_left in zip(firsts, ends, w_lefts):
-            series += [w_left] * (end - first)
-        return series
+        return list(chain.from_iterable(map(
+            repeat, w_lefts, map(operator.sub, ends, firsts))))
 
 
 @dataclass(frozen=True)
@@ -275,13 +278,14 @@ class _Records(Sequence):
     `_WIRINGS` in `_wirings`, and its floats in `_floats`: the state's
     (x, y, correction) and then the weights' (w_left, w_right,
     sum_correction) in a fixed-splitter run, the weights alone in a
-    movable-splitter one. A run ends where the next begins, the last one at
-    max_steps. Every read builds new records through `_records`, those of
-    one run in one read sharing its pairs, but for the final record, which
-    is built once.
+    movable-splitter one. A run ends where the next begins, and `_firsts`
+    ends with max_steps + 1, where a run after the last would begin.
+    `_columns` is the one reader of that layout, and `_weights` the reader
+    of the weights alone. Every read builds new records through `_records`,
+    those of one run in one read sharing its pairs, but for the final
+    record, which is built once. Indexes and slices are those of
+    `range(1, len + 1)`, the passes.
     """
-
-    __slots__ = ("_scenario", "_firsts", "_wirings", "_floats", "_final")
 
     def __init__(self, scenario: Scenario, passes) -> None:
         firsts, wirings, floats = array("q"), array("b"), array("d")
@@ -305,41 +309,37 @@ class _Records(Sequence):
             floats.fromlist(values)
             if len(starts) < _CHUNK_RUNS:
                 break
+        firsts.append(scenario.max_steps + 1)
         self._scenario, self._firsts = scenario, firsts
         self._wirings, self._floats, self._final = wirings, floats, None
 
-    def __getstate__(self) -> tuple:
-        return self._scenario, self._firsts, self._wirings, self._floats
+    def _columns(self) -> tuple:
+        """The runs as (firsts, ends, (wirings, topologies), state,
+        weights), views with no copy: their first passes, the passes after
+        their last, their wirings as indexes into the tuple `topologies`,
+        a column for each float of the state, none in a movable-splitter
+        run, and `_weights()`."""
+        firsts, floats = memoryview(self._firsts), memoryview(self._floats)
+        state = _STATE_COLUMNS[len(floats) // len(self._wirings)](floats)
+        return (firsts[:-1], firsts[1:], (self._wirings, _WIRINGS), state,
+                self._weights())
 
-    def __setstate__(self, state: tuple) -> None:
-        self._scenario, self._firsts, self._wirings, self._floats = state
-        self._final = None
-
-    def _columns(self, start: int = 0, stop: int | None = None) -> tuple:
-        """The runs start to stop - 1 as columns, views with no copy:
-        their first passes, the passes after their last, their wirings'
-        indexes into `_WIRINGS`, and a column for each float of a run."""
-        firsts, n_runs = memoryview(self._firsts), len(self._firsts)
-        stop = n_runs if stop is None else stop
-        ends = chain(firsts[start + 1:stop], (
-            firsts[stop] if stop < n_runs else len(self) + 1,))
-        unitary = self._scenario.mode is InteractionMode.FIXED_SPLITTER
-        width = 6 if unitary else 3
-        floats = memoryview(self._floats)[width * start:width * stop]
-        return (firsts[start:stop], ends,
-                memoryview(self._wirings)[start:stop],
-                *(floats[i::width] for i in range(width)))
+    def _weights(self) -> tuple:
+        """The runs' weight columns, (w_left, w_right, sum_correction), as
+        views with no copy, for a reader that needs no other column: a
+        short read's cost is mostly the views it builds."""
+        floats = memoryview(self._floats)
+        return _WEIGHT_COLUMNS[len(floats) // len(self._wirings)](floats)
 
     def _runs(self, start: int = 0, stop: int | None = None) -> Iterator:
         """The runs start to stop - 1 as (first, last, topology, state,
         weights), state () in a movable-splitter run."""
-        firsts, ends, wirings, *floats = self._columns(start, stop)
-        lasts = map(operator.sub, ends, repeat(1))
-        topologies = map(_WIRINGS.__getitem__, wirings)
-        if len(floats) == 6:
-            return zip(firsts, lasts, topologies, zip(*floats[:3]),
-                       zip(*floats[3:]))
-        return zip(firsts, lasts, topologies, repeat(()), zip(*floats))
+        firsts, ends, (wirings, topologies), state, weights = self._columns()
+        runs = slice(start, stop)
+        return zip(firsts[runs], map(operator.sub, ends[runs], repeat(1)),
+                   map(topologies.__getitem__, wirings[runs]),
+                   zip(*(c[runs] for c in state)) if state else repeat(()),
+                   zip(*(c[runs] for c in weights)))
 
     def _span(self, first: int, last: int) -> tuple[TrajectoryRecord, ...]:
         """The records of passes first to last."""
@@ -357,26 +357,13 @@ class _Records(Sequence):
         return _records(self._scenario, self._runs())
 
     def __getitem__(self, index):
-        n_records = self._scenario.max_steps
+        n = range(1, len(self) + 1)[index]  # a pass, or a range of them
         if isinstance(index, slice):
-            indexes = range(n_records)[index]
-            if not indexes:
-                return ()
-            low, high = sorted((indexes[0], indexes[-1]))
-            return self._span(low + 1, high + 1)[::indexes.step]
-        try:
-            i = operator.index(index)
-        except TypeError:
-            raise TypeError("records indices must be integers or slices, "
-                            f"not {type(index).__name__}") from None
-        if i < 0:
-            i += n_records
-        if not 0 <= i < n_records:
-            raise IndexError("records index out of range")
-        if i < n_records - 1:
-            return self._span(i + 1, i + 1)[0]
+            return self._span(*sorted((n[0], n[-1])))[::n.step] if n else ()
+        if n < len(self):
+            return self._span(n, n)[0]
         if self._final is None:  # final and records[-1] are one object
-            self._final = self._span(n_records, n_records)[0]
+            self._final = self._span(n, n)[0]
         return self._final
 
     def __eq__(self, other):

@@ -639,7 +639,11 @@ class TestAgreement:
             assert str(raised.value) == message
 
     def test_an_estimate_of_uneven_tuples_leaves_no_row_unfilled(self):
-        # one stderr for two steps broadcasts; no row is left without one
+        # one stderr for two steps would broadcast; it is refused before
+        # any row is built, and before the entries are read
         estimate = self.hand_built([0.5, 0.5], [0.05])
-        with pytest.raises(ValueError):
-            agreement_report(estimate, [WeightPair(0.5, 0.5)] * 2)
+        for analytic in ([WeightPair(0.5, 0.5)] * 2, [None] * 2):
+            with pytest.raises(LengthMismatchError) as raised:
+                agreement_report(estimate, analytic)
+            assert str(raised.value) == (
+                "estimate has 2 steps, its stderr 1")

@@ -361,12 +361,17 @@ class TestRecordsBuiltOnRead:
         schedule = StepSchedule(((30, Topology.RIGHT_HALF_CONNECTED),))
         trajectory = iterate(scenario_of(mode, 0.7, 60), schedule)
         built = Trajectory(tuple(trajectory.records))
+        final = trajectory.final  # held by the records, and pickled too
         copy = pickle.loads(pickle.dumps(trajectory, protocol))
         assert copy == trajectory == built
         assert hash(copy) == hash(trajectory) == hash(built)
         assert [record_hex(r) for r in copy.records] == [
             record_hex(r) for r in built.records]
         assert copy.final is copy.records[-1]
+        assert record_hex(copy.final) == record_hex(final)
+        # a tuple of records reads its series record by record
+        assert built.w_left_series() == trajectory.w_left_series()
+        assert copy.w_left_series() == trajectory.w_left_series()
 
 
 class TestSchedules:
