@@ -74,8 +74,7 @@ class StepAgreement:
     passed: bool
 
 
-_AGREEMENT_SETTERS = _setters(StepAgreement, "step", "empirical",
-                              "analytic", "stderr", "z", "passed")
+_AGREEMENT_SETTERS = _setters(StepAgreement)
 
 
 # Philox4x64-10 (Salmon et al., SC'11) exactly as numpy's Philox computes

@@ -17,9 +17,11 @@ constructors call it on what the validators' rule `_entered_violation`
 accepts; the trajectory loop calls it on the raw floats of every pass and
 wraps the results with `amplitude_pair`/`weight_pair`, which skip both.
 The pair types are slotted, so an instance holds no `__dict__`, and those
-two fill a bare instance through the slots' own setters, which `_setters`
-looks up once at import: cheaper than `object.__setattr__`, and a slot
-left unset raises AttributeError on reading, with no class default.
+two fill a bare instance through the slots' own setters: cheaper than
+`object.__setattr__`, and a slot left unset raises AttributeError on
+reading, with no class default. `_setters` reads a slotted class's setters
+from its own `__slots__`, in field order, so no caller lists its fields,
+and one maker, `_filled`, binds a pair type's three at import.
 
 The argument rules every module shares are written here once: `_check_*`,
 `_as_float`, how a caller's value is read, and `_shown`, how it is shown.
@@ -346,36 +348,27 @@ def weights_of(state: AmplitudePair | WeightPair) -> WeightPair:
     return weight_pair(*normalize_pair(a * a, b * b, False))
 
 
-def _setters(cls: type, *names: str) -> tuple:
-    """The setters of the slots `names` of a slotted class: each stores its
-    value on an instance without the frozen dataclass's __setattr__."""
-    return tuple(getattr(cls, name).__set__ for name in names)
+def _setters(cls: type) -> tuple:
+    """The setters of a slotted class's slots, in the order of its
+    `__slots__`, which a slotted dataclass lists in field order: each stores
+    its value on an instance without the frozen dataclass's __setattr__."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
-_AMPLITUDE_SETTERS = _setters(AmplitudePair, "a_left", "b_right",
-                              "norm_correction")
-_WEIGHT_SETTERS = _setters(WeightPair, "w_left", "w_right", "sum_correction")
+def _filled(cls: type):
+    """The maker of a `cls` pair from values normalize_pair has already
+    returned, without the __post_init__ that would validate and rescale
+    them again: a bare instance filled through its three slots' setters."""
+    set_x, set_y, set_correction = _setters(cls)
+
+    def make(x: float, y: float, correction: float):
+        pair = _new(cls)
+        set_x(pair, x)
+        set_y(pair, y)
+        set_correction(pair, correction)
+        return pair
+    return make
 
 
-def amplitude_pair(a_left: float, b_right: float,
-                   norm_correction: float) -> AmplitudePair:
-    """An AmplitudePair from values normalize_pair has already returned,
-    without the __post_init__ that would validate and rescale them again."""
-    pair = _new(AmplitudePair)
-    set_a_left, set_b_right, set_correction = _AMPLITUDE_SETTERS
-    set_a_left(pair, a_left)
-    set_b_right(pair, b_right)
-    set_correction(pair, norm_correction)
-    return pair
-
-
-def weight_pair(w_left: float, w_right: float,
-                sum_correction: float) -> WeightPair:
-    """A WeightPair from values normalize_pair has already returned,
-    without the __post_init__ that would validate and rescale them again."""
-    pair = _new(WeightPair)
-    set_w_left, set_w_right, set_correction = _WEIGHT_SETTERS
-    set_w_left(pair, w_left)
-    set_w_right(pair, w_right)
-    set_correction(pair, sum_correction)
-    return pair
+amplitude_pair = _filled(AmplitudePair)
+weight_pair = _filled(WeightPair)

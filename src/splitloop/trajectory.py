@@ -19,17 +19,18 @@ often reached exactly: a pass that gives back its own input, bit for bit,
 is a fixed point of the segment's map, so it and every later pass of the
 segment form one run, and no more passes are computed there.
 `iterate` keeps the runs as `_Records`, a lazy sequence that holds them
-as array columns, bytes a run rather than a record a pass, and builds
-records only when they are read. `_Records._columns` is the one reader of
-that layout: the records, `w_left_series` and the command line's `run`
-rows all read the runs through it, or, for the weights alone, through the
-`_weights` it calls. `_records` builds every record, without
-validating it again: those a `_Records` read gives, the records of a run
-in one read sharing one pair of pairs, and `converging_record`'s one. A
-scan reads the criterion's target and epsilon once and tests each run's
-weights once, so one stuck on a fixed point outside epsilon skips to
-max_steps. A record is slotted like its pairs, and `_records` fills it
-through the slot setters of `_RECORD_SETTERS`.
+as columns, one `array` for the first passes, one for the wirings and one
+for each named float of a run, bytes a run rather than a record a pass,
+and builds records only when they are read. `_Records._columns` returns
+those columns, and the records and the command line's `run` rows read the
+runs through it; `w_left_series` takes the w_left column alone.
+`_records` builds every record, without validating it again: those a
+`_Records` read gives, the records of a run in one read sharing one pair
+of pairs, and `converging_record`'s one. A scan reads the criterion's
+target and epsilon once and tests each run's weights once, so one stuck
+on a fixed point outside epsilon skips to max_steps. A record is slotted
+like its pairs, and `_records` fills it through the setters that
+`states._setters` reads from its slots.
 """
 
 from __future__ import annotations
@@ -121,21 +122,18 @@ class TrajectoryRecord:
     weights: WeightPair
 
 
-_RECORD_SETTERS = _setters(TrajectoryRecord, "n", "time", "topology",
-                           "amplitudes", "weights")
+_RECORD_SETTERS = _setters(TrajectoryRecord)
 _PAIR = struct.Struct("<2d")
 _WIRINGS = tuple(Topology)
-# the state's and the weights' float columns of the runs in
-# `_Records._floats`, by the floats a run holds
-_STATE_COLUMNS = {3: lambda floats: (), 6: operator.itemgetter(
-    slice(0, None, 6), slice(1, None, 6), slice(2, None, 6))}
-_WEIGHT_COLUMNS = {width: operator.itemgetter(*(
-    slice(i, None, width) for i in range(width - 3, width))) for width in (3, 6)}
 _CHUNK_RUNS = 4096
 
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A run's records, pass 1 first. `iterate` gives them as a lazy
+    sequence that builds each record when it is read; any sequence of
+    records makes a Trajectory too."""
+
     records: Sequence[TrajectoryRecord]
 
     @property
@@ -143,10 +141,12 @@ class Trajectory:
         return self.records[-1]
 
     def w_left_series(self) -> list[float]:
+        """The left weight of every pass, in order, as floats; an `iterate`
+        result gives it from its w_left column, with no record built."""
         records = self.records
         if type(records) is not _Records:
             return [r.weights.w_left for r in records]
-        w_lefts, _, _ = records._weights()
+        w_lefts = records._weights[0]
         if len(w_lefts) == records._scenario.max_steps:  # one pass a run
             return w_lefts.tolist()
         firsts, ends, *_ = records._columns()
@@ -275,16 +275,15 @@ class _Records(Sequence):
     equal passes and built when they are read.
 
     A run is its first pass in `_firsts`, its wiring's index into
-    `_WIRINGS` in `_wirings`, and its floats in `_floats`: the state's
-    (x, y, correction) and then the weights' (w_left, w_right,
-    sum_correction) in a fixed-splitter run, the weights alone in a
-    movable-splitter one. A run ends where the next begins, and `_firsts`
-    ends with max_steps + 1, where a run after the last would begin.
-    `_columns` is the one reader of that layout, and `_weights` the reader
-    of the weights alone. Every read builds new records through `_records`,
-    those of one run in one read sharing its pairs, but for the final
-    record, which is built once. Indexes and slices are those of
-    `range(1, len + 1)`, the passes.
+    `_WIRINGS` in `_wirings`, and its floats, an `array` a named float: the
+    state's (a_left, b_right, norm_correction) in `_state`, a
+    fixed-splitter run's only, and the weights' (w_left, w_right,
+    sum_correction) in `_weights`. A run ends where the next begins, and
+    `_firsts` ends with max_steps + 1, where a run after the last would
+    begin. Every read builds new records through `_records`, those of one
+    run in one read sharing its pairs, but for the final record, which is
+    built once. Indexes and slices are those of `range(1, len + 1)`, the
+    passes.
     """
 
     def __init__(self, scenario: Scenario, passes) -> None:
@@ -301,35 +300,32 @@ class _Records(Sequence):
                 if topology is not last:  # the wiring changed
                     code, last = _WIRINGS.index(topology), topology
                 codes.append(code)
+                values += weights
                 if unitary:
                     values += state
-                values += weights
             firsts.fromlist(starts)
             wirings.fromlist(codes)
             floats.fromlist(values)
             if len(starts) < _CHUNK_RUNS:
                 break
         firsts.append(scenario.max_steps + 1)
-        self._scenario, self._firsts = scenario, firsts
-        self._wirings, self._floats, self._final = wirings, floats, None
+        # a run's floats are its weights' and then its state's; a strided
+        # slice of an array is a new array, built in one call
+        width = 6 if unitary else 3
+        self._weights = floats[0::width], floats[1::width], floats[2::width]
+        self._state = ((floats[3::6], floats[4::6], floats[5::6]) if unitary
+                       else ())
+        self._scenario, self._firsts, self._wirings = scenario, firsts, wirings
+        self._final = None
 
     def _columns(self) -> tuple:
         """The runs as (firsts, ends, (wirings, topologies), state,
-        weights), views with no copy: their first passes, the passes after
-        their last, their wirings as indexes into the tuple `topologies`,
-        a column for each float of the state, none in a movable-splitter
-        run, and `_weights()`."""
-        firsts, floats = memoryview(self._firsts), memoryview(self._floats)
-        state = _STATE_COLUMNS[len(floats) // len(self._wirings)](floats)
-        return (firsts[:-1], firsts[1:], (self._wirings, _WIRINGS), state,
-                self._weights())
-
-    def _weights(self) -> tuple:
-        """The runs' weight columns, (w_left, w_right, sum_correction), as
-        views with no copy, for a reader that needs no other column: a
-        short read's cost is mostly the views it builds."""
-        floats = memoryview(self._floats)
-        return _WEIGHT_COLUMNS[len(floats) // len(self._wirings)](floats)
+        weights): their first passes and the passes after their last, as
+        views with no copy, their wirings as indexes into the tuple
+        `topologies`, and the float columns of `_state` and `_weights`."""
+        firsts = memoryview(self._firsts)
+        return (firsts[:-1], firsts[1:], (self._wirings, _WIRINGS),
+                self._state, self._weights)
 
     def _runs(self, start: int = 0, stop: int | None = None) -> Iterator:
         """The runs start to stop - 1 as (first, last, topology, state,

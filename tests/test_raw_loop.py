@@ -3,8 +3,9 @@
 `iterate` runs on plain floats and wraps each pass's values without
 validating them again; these tests pin it to the typed chain
 StepMap.apply + weights_of, the convergence scans to iterate, the typed
-steps to the state constructors, and each kernel's array path to its
-float path.
+steps to the state constructors, the objects filled through their slots'
+setters, agreement rows included, to their constructors, and each
+kernel's array path to its float path.
 """
 
 import dataclasses
@@ -26,7 +27,10 @@ from splitloop import (AmplitudePair, ConvergenceCriterion, InteractionMode,
                        amplitudes_from_left_weight, converging_record,
                        fixed_points, iterate, maps, stable_fixed_point, steps_to_converge,
                        sweep_initial_conditions, trajectory, weights_of)
-from splitloop.states import amplitude_pair, normalize_pair, weight_pair
+from splitloop.montecarlo import (EnsembleEstimate, StepAgreement,
+                                  agreement_report)
+from splitloop.states import (_setters, amplitude_pair, normalize_pair,
+                              weight_pair)
 from splitloop.trajectory import TrajectoryRecord
 
 FIXED = InteractionMode.FIXED_SPLITTER
@@ -500,13 +504,21 @@ RAW_WEIGHTS = (0.3, 0.7 + 3e-10)
 
 
 def fast_and_checked(kind):
-    """(fast-built, constructor-built) objects of one per-pass type."""
+    """(fast-built, constructor-built) objects of one per-pass type, or of
+    the agreement report's rows, which are filled the same way."""
     amplitudes = normalize_pair(*RAW_AMPLITUDES, True)
     weights = normalize_pair(*RAW_WEIGHTS, False)
     if kind == "amplitudes":
         return amplitude_pair(*amplitudes), AmplitudePair(*RAW_AMPLITUDES)
     if kind == "weights":
         return weight_pair(*weights), WeightPair(*RAW_WEIGHTS)
+    if kind == "agreement row":
+        estimate = EnsembleEstimate((0.3,), (0.7,), (0.05,), 100,
+                                    SplitterCoefficients.from_reflectance(0.5),
+                                    Topology.BOTH_CONNECTED, 0)
+        (row,) = agreement_report(estimate, [WeightPair(0.25, 0.75)])
+        return row, StepAgreement(1, 0.3, 0.25, 0.05, abs(0.3 - 0.25) / 0.05,
+                                  True)
     mode = FIXED if kind == "coherent record" else MOVABLE
     scenario = Scenario(mode, Topology.BOTH_CONNECTED,
                         SplitterCoefficients.from_reflectance(0.7),
@@ -520,7 +532,7 @@ def fast_and_checked(kind):
 
 
 PER_PASS_KINDS = ["amplitudes", "weights", "coherent record",
-                  "measuring record"]
+                  "measuring record", "agreement row"]
 
 
 def slot_values(obj):
@@ -543,6 +555,9 @@ def test_fast_built_per_pass_objects_are_slotted_and_complete(kind):
     fields = tuple(f.name for f in dataclasses.fields(checked))
     assert type(fast) is type(checked)
     assert type(fast).__slots__ == fields
+    # the fill's setters, read from the slots: one a field, in field order
+    assert tuple(setter.__self__.__name__
+                 for setter in _setters(type(fast))) == fields
     assert not hasattr(fast, "__dict__")
     # every slot set, the corrections too, which equality skips
     assert normalize_pair(*RAW_AMPLITUDES, True)[2] != 0.0

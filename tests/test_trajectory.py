@@ -487,6 +487,31 @@ class TestConvergence:
             eps, 1100).cells
         assert (cell.converged, cell.steps) == (True, n)
 
+    def test_criterion_10s_release_is_the_closed_forms_count(self):
+        # acceptance criterion 10's run: drained in the right-half map from
+        # balance, then reconnected from the first record past 1 - 1e-6 on
+        # the right. The closed form above predicts the 17 records of its
+        # release, 16 passes, from that record's ratio alone.
+        splitter = SplitterCoefficients.from_reflectance(0.5)
+        drain = iterate(Scenario(InteractionMode.FIXED_SPLITTER,
+                                 Topology.RIGHT_HALF_CONNECTED, splitter,
+                                 amplitudes_from_left_weight(0.5),
+                                 max_steps=100))
+        crossing = next(r for r in drain.records
+                        if r.weights.w_right > 1.0 - 1e-6)
+        rho = crossing.amplitudes.a_left / crossing.amplitudes.b_right
+        assert crossing.n == 5
+        assert rho == pytest.approx(1.358e-4, rel=1e-3)
+        eps = 1e-4
+        n = 1 + math.ceil(math.log2(math.acosh(1.0 / (2.0 * eps))
+                                    / (2.0 * math.atanh(rho))))
+        assert n == 17
+        back = Scenario(InteractionMode.FIXED_SPLITTER,
+                        Topology.BOTH_CONNECTED, splitter, crossing.amplitudes,
+                        max_steps=400)
+        assert steps_to_converge(
+            back, ConvergenceCriterion(BALANCED_TARGET, eps)) == n
+
     def test_not_converged_is_a_value(self):
         result = steps_to_converge(measure_scenario(0.9, 5),
                                    ConvergenceCriterion(BALANCED_TARGET,
