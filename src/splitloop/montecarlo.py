@@ -22,14 +22,14 @@ and b1^2, and packed 8 paths to a byte as soon as it is drawn. A word is
 below p's threshold exactly when the double numpy makes of it, (word >> 11)
 * 2**-53, is below p, so the choices are those of the doubles. The packed
 rows are walked with bitwise operations (multi-spin coding, Jacobs & Rebbi
-1981) and counted a chunk of paths at a time, and a path longer than one
-time slice a slice at a time: its stream restarts at the slice's Philox
-block counter, and the walk carries the chunk's last packed row. In the two
-half-connected wirings one side absorbs: after each slice the chunk is
-narrowed to the paths still off that side, and the first slice is sized so
-that about one path of the chunk outlives it. Memory stays bounded in paths
-and in steps, and run time in the half wirings grows with paths x time to
-absorption.
+1981) and counted by NumPy's popcount on 64-bit words, a chunk of paths at
+a time, and a path longer than one time slice a slice at a time: its stream
+restarts at the slice's Philox block counter, and the walk carries the
+chunk's last packed row. In the two half-connected wirings one side
+absorbs: after each slice the chunk is narrowed to the paths still off that
+side, and the first slice is sized so that about one path of the chunk
+outlives it. Memory stays bounded in paths and in steps, and run time in the
+half wirings grows with paths x time to absorption.
 """
 
 from __future__ import annotations
@@ -83,8 +83,6 @@ _AGREEMENT_SETTERS = _setters(StepAgreement)
 # (word >> 11) * 2**-53.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
 
 #: A draw of up to this many steps, a path's or a time slice's, is made by
 #: the key-vectorized Philox, a longer one by one numpy Philox re-keyed per
@@ -113,26 +111,26 @@ def _paths_within(path_steps: int, steps: int) -> int:
 
 def _packed_width(n_paths: int) -> int:
     """Bytes in a packed row of n_paths paths: whole 8-byte words, so that
-    a running reduction can take the rows as uint64."""
+    a running reduction and the count can take the rows as uint64."""
     return -(-n_paths // 64) * 8
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products m * x, x uint64."""
-    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
-    x_hi, x_lo = x >> _SHIFT32, x & _LOW32
+    m_hi, m_lo = m >> 32, m & 0xFFFFFFFF
+    x_hi, x_lo = x >> 32, x & 0xFFFFFFFF
     hi, mid_a, mid_b = x_hi * m_hi, x_lo * m_hi, x_hi * m_lo
     carry = x_lo * m_lo  # in place from here on: 20 of these per draw
-    carry >>= _SHIFT32
-    carry += mid_a & _LOW32
-    carry += mid_b & _LOW32
-    carry >>= _SHIFT32
+    carry >>= 32
+    carry += mid_a & 0xFFFFFFFF
+    carry += mid_b & 0xFFFFFFFF
+    carry >>= 32
     hi += carry
-    mid_a >>= _SHIFT32
+    mid_a >>= 32
     hi += mid_a
-    mid_b >>= _SHIFT32
+    mid_b >>= 32
     hi += mid_b
-    return hi, x * np.uint64(m)
+    return hi, x * m
 
 
 # Draws take the keys of their paths as `keys`, a uint32 array of offsets:
@@ -146,16 +144,18 @@ def _philox_uniforms(base_seed: int, keys: np.ndarray, t0: int,
     array operation has a long contiguous inner loop; the rows come back as
     a transposed view of that step-major layout.
     """
-    lo = np.uint64(base_seed % 2 ** 64)  # key words (k mod 2**64, k >> 64)
+    # key words (k mod 2**64, k >> 64); keys is uint32, and its sum with a
+    # Python int would stay uint32
+    lo = base_seed % 2 ** 64
     k0 = keys.astype(np.uint64) + lo
-    k1 = (k0 < lo).astype(np.uint64) + np.uint64(base_seed >> 64)  # carry
+    k1 = (k0 < lo).astype(np.uint64) + (base_seed >> 64)  # carry
     first, blocks = t0 // 4 + 1, -(-steps // 4)
     x0 = np.arange(first, first + blocks, dtype=np.uint64).reshape(-1, 1)
     x1 = x2 = x3 = np.zeros_like(x0)
     for r in range(10):
         if r:
-            k0 = k0 + np.uint64(_PHILOX_W[0])
-            k1 = k1 + np.uint64(_PHILOX_W[1])
+            k0 = k0 + _PHILOX_W[0]
+            k1 = k1 + _PHILOX_W[1]
         hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
         hi1 ^= x1
@@ -224,9 +224,8 @@ def _packed_choices(base_seed: int, keys: np.ndarray, t0: int,
             _uniforms(base_seed, keys[start:stop], t0, steps).T)
         columns = slice(start // 8, -(-stop // 8))
         for packed, threshold in thresholds:
-            # p = 1 takes every word: its threshold, 2**64, is no uint64
-            bits = (words < np.uint64(threshold) if threshold < 2 ** 64
-                    else np.ones(words.shape, dtype=bool))
+            # a Python int compares by value: 2**64, at p = 1, takes all
+            bits = words < threshold
             if bits.shape[1] % 8:  # the last block's partial byte
                 packed[:, columns] = np.packbits(bits, axis=1)
             else:  # rows of whole bytes pack as one run, 6x faster
@@ -286,25 +285,6 @@ def _walk(a: np.ndarray, b: np.ndarray, topology: Topology,
         row ^= b_row
         prev = row
     return in_left
-
-
-def _count_rows(packed: np.ndarray) -> np.ndarray:
-    """Set bits in each row of a uint8 array, counted in place.
-
-    A 256-entry table would cast every byte to an 8-byte index first, 5 MB
-    for 2500 paths of 2000 steps, and took twice as long.
-    """
-    spare = packed >> 1  # sum the bits in pairs, then nibbles, then bytes
-    spare &= 0x55
-    packed -= spare
-    np.right_shift(packed, 2, out=spare)
-    spare &= 0x33
-    packed &= 0x33
-    packed += spare
-    np.right_shift(packed, 4, out=spare)
-    packed += spare
-    packed &= 0x0F
-    return packed.sum(axis=1, dtype=np.int64)
 
 
 def _first_slice(survival: float, paths: int, span: int) -> int:
@@ -375,10 +355,9 @@ def ensemble_frequencies(splitter: SplitterCoefficients, topology: Topology,
             last = in_left[-1].copy()
             paths = len(keys)
             # clear the bits past the last path, which ~b sets
-            in_left[:, -(-paths // 8):] = 0
-            if paths % 8:
-                in_left[:, paths // 8] &= (0xFF << (8 - paths % 8)) & 0xFF
-            counts[t0:t1] += _count_rows(in_left)
+            in_left &= np.packbits(np.arange(8 * in_left.shape[1]) < paths)
+            counts[t0:t1] += np.bitwise_count(in_left.view(np.uint64)).sum(
+                axis=1, dtype=np.int64)
             del in_left  # freed before the next slice is drawn
             if absorbing is not None and t1 < steps:
                 keys, last = _survivors(keys, last, absorbing.side)

@@ -406,9 +406,10 @@ class TestEnsemble:
             assert words.dtype == np.uint64
             assert np.array_equal(words, expected)
 
-    @pytest.mark.parametrize("n_paths", [1, 7, 13, 21])
+    @pytest.mark.parametrize("n_paths", [1, 7, 13, 21, 64, 65, 100])
     def test_bits_past_the_last_path_are_not_counted(self, n_paths):
-        # the left-half wiring's ~b sets the padding bits of the last byte
+        # the left-half wiring's ~b sets the padding bits of the last word:
+        # 64 fills a word exactly, 65 and 100 pad into a second one
         splitter = SplitterCoefficients.from_reflectance(0.3)
         wiring = Topology.LEFT_HALF_CONNECTED
         estimate = ensemble_frequencies(splitter, wiring, 6, n_paths, 5)

@@ -1,8 +1,9 @@
 """README's examples, run: the library block prints what its comment shows,
 and every command of the command line block exits 0 with output. Its
-measured dynamics notes, the untied race of its claims table and its
-documented limits are read from README's own sentences and checked against
-the engine and the command line, so an edit that drifts from either fails."""
+measured dynamics notes, the untied race of its claims table, its
+documented limits and its flag ranges are read from README's own sentences
+and checked against the engine and the command line, so an edit that
+drifts from either fails."""
 
 import contextlib
 import doctest
@@ -142,3 +143,70 @@ def test_the_documented_limits_are_the_command_lines():
                      r"mismatch from `paper`\.")
     assert tuple(map(int, codes)) == (0, cli.EXIT_NUMERIC, cli.EXIT_CONFIG,
                                       cli.EXIT_REFERENCE)
+
+
+# A valid command line of each command that takes a flag README bounds; a
+# check changes one flag of it.
+VALID = {
+    "run": {"--mode": "measure", "--wl1": "0.5", "--a1sq": "0.5"},
+    "compare": {"--wl1": "0.5"},
+    "sweep": {"--mode": "measure", "--a1sq": "0.5"},
+    "mc": {"--a1sq": "0.5", "--paths": "10", "--seed": "1"},
+}
+
+
+def taking(*flags: str) -> list[str]:
+    """The commands that take every one of these flags."""
+    return [name for name, command in main.commands.items()
+            if set(flags) <= {o for param in command.params
+                              for o in param.opts}]
+
+
+def invoke(command: str, changes: dict[str, str]):
+    argv = [command]
+    for flag, value in {**VALID[command], **changes}.items():
+        argv += [flag, value]
+    return CliRunner().invoke(main, argv)
+
+
+def refused(command: str, changes: dict[str, str]) -> str:
+    """The one `error:` line with which the changed command line exits 2."""
+    result = invoke(command, changes)
+    assert result.exit_code == 2, (command, changes, result.output)
+    (line,) = result.output.splitlines()
+    assert line.startswith("error: "), (command, changes, line)
+    return line
+
+
+def test_the_numeric_flags_documented_finite_are_refused_otherwise():
+    period, steps, times, *positive = sentence(
+        r"Numeric flags must be finite: `(--\w+)` must be positive and "
+        r"finite, and so must the last record's time, `(--\w+)` times "
+        r"`(--\w+)`; `(--\w+)` and `(--\w+)` must be finite and positive\.")
+    assert times == period
+    for flag in (period, *positive):
+        assert taking(flag), flag
+        for command in taking(flag):
+            for value in ("0", "-1", "inf"):
+                refused(command, {flag: value})
+    assert taking(steps, period)
+    for command in taking(steps, period):
+        refused(command, {steps: "3", period: "1e308"})
+
+
+def test_an_out_of_range_weight_or_reflectance_names_its_flag():
+    *flags, example, bad, low, high = sentence(
+        r"An out-of-range `(--\w+)` or `(--\w+)` names its flag in every "
+        r"command, as in `(error: --\w+: \w+ out of range: (\S+) not in "
+        r"\[(\d+), (\d+)\])`\.")
+    named = example.split(":")[1].strip()
+    assert named in flags
+    for flag in flags:
+        value = bad if flag == named else "1.5"
+        assert taking(flag), flag
+        for command in taking(flag):
+            line = refused(command, {flag: value})
+            assert line.startswith(f"error: {flag}: "), line
+            assert line == example or flag != named
+        for end in (low, high):  # the range's ends are in it
+            assert invoke("run", {flag: end}).exit_code == 0, (flag, end)

@@ -7,7 +7,7 @@ import tracemalloc
 from itertools import pairwise
 
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from splitloop import (ConvergenceCriterion, InteractionMode,
@@ -511,6 +511,26 @@ class TestConvergence:
                         max_steps=400)
         assert steps_to_converge(
             back, ConvergenceCriterion(BALANCED_TARGET, eps)) == n
+
+    @seed(2009)
+    @settings(max_examples=300, deadline=None)
+    @example(w1=0.9)  # w_2 = 0.7352941176470588, the closed form's ...89
+    @given(w1=st.floats(1e-6, 1.0 - 1e-6))
+    def test_coherent_weights_are_the_closed_form(self, w1):
+        # README's closed form: Heron's iteration for rho^2 = 1 doubles
+        # s = artanh(min(rho_1, 1/rho_1)) each pass, and from pass 2 on the
+        # ratio is past 1, so w_n = 1/2 + 1/(2 cosh(2^n s)) for n >= 2
+        start = amplitudes_from_left_weight(w1)
+        rho = start.a_left / start.b_right
+        rho = min(rho, 1.0 / rho)
+        s = math.atanh(rho) if rho < 1.0 else math.inf  # balanced: w_n = 1/2
+        series = iterate(Scenario(InteractionMode.FIXED_SPLITTER,
+                                  Topology.BOTH_CONNECTED, None, start,
+                                  max_steps=8)).w_left_series()
+        for n in range(2, 9):
+            x = math.ldexp(s, n)
+            closed = 0.5 + 0.5 / math.cosh(x) if x <= 700.0 else 0.5
+            assert abs(series[n - 1] - closed) <= 8 * 2.0 ** -53, (n, w1)
 
     def test_not_converged_is_a_value(self):
         result = steps_to_converge(measure_scenario(0.9, 5),
