@@ -81,8 +81,8 @@ _AGREEMENT_SETTERS = _setters(StepAgreement)
 # it: the key k is the words (k mod 2**64, k >> 64), the counter starts at 1
 # and counts blocks, each block gives four uint64 words, and a double is
 # (word >> 11) * 2**-53.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_M = np.array((0xD2E7470EE14C6C93, 0xCA5A826395121157), np.uint64)
+_PHILOX_W = np.array((0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B), np.uint64)
 
 #: A draw of up to this many steps, a path's or a time slice's, is made by
 #: the key-vectorized Philox, a longer one by one numpy Philox re-keyed per
@@ -115,7 +115,7 @@ def _packed_width(n_paths: int) -> int:
     return -(-n_paths // 64) * 8
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products m * x, x uint64."""
     m_hi, m_lo = m >> 32, m & 0xFFFFFFFF
     x_hi, x_lo = x >> 32, x & 0xFFFFFFFF
@@ -308,10 +308,8 @@ def _survivors(keys: np.ndarray, last: np.ndarray,
                absorbed: int) -> tuple[np.ndarray, np.ndarray]:
     """(keys, packed row) of the paths of `keys` whose bit in the packed row
     `last` is not the absorbing bit; the row carries every survivor's bit,
-    1 - absorbed. Both come back as they are when no path is absorbed."""
+    1 - absorbed, and no other bit that a count reads."""
     alive = np.flatnonzero(np.unpackbits(last, count=len(keys)) != absorbed)
-    if len(alive) == len(keys):
-        return keys, last
     return keys[alive], np.full(
         _packed_width(len(alive)), 0xFF * (1 - absorbed), dtype=np.uint8)
 

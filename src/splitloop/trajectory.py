@@ -13,20 +13,24 @@ The initial state is validated once, where it is built. `Scenario` builds
 `maps._check_state`, the state-type rule. From there `_passes` runs the
 schedule on plain floats through `maps.raw_step`, which keeps every
 per-pass check, one segment of passes between two switches at a time. It
-yields runs of equal passes, each run's state and weights as float tuples.
-Repeated passes make a run degenerate to a limit, which in floats is
-often reached exactly: a pass that gives back its own input, bit for bit,
-is a fixed point of the segment's map, so it and every later pass of the
-segment form one run, and no more passes are computed there.
+yields runs of equal passes as `iterate` stores them, (first, wiring,
+state, weights): the run's first pass, its wiring's index into
+`_WIRINGS`, and its state and weights as float tuples. A run ends where
+the next one begins, or after max_steps. Repeated passes make a run
+degenerate to a limit, which in floats is often reached exactly: a pass
+that gives back its own input, bit for bit, is a fixed point of the
+segment's map, so it and every later pass of the segment form one run,
+and no more passes are computed there.
 `iterate` keeps the runs as `_Records`, a lazy sequence that holds them
 as columns, one `array` for the first passes, one for the wirings and one
 for each named float of a run, bytes a run rather than a record a pass,
 and builds records only when they are read. `_Records._columns` returns
 those columns, and the records and the command line's `run` rows read the
 runs through it; `w_left_series` takes the w_left column alone.
-`_records` builds every record, without validating it again: those a
-`_Records` read gives, the records of a run in one read sharing one pair
-of pairs, and `converging_record`'s one. A scan reads the criterion's
+`_records` builds every record of half-open (first, end, wiring, state,
+weights) runs, without validating it again: those a `_Records` read
+gives, the records of a run in one read sharing one pair of pairs, and
+`converging_record`'s one. A scan reads the criterion's
 target and epsilon once and tests each run's weights once, so one stuck
 on a fixed point outside epsilon skips to max_steps. A record is slotted
 like its pairs, and `_records` fills it through the setters that
@@ -38,6 +42,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+import sys
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -188,9 +193,10 @@ class NotConverged:
 
 def _passes(scenario: Scenario,
             schedule: StepSchedule | None) -> Iterator[tuple]:
-    """Each run of equal passes as (first, last, topology, state, weights)
-    on floats: passes first to last all have this topology, state and
-    weights.
+    """Each run of equal passes as (first, wiring, state, weights) on
+    floats: the passes from first to where the next run begins, or to
+    max_steps, all have the topology `_WIRINGS[wiring]`, this state and
+    these weights.
 
     state is the state's (x, y, correction): (a_left, b_right,
     norm_correction) or (w_left, w_right, sum_correction). weights is
@@ -200,10 +206,10 @@ def _passes(scenario: Scenario,
     The schedule is walked a segment at a time, the passes from one switch
     to the next under one map. A pass whose (x, y) is its input's, bit for
     bit, is a fixed point of that map: every later pass of the segment
-    repeats it, correction and weights too, so it ends a run that reaches
-    the segment's end and no more passes are computed there. The pass
-    before it can carry another correction, so the run starts at the
-    repeating pass.
+    repeats it, correction and weights too, so its run reaches the
+    segment's end and no more passes are computed there. The pass before
+    it can carry another correction, so the run starts at the repeating
+    pass.
     """
     if schedule is not None:
         _check_type("schedule", schedule, StepSchedule, ScheduleConflictError)
@@ -224,8 +230,9 @@ def _passes(scenario: Scenario,
     for end, after in (*switches, (scenario.max_steps + 1, None)):
         if first < end:  # not so when a switch at step 1 relabels the start
             step = maps.raw_step(mode, topology, splitter)
+            wiring = _WIRINGS.index(topology)
             if first == 1:
-                yield 1, 1, topology, state, weights
+                yield 1, wiring, state, weights
                 first = 2
             for n in range(first, end):
                 u, v, _ = state = step(x, y)
@@ -234,10 +241,9 @@ def _passes(scenario: Scenario,
                 # the weights of an amplitude pair, as weights_of has them
                 weights = (normalize_pair(x * x, y * y, False) if unitary
                            else state)
+                yield n, wiring, state, weights
                 if repeats:
-                    yield n, end - 1, topology, state, weights
                     break
-                yield n, n, topology, state, weights
         first, topology = end, after
 
 
@@ -247,19 +253,20 @@ def _same_bits(x: float, y: float, u: float, v: float) -> bool:
     return _PAIR.pack(x, y) == _PAIR.pack(u, v)
 
 
-def _records(scenario: Scenario, passes) -> Iterator[TrajectoryRecord]:
-    """A record for each pass of each (first, last, topology, state,
-    weights) run, unvalidated; a run's records share its pairs. state is
-    read in a fixed-splitter run only."""
+def _records(scenario: Scenario, runs) -> Iterator[TrajectoryRecord]:
+    """A record for each pass first to end - 1 of each (first, end, wiring,
+    state, weights) run, unvalidated; a run's records share its pairs.
+    state is read in a fixed-splitter run only."""
     period = scenario.period
     unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
     (set_n, set_time, set_topology, set_amplitudes,
      set_weights) = _RECORD_SETTERS
-    for first, last, topology, state, weights in passes:
+    for first, end, wiring, state, weights in runs:
+        topology = _WIRINGS[wiring]
         amplitudes = amplitude_pair(*state) if unitary else None
         weights = weight_pair(*weights)
         n = first
-        while n <= last:  # cheaper than a range for a one-pass run
+        while n < end:  # cheaper than a range for a one-pass run
             record = _new(TrajectoryRecord)  # filled through its slot setters
             set_n(record, n)
             set_time(record, n * period)
@@ -286,20 +293,17 @@ class _Records(Sequence):
     passes.
     """
 
-    def __init__(self, scenario: Scenario, passes) -> None:
+    def __init__(self, scenario: Scenario, runs: Iterator[tuple]) -> None:
         firsts, wirings, floats = array("q"), array("b"), array("d")
         unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
-        passes = iter(passes)
-        # a chunk of runs at a time: lists take the values faster than
-        # arrays do, and a chunk bounds what they hold
+        # a chunk of runs at a time from the iterator `_passes` gives: lists
+        # take the values faster than arrays do, and a chunk bounds what
+        # they hold
         while True:
-            starts, codes, values, last = [], [], [], None
-            for first, _, topology, state, weights in islice(passes,
-                                                             _CHUNK_RUNS):
+            starts, codes, values = [], [], []
+            for first, wiring, state, weights in islice(runs, _CHUNK_RUNS):
                 starts.append(first)
-                if topology is not last:  # the wiring changed
-                    code, last = _WIRINGS.index(topology), topology
-                codes.append(code)
+                codes.append(wiring)
                 values += weights
                 if unitary:
                     values += state
@@ -328,12 +332,11 @@ class _Records(Sequence):
                 self._state, self._weights)
 
     def _runs(self, start: int = 0, stop: int | None = None) -> Iterator:
-        """The runs start to stop - 1 as (first, last, topology, state,
+        """The runs start to stop - 1 as (first, end, wiring, state,
         weights), state () in a movable-splitter run."""
-        firsts, ends, (wirings, topologies), state, weights = self._columns()
+        firsts, ends, (wirings, _), state, weights = self._columns()
         runs = slice(start, stop)
-        return zip(firsts[runs], map(operator.sub, ends[runs], repeat(1)),
-                   map(topologies.__getitem__, wirings[runs]),
+        return zip(firsts[runs], ends[runs], wirings[runs],
                    zip(*(c[runs] for c in state)) if state else repeat(()),
                    zip(*(c[runs] for c in weights)))
 
@@ -343,8 +346,8 @@ class _Records(Sequence):
         runs = self._runs(bisect_right(firsts, first) - 1,
                           bisect_right(firsts, last))
         return tuple(_records(self._scenario, (
-            (max(run_first, first), min(run_last, last), *rest)
-            for run_first, run_last, *rest in runs)))
+            (max(run_first, first), min(run_end, last + 1), *rest)
+            for run_first, run_end, *rest in runs)))
 
     def __len__(self) -> int:
         return self._scenario.max_steps
@@ -383,6 +386,9 @@ def iterate(scenario: Scenario,
     The passes are computed here, and the records built when read.
     """
     _check_type("scenario", scenario, Scenario)
+    if scenario.max_steps >= sys.maxsize:  # the pass column's int64 limit
+        raise OutOfRangeError(f"max_steps must be below {sys.maxsize}, got "
+                              f"{_shown(scenario.max_steps)}")
     return Trajectory(_Records(scenario, _passes(scenario, schedule)))
 
 
@@ -404,15 +410,15 @@ def converging_record(scenario: Scenario,
     _check_type("criterion", criterion, ConvergenceCriterion)
     t_left, t_right = criterion.target.w_left, criterion.target.w_right
     epsilon = criterion.epsilon
-    for first, last, topology, state, (w_left, w_right, correction) in (
+    for first, wiring, state, (w_left, w_right, correction) in (
             _passes(scenario, schedule)):
         if abs(w_left - t_left) < epsilon and abs(w_right - t_right) < epsilon:
-            last, converged = first, True
+            converged = True
             break
     else:
-        converged = False
+        first, converged = scenario.max_steps, False
     (record,) = _records(scenario, (
-        (last, last, topology, state, (w_left, w_right, correction)),))
+        (first, first + 1, wiring, state, (w_left, w_right, correction)),))
     return record, converged
 
 

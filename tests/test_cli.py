@@ -109,6 +109,19 @@ class TestRun:
         assert result.stderr == ("error: max_steps * period overflows: "
                                  "3 * 1e+308\n")
 
+    def test_steps_past_the_pass_column_exit_2(self, runner):
+        # a traceback from the int64 pass column before; max_steps + 1
+        # must fit it
+        result = runner.invoke(main, ["run", "--mode", "measure",
+                                      "--topology", "right-half",
+                                      "--wl1", "0.7",
+                                      "--steps", str(sys.maxsize)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == (f"error: max_steps must be below "
+                                 f"{sys.maxsize}, got {sys.maxsize}\n")
+
     def test_out_file_matches_stdout(self, runner, tmp_path):
         args = ["run", "--mode", "unitary", "--wl1", "0.37", "--steps", "9"]
         printed = runner.invoke(main, args)
@@ -217,6 +230,14 @@ class TestCompare:
         assert result.exit_code == 0
         assert "no convergence in 4 steps" in result.output
 
+    def test_max_steps_past_the_pass_column_is_scanned(self, runner):
+        # a convergence scan holds no pass column, so any count is taken
+        result = runner.invoke(main, ["compare", "--wl1", "0.9",
+                                      "--max-steps", str(10 ** 20)])
+        assert result.exit_code == 0, result.output
+        assert "unitary (fixed splitter): 5 steps" in result.output
+        assert "measurement (movable splitter): 28 steps" in result.output
+
     def test_infinite_epsilon_rejected(self, runner):
         result = runner.invoke(main, ["compare", "--wl1", "0.9",
                                       "--eps", "inf"])
@@ -239,6 +260,16 @@ class TestSweep:
                                       "--grid", "0.2:0.8:0.3"])
         rows = parse_csv(result.output)
         assert [float(row[0]) for row in rows[1:]] == [0.2, 0.5, 0.8]
+
+    def test_max_steps_past_the_pass_column_is_scanned(self, runner):
+        # a convergence scan holds no pass column, so any count is taken
+        result = runner.invoke(main, ["sweep", "--mode", "unitary",
+                                      "--grid", "0.9:0.9:0.1",
+                                      "--max-steps", str(10 ** 20)])
+        assert result.exit_code == 0, result.output
+        rows = parse_csv(result.output)
+        assert len(rows) == 2
+        assert rows[1][:2] == ["0.9", "true"]
 
     def test_measure_sweep_requires_a1sq(self, runner):
         result = runner.invoke(main, ["sweep", "--mode", "measure"])

@@ -14,6 +14,7 @@ import pickle
 import struct
 import time
 from collections import Counter
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -158,8 +159,11 @@ def long_runs(draw):
         switches[1] = draw(st.sampled_from(Topology))
     if draw(st.booleans()):
         schedule = StepSchedule(tuple(sorted(switches.items())))
-        fixed = next((first for first, last, *_ in trajectory._passes(
-            scenario, schedule) if first < last), steps)
+        # a run holds the passes up to the next run's first
+        firsts = [first for first, *_ in trajectory._passes(scenario,
+                                                            schedule)]
+        fixed = next((first for first, end in pairwise([*firsts, steps + 1])
+                      if end - first > 1), steps)
         if fixed < steps:
             switches[fixed + 1] = draw(st.sampled_from(Topology))
     return scenario, StepSchedule(tuple(sorted(switches.items())))
@@ -181,10 +185,11 @@ def test_a_zero_that_changes_sign_is_not_a_repeat():
     # repeat; the fixed run starts only on the next pass
     scenario = Scenario(FIXED, Topology.RIGHT_HALF_CONNECTED, None,
                         AmplitudePair(-0.0, 1.0), max_steps=6)
-    runs = [(first, last, bits(*state[:2])) for first, last, _, state, _
+    runs = [(first, bits(*state[:2])) for first, _, state, _
             in trajectory._passes(scenario, None)]
-    assert runs == [(1, 1, bits(-0.0, 1.0)), (2, 2, bits(0.0, 1.0)),
-                    (3, 6, bits(0.0, 1.0))]
+    # the last run holds passes 3 to 6
+    assert runs == [(1, bits(-0.0, 1.0)), (2, bits(0.0, 1.0)),
+                    (3, bits(0.0, 1.0))]
 
 
 def test_iterate_computes_no_pass_past_a_fixed_point(monkeypatch):
@@ -524,8 +529,9 @@ def fast_and_checked(kind):
                         SplitterCoefficients.from_reflectance(0.7),
                         initial_state(mode, 0.7), max_steps=9, period=0.25)
     state = amplitudes if mode is FIXED else weights
+    wiring = trajectory._WIRINGS.index(Topology.LEFT_HALF_CONNECTED)
     (record,) = trajectory._records(
-        scenario, ((9, 9, Topology.LEFT_HALF_CONNECTED, state, weights),))
+        scenario, ((9, 10, wiring, state, weights),))
     checked = AmplitudePair(*RAW_AMPLITUDES) if mode is FIXED else None
     return record, TrajectoryRecord(9, 9 * 0.25, Topology.LEFT_HALF_CONNECTED,
                                     checked, WeightPair(*RAW_WEIGHTS))

@@ -3,6 +3,7 @@
 import gc
 import math
 import pickle
+import sys
 import tracemalloc
 from itertools import pairwise
 
@@ -16,9 +17,10 @@ from splitloop import (ConvergenceCriterion, InteractionMode,
                        StepSchedule, Topology, Trajectory, WeightPair,
                        amplitudes_from_left_weight, fixed_points, iterate,
                        steps_to_converge, sweep_initial_conditions)
+from splitloop import trajectory as trajectory_module
 from splitloop.states import _new, amplitude_pair, weight_pair
-from splitloop.trajectory import (_RECORD_SETTERS, TrajectoryRecord,
-                                  _passes)
+from splitloop.trajectory import (_RECORD_SETTERS, _WIRINGS,
+                                  TrajectoryRecord, _passes)
 
 BALANCED_TARGET = WeightPair(0.5, 0.5)
 SP9 = SplitterCoefficients.from_reflectance(0.9)
@@ -138,6 +140,32 @@ class TestIterate:
         assert len(trajectory.records) == 7
         assert [r.n for r in trajectory.records] == list(range(1, 8))
 
+    @pytest.mark.parametrize("steps", [sys.maxsize, 2 ** 63, 10 ** 20],
+                             ids=["maxsize", "2**63", "1e20"])
+    def test_max_steps_past_the_pass_column_refused(self, steps,
+                                                     monkeypatch):
+        # the int64 column of first passes ends with max_steps + 1
+        scenario = measure_scenario(0.7, steps, Topology.RIGHT_HALF_CONNECTED)
+
+        def no_pass(*args):
+            raise AssertionError("a pass was computed")
+
+        monkeypatch.setattr(trajectory_module, "_passes", no_pass)
+        with pytest.raises(OutOfRangeError) as info:
+            iterate(scenario)
+        assert str(info.value) == (
+            f"max_steps must be below {sys.maxsize}, got {steps}")
+
+    def test_max_steps_just_below_the_limit_iterates(self):
+        # the right-half run reaches a fixed point after a few thousand
+        # passes, so the rest is one run
+        steps = sys.maxsize - 1
+        trajectory = iterate(measure_scenario(0.7, steps,
+                                              Topology.RIGHT_HALF_CONNECTED))
+        assert len(trajectory.records) == trajectory.final.n == steps
+        assert [r.n for r in trajectory.records[-2:]] == [steps - 1, steps]
+        assert trajectory.records[-1] is trajectory.final
+
     def test_first_record_is_the_initial_state(self):
         trajectory = iterate(unitary_scenario(0.9, 3))
         first = trajectory.records[0]
@@ -241,14 +269,17 @@ class TestIterate:
 
 def eager_records(scenario: Scenario, passes):
     """The builder iterate ran over every pass before it held its runs as
-    columns: a record for each pass of each (first, last, topology, state,
-    weights) run, unvalidated; a run's records share its pairs."""
+    columns: a record for each pass of each (first, wiring, state, weights)
+    run, whose last pass is the one before the next run's first, or
+    max_steps, unvalidated; a run's records share its pairs."""
     period = scenario.period
     unitary = scenario.mode is InteractionMode.FIXED_SPLITTER
     (set_n, set_time, set_topology, set_amplitudes,
      set_weights) = _RECORD_SETTERS
     records = []
-    for first, last, topology, state, weights in passes:
+    nexts = [first for first, *_ in passes[1:]] + [scenario.max_steps + 1]
+    for (first, wiring, state, weights), following in zip(passes, nexts):
+        last, topology = following - 1, _WIRINGS[wiring]
         amplitudes = amplitude_pair(*state) if unitary else None
         weights = weight_pair(*weights)
         n = first
