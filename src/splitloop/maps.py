@@ -98,7 +98,15 @@ def unitary_both_kernel(a, b):
 
 
 def unitary_right_half_kernel(a, b):
-    """Raw right-half-connected unitary update; returns (a', b')."""
+    """Raw right-half-connected unitary update; returns (a', b').
+
+    Unlike the both-connected map, this map has no closed form. On a unit
+    pair d = sqrt(1 + 2ab^2), and the local normal forms (Milnor, Dynamics
+    in One Complex Variable, 2006, sections 8-9) are:
+    - at the captured state (0, 1), a' = a^2 / sqrt(1 + 2ab^2):
+      superattracting, of degree 2;
+    - at the released state (1, 0), b' ~ 2b: repelling, with multiplier 2.
+    """
     d = _sqrt((a * a) * (a * a) + (b * b) * ((1.0 + a) * (1.0 + a)))
     _check_denominator(d, "right-half")
     return (a * a) / d, b * (1.0 + a) / d
@@ -108,7 +116,11 @@ def unitary_left_half_kernel(a, b):
     """Raw left-half-connected unitary update, the mirror of the right one.
 
     Written with the same expression shapes as unitary_right_half_kernel so
-    that the mirror identity holds bit for bit, not merely to rounding.
+    that the mirror identity holds bit for bit, not merely to rounding. It
+    has no closed form either; its local normal forms are the mirrored ones:
+    - at the captured state (1, 0), b' = b^2 / sqrt(1 + 2ba^2):
+      superattracting, of degree 2;
+    - at the released state (0, 1), a' ~ 2a: repelling, with multiplier 2.
     """
     d = _sqrt((b * b) * (b * b) + (a * a) * ((1.0 + b) * (1.0 + b)))
     _check_denominator(d, "left-half")

@@ -378,11 +378,12 @@ def agreement_report(estimate: EnsembleEstimate,
 
     Refuses, in this order: an estimate of another type, an `analytic`
     with no length, a bad `sigma_bound`, a length other than the
-    estimate's, an estimate with a stderr count other than its step
-    count, and then any entry that is not a WeightPair. A step's z is
-    |empirical - analytic| / stderr, 0 where the difference is 0 and inf
-    where only stderr is; it passes when z <= sigma_bound. z and passed are
-    computed over all steps at once, and the rows built last.
+    estimate's, an estimate with a stderr count, then a w_right count,
+    other than its step count, and then any entry that is not a
+    WeightPair. A step's z is |empirical - analytic| / stderr, 0 where the
+    difference is 0 and inf where only stderr is; it passes when z <=
+    sigma_bound. z and passed are computed over all steps at once, and the
+    rows built last.
     """
     _check_type("estimate", estimate, EnsembleEstimate)
     try:
@@ -395,9 +396,10 @@ def agreement_report(estimate: EnsembleEstimate,
         raise LengthMismatchError(
             f"analytic series has {n_steps} steps, estimate has "
             f"{len(estimate.w_left)}")
-    if len(estimate.stderr) != n_steps:
-        raise LengthMismatchError(f"estimate has {n_steps} steps, its stderr "
-                                  f"{len(estimate.stderr)}")
+    for name in ("stderr", "w_right"):
+        if len(getattr(estimate, name)) != n_steps:
+            raise LengthMismatchError(f"estimate has {n_steps} steps, its "
+                                      f"{name} {len(getattr(estimate, name))}")
     for entry in analytic:
         _check_type("analytic entry", entry, WeightPair)
     expected = [pair.w_left for pair in analytic]

@@ -12,16 +12,22 @@ never has to compensate for decimal rounding in hand-entered values. The
 signed correction that was applied is kept on the instance for inspection
 but does not participate in equality.
 
-`normalize_pair` is the one copy of that validate-and-rescale rule. The
-constructors call it on what the validators' rule `_entered_violation`
-accepts; the trajectory loop calls it on the raw floats of every pass and
-wraps the results with `amplitude_pair`/`weight_pair`, which skip both.
-The pair types are slotted, so an instance holds no `__dict__`, and those
-two fill a bare instance through the slots' own setters: cheaper than
-`object.__setattr__`, and a slot left unset raises AttributeError on
-reading, with no class default. `_setters` reads a slotted class's setters
-from its own `__slots__`, in field order, so no caller lists its fields,
-and one maker, `_filled`, binds a pair type's three at import.
+`normalize_pair` is the one copy of that validate-and-rescale rule, and
+its acceptance test lives there alone: the norm and sum bands are read
+nowhere else. The trajectory loop calls it on the raw floats of every pass
+and wraps the results with `amplitude_pair`/`weight_pair`, which skip it.
+A constructor or a validator reaches it once, through `_entered`, the
+check of a hand-entered pair. Every refusal of a pair carries its
+`Violation` on the error it raises, as `.violation`; `_violation` only
+describes a pair already refused.
+
+The pair types are slotted, so an instance holds no `__dict__`, and
+`amplitude_pair`/`weight_pair` fill a bare instance through the slots' own
+setters: cheaper than `object.__setattr__`, and a slot left unset raises
+AttributeError on reading, with no class default. `_setters` reads a
+slotted class's setters from its own `__slots__`, in field order, so no
+caller lists its fields, and one maker, `_filled`, binds a pair type's
+three at import.
 
 The argument rules every module shares are written here once: `_check_*`,
 `_as_float`, how a caller's value is read, and `_shown`, how it is shown.
@@ -176,19 +182,12 @@ class Violation:
     message: str
 
 
-def _violation(x: float, y: float, squared: bool,
-               names: tuple = ()) -> Violation | None:
-    """The acceptance rule for two floats: a Violation, or None when fine.
-
-    Both components must be finite and non-negative (up to the range
-    slack); the squared norm (squared=True, amplitudes) must lie within
-    AMPLITUDE_NORM_TOL of 1, the sum (squared=False, weights) within
-    WEIGHT_SUM_TOL. Messages call x and y `names`, else the pair types' fields.
-    """
-    dev = (x * x + y * y if squared else x + y) - 1.0
-    tol = AMPLITUDE_NORM_TOL if squared else WEIGHT_SUM_TOL
-    if x >= -_RANGE_SLACK and y >= -_RANGE_SLACK and abs(dev) <= tol:
-        return None
+def _violation(x: float, y: float, dev: float, squared: bool,
+               names: tuple = ()) -> Violation:
+    """What is wrong with a pair normalize_pair refused, whose deviation
+    from unit norm or sum is dev: the first of x and y (called `names`, else
+    the pair types' fields) that is not finite or lies below the range
+    slack, else the norm (squared=True) or sum that is off its band."""
     names = names or (("a_left", "b_right") if squared
                       else ("w_left", "w_right"))
     for name, v in zip(names, (x, y)):
@@ -201,61 +200,78 @@ def _violation(x: float, y: float, squared: bool,
                      f"{label} {1.0 + dev!r} deviates from 1 by {dev!r}")
 
 
-def _entered_violation(names: tuple, x, y, squared: bool) -> Violation | None:
-    """The rule for a hand-entered pair with fields `names`: each value a
-    real number and no bool, then `_violation` on their `_as_float`."""
+def _error(violation: Violation) -> ValueError:
+    """The error a Violation raises, by its kind, carrying it as
+    `.violation`."""
+    error = (OutOfRangeError(violation.message) if violation.kind == "range"
+             else NormalizationError(violation))
+    error.violation = violation
+    return error
+
+
+def normalize_pair(x: float, y: float, squared: bool,
+                   names: tuple = ()) -> tuple[float, float, float]:
+    """Validate a raw pair and rescale it to unit norm or unit sum.
+
+    This is the acceptance test, written once: both components finite and
+    non-negative up to the range slack (a rounding undershoot is clamped to
+    0.0), and the squared norm (squared=True, amplitudes) within
+    AMPLITUDE_NORM_TOL of 1 or the sum (squared=False, weights) within
+    WEIGHT_SUM_TOL. Returns the rescaled pair and the signed correction
+    (norm or sum minus 1). A refused pair raises OutOfRangeError or
+    NormalizationError, carrying as `.violation` what `_violation` says of
+    it, with x and y called `names`, else the pair types' fields. A
+    constructor or a validator reaches this test once, through `_entered`,
+    the check of a hand-entered pair.
+    """
+    total = x * x + y * y if squared else x + y
+    dev = total - 1.0
+    if not (x >= -_RANGE_SLACK and y >= -_RANGE_SLACK and abs(dev) <= (
+            AMPLITUDE_NORM_TOL if squared else WEIGHT_SUM_TOL)):
+        raise _error(_violation(x, y, dev, squared, names))
+    if x < 0.0 or y < 0.0:  # clamped, so the norm or sum is taken again
+        x, y = max(x, 0.0), max(y, 0.0)
+        total = x * x + y * y if squared else x + y
+    total = math.sqrt(total) if squared else total
+    return x / total, y / total, total - 1.0
+
+
+def _entered(names: tuple, x, y, squared: bool) -> tuple[float, float, float]:
+    """The check of a hand-entered pair with fields `names`: refuse a value
+    that is not a real number or is a bool, else normalize_pair on their
+    `_as_float`, so a constructor or a validator runs the rule once."""
     for name, value in zip(names, (x, y)):
         if not _is_real(value):
-            return Violation("range", math.nan,
-                             f"{name} must be a real number, got {_shown(value)}")
-    return _violation(_as_float(x), _as_float(y), squared, names)
+            raise _error(Violation("range", math.nan, f"{name} must be a "
+                                   f"real number, got {_shown(value)}"))
+    return normalize_pair(_as_float(x), _as_float(y), squared, names)
 
 
-def _error(violation: Violation) -> ValueError:
-    """The error a Violation raises, by its kind."""
-    return (OutOfRangeError(violation.message) if violation.kind == "range"
-            else NormalizationError(violation))
+def _refusal(names: tuple, x, y, squared: bool) -> Violation | None:
+    """The Violation `_entered` raises with, or None when it accepts."""
+    try:
+        _entered(names, x, y, squared)
+    except (OutOfRangeError, NormalizationError) as error:
+        return error.violation
+    return None
 
 
 def validate_amplitudes(a_left: float, b_right: float) -> Violation | None:
     """A Violation, or None exactly when AmplitudePair takes the pair."""
-    return _entered_violation(("a_left", "b_right"), a_left, b_right, True)
+    return _refusal(("a_left", "b_right"), a_left, b_right, True)
 
 
 def validate_weights(w_left: float, w_right: float) -> Violation | None:
     """A Violation, or None exactly when WeightPair takes the pair."""
-    return _entered_violation(("w_left", "w_right"), w_left, w_right, False)
-
-
-def normalize_pair(x: float, y: float,
-                   squared: bool) -> tuple[float, float, float]:
-    """Validate a raw pair and rescale it to unit norm or unit sum.
-
-    squared=True treats (x, y) as amplitudes (unit squared norm, band
-    AMPLITUDE_NORM_TOL), squared=False as weights (unit sum, band
-    WEIGHT_SUM_TOL). Returns the rescaled pair and the signed correction
-    (norm or sum minus 1). Raises OutOfRangeError or NormalizationError with
-    the messages of validate_amplitudes / validate_weights.
-    """
-    violation = _violation(x, y, squared)
-    if violation is not None:
-        raise _error(violation)
-    x = 0.0 if x < 0.0 else x
-    y = 0.0 if y < 0.0 else y
-    total = math.sqrt(x * x + y * y) if squared else x + y
-    return x / total, y / total, total - 1.0
+    return _refusal(("w_left", "w_right"), w_left, w_right, False)
 
 
 def _normalize_fields(pair, x: str, y: str, correction: str,
                       squared: bool) -> None:
-    """The constructors' rule: raise what `_entered_violation` finds in
-    fields x and y of a new frozen pair, else rescale them in place through
-    normalize_pair and store the correction in `correction`."""
-    raw = getattr(pair, x), getattr(pair, y)
-    violation = _entered_violation((x, y), *raw, squared)
-    if violation is not None:
-        raise _error(violation)
-    values = normalize_pair(float(raw[0]), float(raw[1]), squared)
+    """The constructors' rule: rescale fields x and y of a new frozen pair
+    in place through `_entered`, which raises what it refuses, and store
+    the correction in `correction`."""
+    values = _entered((x, y), getattr(pair, x), getattr(pair, y), squared)
     for name, value in zip((x, y, correction), values):
         _set(pair, name, value)
 

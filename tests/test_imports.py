@@ -619,3 +619,51 @@ def test_shown_by_hand_check_sees_a_repr(tmp_path):
     assert _values_shown_by_hand(str(source), {"_shown", "outer.inner"}) == [
         "sample.py:2: !r", "sample.py:4: repr(", "sample.py:7: !r",
         "sample.py:14: !r"]
+
+
+# The acceptance bands of a state pair, and the one function that may read
+# them: a second reader would be a second copy of the rule.
+TOLERANCES = {"AMPLITUDE_NORM_TOL", "WEIGHT_SUM_TOL"}
+RULE = "normalize_pair"
+
+
+def _tolerance_readers(path):
+    """Where the file at path reads a name in TOLERANCES, bare or as an
+    attribute, outside a top-level function named RULE."""
+    with open(path) as source:
+        tree = ast.parse(source.read())
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name == RULE:
+            continue
+        for node in ast.walk(top):
+            read = (node.id if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if read in TOLERANCES:
+                found.append(f"{os.path.basename(path)}:{node.lineno}: {read}")
+    return found
+
+
+def test_tolerances_are_read_only_in_the_rule():
+    package = os.path.dirname(splitloop.__file__)
+    paths = [os.path.join(package, name) for name in sorted(os.listdir(package))
+             if name.endswith(".py")]
+    assert [hit for path in paths for hit in _tolerance_readers(path)] == []
+
+
+def test_tolerance_check_sees_a_second_copy(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "from states import AMPLITUDE_NORM_TOL, WEIGHT_SUM_TOL\n"
+        "__all__ = ['WEIGHT_SUM_TOL']\n"
+        "AMPLITUDE_NORM_TOL = 1e-3\n"
+        "def normalize_pair(x, y):\n"
+        "    return abs(x + y - 1.0) <= WEIGHT_SUM_TOL\n"
+        "def fast_path(x, y):\n"
+        "    return abs(x * x + y * y - 1.0) <= AMPLITUDE_NORM_TOL\n"
+        "class Pair:\n"
+        "    def normalize_pair(self):\n"
+        "        return states.WEIGHT_SUM_TOL\n")
+    assert _tolerance_readers(str(source)) == [
+        "sample.py:7: AMPLITUDE_NORM_TOL", "sample.py:10: WEIGHT_SUM_TOL"]

@@ -6,6 +6,7 @@ they do not; the engine must land within a few double-precision ulps.
 """
 
 import math
+import random
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import partial
@@ -115,6 +116,28 @@ class TestUnitaryHalf:
         right = step_unitary_right_half(AmplitudePair(a, b))
         left = step_unitary_left_half(AmplitudePair(b, a))
         assert (left.a_left, left.b_right) == (right.b_right, right.a_left)
+
+    def test_half_maps_local_normal_forms(self):
+        # on a unit pair d = sqrt(1 + 2ab^2): at the captured state the map
+        # is a' = a^2 / sqrt(1 + 2ab^2), and the mirror's b' likewise
+        rng = random.Random(36)
+        worst = 0.0
+        for _ in range(10 ** 4):
+            theta = rng.uniform(0.0, math.pi / 2.0)
+            a, b = math.cos(theta), math.sin(theta)
+            form = a * a / math.sqrt(1.0 + 2.0 * a * (b * b))
+            right = maps.unitary_right_half_kernel(a, b)[0]
+            left = maps.unitary_left_half_kernel(b, a)[1]
+            worst = max(worst, abs(right - form) / math.ulp(form),
+                        abs(left - form) / math.ulp(form))
+        assert worst <= 8.0
+        # at the released state the escaping component doubles
+        for small in (1e-6, 1e-9, 1e-12):
+            big = math.sqrt(1.0 - small * small)
+            assert maps.unitary_right_half_kernel(big, small)[1] / small == (
+                pytest.approx(2.0, rel=2 * small))
+            assert maps.unitary_left_half_kernel(small, big)[0] / small == (
+                pytest.approx(2.0, rel=2 * small))
 
     @given(theta=angles)
     def test_right_half_drains_left_weight(self, theta):

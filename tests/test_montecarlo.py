@@ -1,6 +1,7 @@
 """Stochastic sampler: per-seed reproducibility, absorption, agreement."""
 
 import contextlib
+import dataclasses
 import math
 import tracemalloc
 
@@ -622,16 +623,22 @@ class TestAgreement:
     def test_errors_come_in_order(self):
         # each call has every fault of the next one too, and one more
         estimate = self.hand_built([0.5] * 3, [0.05] * 3)
+        short_right = dataclasses.replace(estimate, w_right=(0.5,) * 2)
+        uneven = dataclasses.replace(short_right, stderr=(0.05,) * 2)
         bad_entries = [None] * 2
         cases = [
             (("not an estimate", 7, math.nan), ModeMismatchError,
              "estimate must be an EnsembleEstimate, got str"),
-            ((estimate, 7, math.nan), ModeMismatchError,
+            ((uneven, 7, math.nan), ModeMismatchError,
              "analytic must be a sequence of WeightPair, got int"),
-            ((estimate, bad_entries, math.nan), OutOfRangeError,
+            ((uneven, bad_entries, math.nan), OutOfRangeError,
              "sigma_bound must be positive and finite, got nan"),
-            ((estimate, bad_entries, 4.0), LengthMismatchError,
+            ((uneven, bad_entries, 4.0), LengthMismatchError,
              "analytic series has 2 steps, estimate has 3"),
+            ((uneven, bad_entries + [None], 4.0), LengthMismatchError,
+             "estimate has 3 steps, its stderr 2"),
+            ((short_right, bad_entries + [None], 4.0), LengthMismatchError,
+             "estimate has 3 steps, its w_right 2"),
             ((estimate, bad_entries + [None], 4.0), ModeMismatchError,
              "analytic entry must be a WeightPair, got NoneType")]
         for args, error, message in cases:

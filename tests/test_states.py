@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitloop import (AMPLITUDE_NORM_TOL, AmplitudePair,
+from splitloop import (AMPLITUDE_NORM_TOL, WEIGHT_SUM_TOL, AmplitudePair,
                        ConvergenceCriterion, InteractionMode,
                        InvalidStepError, ModeMismatchError, NormalizationError,
                        OutOfRangeError, Scenario, ScheduleConflictError,
@@ -23,6 +23,7 @@ from splitloop import (AMPLITUDE_NORM_TOL, AmplitudePair,
                        step_measure_right_half,
                        steps_to_converge, sweep_initial_conditions,
                        validate_amplitudes, validate_weights, weights_of)
+from splitloop import states
 from splitloop.states import normalize_pair
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -35,6 +36,9 @@ weights = st.floats(0.0, 1.0)
 def test_rounding_undershoot_is_clamped_to_positive_zero(cls):
     low, high = dataclasses.astuple(cls(-1e-13, 1.0))[:2]
     assert (low, high) == (0.0, 1.0)
+    assert math.copysign(1.0, low) == 1.0
+    high, low = dataclasses.astuple(cls(1.0, -1e-13))[:2]
+    assert (high, low) == (1.0, 0.0)
     assert math.copysign(1.0, low) == 1.0
 
 
@@ -656,3 +660,143 @@ def test_numpy_seed_across_the_key_carry_equals_the_python_run():
     got = ensemble_frequencies(SP9, BOTH, 5, 5, np.uint64(seed))
     assert got == expected
     assert type(got.base_seed) is int and type(got.n_paths) is int
+
+
+# Floats at the edges of the rule: signed zeros, subnormals, nan, the
+# infinities, and components up to 2 ulps either side of -_RANGE_SLACK.
+def _around(value: float, ulps: int) -> list[float]:
+    """value and the floats up to ulps steps away from it on either side."""
+    low = high = value
+    found = [value]
+    for _ in range(ulps):
+        low, high = math.nextafter(low, -math.inf), math.nextafter(high,
+                                                                   math.inf)
+        found += [low, high]
+    return found
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               math.nan, math.inf, -math.inf, 1.0,
+               *_around(-states._RANGE_SLACK, 2)]
+# Pairs whose squared norm or sum lies a few ulps either side of its band.
+BAND_PAIRS = {
+    True: [(x, y) for x in (0.0, 0.6)
+           for tol in (AMPLITUDE_NORM_TOL, -AMPLITUDE_NORM_TOL)
+           for y in _around(math.sqrt(1.0 + tol - x * x), 3)],
+    False: [(x, y) for x in (0.0, 0.5)
+            for tol in (WEIGHT_SUM_TOL, -WEIGHT_SUM_TOL)
+            for y in _around(1.0 + tol - x, 6)]}
+RULES = [(validate_amplitudes, AmplitudePair, True, ("a_left", "b_right")),
+         (validate_weights, WeightPair, False, ("w_left", "w_right"))]
+
+
+def _outcome(make, *args):
+    """What make(*args) returns, or the SplitLoopError it raises."""
+    try:
+        return make(*args)
+    except SplitLoopError as error:
+        return error
+
+
+@pytest.mark.parametrize("squared", [True, False], ids=["norm", "sum"])
+def test_band_pairs_lie_on_both_sides_of_the_band(squared):
+    validate = validate_amplitudes if squared else validate_weights
+    outcomes = {validate(*pair) is None for pair in BAND_PAIRS[squared]}
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("validate,cls,squared,names", RULES,
+                         ids=["amplitudes", "weights"])
+@given(data=st.data())
+def test_validator_constructor_and_normalize_pair_share_one_rule(
+        validate, cls, squared, names, data):
+    edges = st.sampled_from(EDGE_FLOATS)
+    pair = data.draw(st.one_of(
+        st.tuples(edges, edges), st.sampled_from(BAND_PAIRS[squared]),
+        st.tuples(st.floats(), st.floats()), st.tuples(entered, entered),
+        st.tuples(entered, edges), st.tuples(edges, entered)))
+    violation = validate(*pair)
+    made = _outcome(cls, *pair)
+    floats = [states._as_float(value) for value in pair]
+    normalized = _outcome(normalize_pair, *floats, squared, names)
+    if violation is None:
+        assert dataclasses.astuple(made) == normalized
+        return
+    assert type(made) is (OutOfRangeError if violation.kind == "range"
+                          else NormalizationError)
+    assert str(made) == violation.message
+    assert repr(made.violation) == repr(violation)  # nan != nan
+    if all(states._is_real(value) for value in pair):
+        assert type(normalized) is type(made)
+        assert repr(normalized.violation) == repr(violation)
+    else:  # a non-number reads as nan, which the rule refuses
+        assert type(normalized) is OutOfRangeError
+
+
+# Refusals as the validators gave them before the acceptance test moved
+# into normalize_pair, class and message included.
+A, W = validate_amplitudes, validate_weights
+PINNED_REFUSALS = [
+    (A, (0.6, 0.6), "normalization", "-0.28",
+     "squared norm 0.72 deviates from 1 by -0.28"),
+    (A, (-0.5, 0.8), "range", "-0.5", "a_left must be non-negative, got -0.5"),
+    (A, (1.0, -1.0000000000000002e-12), "range", "-1.0000000000000002e-12",
+     "b_right must be non-negative, got -1.0000000000000002e-12"),
+    (A, (math.nan, 1.0), "range", "nan", "a_left is not finite"),
+    (A, (0.0, math.inf), "range", "nan", "b_right is not finite"),
+    (A, (True, 0.0), "range", "nan", "a_left must be a real number, got True"),
+    (A, (10 ** 400, 0.0), "range", "nan", "a_left is not finite"),
+    (A, ("x", 1.0), "range", "nan", "a_left must be a real number, got 'x'"),
+    (A, (np.float32(0.6), 0.7), "normalization", "-0.14999997138976995",
+     "squared norm 0.85000002861023 deviates from 1 by -0.14999997138976995"),
+    (W, (0.25, 0.5), "weight-sum", "-0.25",
+     "weight sum 0.75 deviates from 1 by -0.25"),
+    (W, (1.5, -0.5), "range", "-0.5", "w_right must be non-negative, got -0.5"),
+    (W, (-1.0000000000000002e-12, 1.0), "range", "-1.0000000000000002e-12",
+     "w_left must be non-negative, got -1.0000000000000002e-12"),
+    (W, (0.5, 0.5 + 1.0000000000000002e-9), "weight-sum",
+     "1.000000082740371e-09",
+     "weight sum 1.000000001 deviates from 1 by 1.000000082740371e-09"),
+    (W, (None, 1.0), "range", "nan", "w_left must be a real number, got None"),
+    (W, (0.5, np.bool_(True)), "range", "nan",
+     "w_right must be a real number, got np.True_"),
+    (W, (-math.inf, 1.0), "range", "nan", "w_left is not finite"),
+    (W, (0.0, -0.0), "weight-sum", "-1.0",
+     "weight sum 0.0 deviates from 1 by -1.0"),
+]
+
+
+@pytest.mark.parametrize("validate,pair,kind,deviation,message",
+                         PINNED_REFUSALS)
+def test_refusals_keep_their_class_and_message(validate, pair, kind,
+                                               deviation, message):
+    violation = validate(*pair)
+    assert (violation.kind, repr(violation.deviation), violation.message) == (
+        kind, deviation, message)
+    cls = AmplitudePair if validate is A else WeightPair
+    with pytest.raises(OutOfRangeError if kind == "range"
+                       else NormalizationError) as raised:
+        cls(*pair)
+    assert str(raised.value) == message
+    assert repr(raised.value.violation) == repr(violation)
+
+
+@pytest.mark.parametrize("make,refused", [
+    (lambda: AmplitudePair(0.6, 0.8), False),
+    (lambda: WeightPair(0.25, 0.75), False),
+    (lambda: SplitterCoefficients(0.6, 0.8), False),
+    (lambda: validate_amplitudes(0.6, 0.8), False),
+    (lambda: AmplitudePair(0.6, 0.6), True),
+    (lambda: WeightPair(-0.5, 1.5), True),
+    (lambda: validate_weights(0.25, 0.5), True),
+], ids=["amplitudes", "weights", "splitter", "validator", "off-norm",
+        "negative", "off-sum"])
+def test_a_construction_runs_the_rule_once(monkeypatch, make, refused):
+    calls = dict.fromkeys(("normalize_pair", "_violation"), 0)
+    for name in calls:
+        def counted(*args, _run=getattr(states, name), _name=name):
+            calls[_name] += 1
+            return _run(*args)
+        monkeypatch.setattr(states, name, counted)
+    _outcome(make)
+    assert calls == {"normalize_pair": 1, "_violation": int(refused)}
