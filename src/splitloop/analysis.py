@@ -114,8 +114,12 @@ def compare_modes(w_left_initial: float, epsilon: float,
     By default the splitter is tied to the initial condition (a1^2 equals
     the initial weight), matching how the initial state is prepared in the
     first place; pass an explicit splitter to untie the movable-splitter
-    run from it. Tied, the coherent route is never the slower one; untied,
-    the measuring route can win (ratio below 1).
+    run from it. Tied, the coherent route is never the slower one but on
+    the first record: its start, squared back from (sqrt(w), sqrt(1 - w)),
+    can lie up to 2**-53 further from 1/2 than the measuring start (w, 1 -
+    w), so an epsilon between the two distances gives 2 coherent steps
+    against 1 (w = 0.6, epsilon = 0.1). Untied, the measuring route can win
+    (ratio below 1).
     """
     w_left_initial = _check_unit("w_left_initial", w_left_initial)
     if w_left_initial in (0.0, 1.0):

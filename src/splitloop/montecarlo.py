@@ -78,16 +78,17 @@ _AGREEMENT_SETTERS = _setters(StepAgreement)
 
 
 # Philox4x64-10 (Salmon et al., SC'11) exactly as numpy's Philox computes
-# it: the key k is the words (k mod 2**64, k >> 64), the counter starts at 1
-# and counts blocks, each block gives four uint64 words, and a double is
-# (word >> 11) * 2**-53.
+# it: the key k is the words (k mod 2**64, k >> 64), bumped by _PHILOX_W
+# after each of the ten rounds, the counter starts at 1 and counts blocks,
+# each block gives four uint64 words, and a double is (word >> 11) * 2**-53.
 _PHILOX_M = np.array((0xD2E7470EE14C6C93, 0xCA5A826395121157), np.uint64)
 _PHILOX_W = np.array((0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B), np.uint64)
 
 #: A draw of up to this many steps, a path's or a time slice's, is made by
 #: the key-vectorized Philox, a longer one by one numpy Philox re-keyed per
-#: path: whole ensembles are as fast either way near 48 steps. Timings: the
-#: CHANGES entry of BENCH_pr24.json.
+#: path. Each draw and its time-major copy tie at about 60-72 steps on
+#: blocks of 1000-2700 keys, and at 48 the vectorized one takes 0.68-0.84x
+#: the re-keyed one's time. Timings: the CHANGES entry of BENCH_pr37.json.
 VECTOR_MAX_STEPS = 48
 #: A draw block holds at most CHUNK_PATH_STEPS words, a whole number of
 #: bytes of 8 paths, and a time slice CHUNK_PATH_STEPS // 8 steps, so that a
@@ -116,20 +117,18 @@ def _packed_width(n_paths: int) -> int:
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, x uint64."""
+    """High and low words of the 128-bit products m * x, x uint64.
+
+    The high word is summed from the products of 32-bit halves, and no term
+    overflows 64 bits: such a product is at most (2**32 - 1)**2 = 2**64 -
+    2**33 + 1, so adding less than 2**32 to it, as u and v do, stays below
+    2**64, and every partial sum of hi is at most the high word itself.
+    """
     m_hi, m_lo = m >> 32, m & 0xFFFFFFFF
     x_hi, x_lo = x >> 32, x & 0xFFFFFFFF
-    hi, mid_a, mid_b = x_hi * m_hi, x_lo * m_hi, x_hi * m_lo
-    carry = x_lo * m_lo  # in place from here on: 20 of these per draw
-    carry >>= 32
-    carry += mid_a & 0xFFFFFFFF
-    carry += mid_b & 0xFFFFFFFF
-    carry >>= 32
-    hi += carry
-    mid_a >>= 32
-    hi += mid_a
-    mid_b >>= 32
-    hi += mid_b
+    u = x_hi * m_lo + (x_lo * m_lo >> 32)
+    v = x_lo * m_hi + (u & 0xFFFFFFFF)
+    hi = x_hi * m_hi + (u >> 32) + (v >> 32)
     return hi, x * m
 
 
@@ -152,16 +151,14 @@ def _philox_uniforms(base_seed: int, keys: np.ndarray, t0: int,
     first, blocks = t0 // 4 + 1, -(-steps // 4)
     x0 = np.arange(first, first + blocks, dtype=np.uint64).reshape(-1, 1)
     x1 = x2 = x3 = np.zeros_like(x0)
-    for r in range(10):
-        if r:
-            k0 = k0 + _PHILOX_W[0]
-            k1 = k1 + _PHILOX_W[1]
+    for _ in range(10):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        hi1 ^= x1
-        hi0 ^= x3
-        x0, x1, x2, x3 = hi1 ^ k0, lo1, hi0 ^ k1, lo0
-    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=1)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+        k0 = k0 + _PHILOX_W[0]
+        k1 = k1 + _PHILOX_W[1]
+    # every word is blocks x keys from round 2 on
+    words = np.stack((x0, x1, x2, x3), axis=1)
     return words.reshape(4 * blocks, len(k0))[:steps].T
 
 

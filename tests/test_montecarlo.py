@@ -226,6 +226,20 @@ def packed_bits(words, p):
     return np.unpackbits(a[0], count=len(words)).astype(bool).tolist()
 
 
+MULTIPLY_EDGES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1,
+                  0xFFFFFFFF00000000, 0x8000000080000000]
+
+
+@pytest.mark.parametrize("m", montecarlo._PHILOX_M.tolist(), ids=hex)
+def test_mulhilo_is_the_128_bit_product(m):
+    randoms = np.random.default_rng(7).integers(2 ** 64, size=10 ** 4,
+                                                dtype=np.uint64)
+    x = np.concatenate((np.array(MULTIPLY_EDGES, np.uint64), randoms))
+    hi, lo = montecarlo._mulhilo(np.uint64(m), x)
+    assert list(zip(hi.tolist(), lo.tolist())) == [
+        divmod(m * word, 2 ** 64) for word in x.tolist()]
+
+
 THRESHOLD_EDGES = [0.0, 5e-324, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0]
 
 
@@ -395,15 +409,18 @@ class TestEnsemble:
         if absorbed in w_left:
             assert set(w_left[w_left.index(absorbed):]) == {absorbed}
 
+    @pytest.mark.parametrize("steps", [1, 4, 5, 48])
+    @pytest.mark.parametrize("t0", [0, 8, 4000])
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 5, KEYS - 40])
-    def test_scattered_keys_draw_their_own_streams(self, seed):
-        # survivors of a narrowed slice: key offsets with gaps, from t0 = 8
+    def test_scattered_keys_draw_their_own_streams(self, seed, t0, steps):
+        # survivors of a narrowed slice: key offsets with gaps, from t0
         offsets = np.array([0, 3, 4, 9, 30, 31, 39], dtype=np.uint32)
-        expected = np.array([np.random.Philox(key=seed + k).random_raw(12)[8:]
-                             for k in offsets.tolist()])
+        expected = np.array([
+            np.random.Philox(key=seed + k).random_raw(t0 + steps)[t0:]
+            for k in offsets.tolist()])
         for draw in (montecarlo._philox_uniforms,
                      montecarlo._rekeyed_uniforms):
-            words = draw(seed, offsets, 8, 4)
+            words = draw(seed, offsets, t0, steps)
             assert words.dtype == np.uint64
             assert np.array_equal(words, expected)
 
